@@ -9,6 +9,8 @@ simulator is real byte movement that tests can check end to end.
 
 from __future__ import annotations
 
+import mmap
+import sys
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -37,6 +39,35 @@ class InvalidPointerError(ValueError):
 
 def _align_up(n: int, alignment: int = ALIGNMENT) -> int:
     return (n + alignment - 1) // alignment * alignment
+
+
+#: Linux ``MAP_NORESERVE``; Python's ``mmap`` module does not export it.
+_MAP_NORESERVE = 0x4000
+#: Mappings at least this large get ``MADV_HUGEPAGE``, as NumPy gives its
+#: own large zeroed allocations.
+_HUGEPAGE_MIN = 4 << 20
+
+
+def _zeroed_bytes(size: int) -> np.ndarray:
+    """A zero-filled ``uint8`` array whose pages are committed on first touch.
+
+    On Linux this is a private anonymous ``MAP_NORESERVE`` mapping: the
+    modeled capacity (12 GiB of host memory per node by default) costs
+    nothing until a run writes to it, and resident memory tracks the bytes
+    a run actually touches, even where the kernel's heuristic overcommit
+    refuses one eager 12 GiB ``np.zeros``. Elsewhere it is ``np.zeros``.
+    """
+    if not sys.platform.startswith("linux"):
+        return np.zeros(size, dtype=np.uint8)
+    mapping = mmap.mmap(
+        -1, size,
+        flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | _MAP_NORESERVE,
+        prot=mmap.PROT_READ | mmap.PROT_WRITE,
+    )
+    if size >= _HUGEPAGE_MIN and hasattr(mmap, "MADV_HUGEPAGE"):
+        mapping.madvise(mmap.MADV_HUGEPAGE)
+    # The array holds the mapping alive through its buffer export.
+    return np.frombuffer(mapping, dtype=np.uint8)
 
 
 class BufferPtr:
@@ -163,7 +194,7 @@ class Arena:
         # ``backing`` lets a caller supply the storage bytes -- the shard
         # payload arenas hand in views of ``multiprocessing.shared_memory``
         # segments so staged RDMA payloads cross process boundaries without
-        # serialization. Default is a private (lazily committed) zero page.
+        # serialization. Default is a private, lazily committed zero mapping.
         if backing is not None:
             if backing.dtype != np.uint8 or backing.ndim != 1:
                 raise ValueError("arena backing must be a 1-D uint8 array")
@@ -173,7 +204,7 @@ class Arena:
                 )
             self.raw = backing[:size]
         else:
-            self.raw = np.zeros(size, dtype=np.uint8)
+            self.raw = _zeroed_bytes(size)
         # Free list: sorted list of (offset, length) holes.
         self._free: List[Tuple[int, int]] = [(0, size)]
         self._live: Dict[int, int] = {}  # offset -> allocated length

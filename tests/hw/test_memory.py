@@ -190,3 +190,36 @@ def test_allocator_never_overlaps_and_always_coalesces(ops):
         arena.free(p)
     assert arena.free_bytes == arena.size
     assert arena.num_allocations == 0
+
+
+_RSS_PROBE = """
+import resource
+from repro.hw import Cluster
+from repro.mpi import MpiWorld
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+world = MpiWorld(Cluster(4))
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(after - before)
+"""
+
+
+def test_default_cluster_peak_rss_tracks_touched_bytes():
+    """The default arenas model 12 GiB of host memory per node (and 3 GiB
+    per GPU) but commit pages only on first touch: building a 4-node
+    cluster and its MPI world at the default config must not grow peak
+    RSS by more than a few MiB, and must not fail where the kernel refuses
+    to overcommit an eager 12 GiB allocation."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", _RSS_PROBE], env=env, check=True,
+        capture_output=True, text=True,
+    )
+    grown_kib = int(out.stdout.strip())  # ru_maxrss is KiB on Linux
+    assert grown_kib < 16 * 1024, f"peak RSS grew {grown_kib} KiB"
