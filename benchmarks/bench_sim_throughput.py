@@ -12,10 +12,9 @@ as ``sim_throughput`` and guarded by ``tests/perf/test_sim_throughput.py``
 (>30% below the recorded figure fails the perf tier).
 """
 
-import os
 import time
 
-from repro.perf.hotpath import record_sim_throughput, record_wheel_baseline
+from repro.perf.hotpath import record_sim_throughput
 from repro.sim import Environment
 
 CHAINS = 64
@@ -24,12 +23,11 @@ WORKLOAD = (
     f"{CHAINS} timeout chains x {DEPTH} deep, half zero-delay "
     "(immediate lane), half positive-delay (heap)"
 )
-WHEEL_WORKLOAD = "fig5:quick, verify off, 1 iteration (sequential)"
 
 
-def run_workload(event_pooling: bool = True) -> Environment:
+def run_workload() -> Environment:
     """Drive the reference workload to completion; returns the environment."""
-    env = Environment(event_pooling=event_pooling)
+    env = Environment()
 
     def chain(i):
         delay = 0.0 if i % 2 == 0 else 1e-6 * (1 + i)
@@ -42,67 +40,21 @@ def run_workload(event_pooling: bool = True) -> Environment:
     return env
 
 
-def measure_events_per_second(repeats: int = 3,
-                              event_pooling: bool = True) -> float:
+def measure_events_per_second(repeats: int = 3) -> float:
     """Best-of-N events/second (scheduled events over wall-clock)."""
     best = 0.0
     for _ in range(repeats):
         start = time.perf_counter()
-        env = run_workload(event_pooling=event_pooling)
+        env = run_workload()
         elapsed = time.perf_counter() - start
         best = max(best, env._eid / elapsed)
     return best
 
 
-def measure_fig5_wallclock(event_wheel: bool, repeats: int = 5) -> float:
-    """Best-of-N wall-clock for sequential fig5:quick, wheel on or off.
-
-    A full-fidelity workload (the real 5-stage pipeline, not a synthetic
-    timeout mesh): the guard on this pair enforces that the calendar
-    wheel never pessimizes a paper experiment relative to the pure-heap
-    hot loop it replaced.
-    """
-    from repro.bench.experiments import fig5_vector_latency
-
-    saved = os.environ.get("REPRO_SIM_WHEEL")
-    os.environ["REPRO_SIM_WHEEL"] = "1" if event_wheel else "0"
-    try:
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fig5_vector_latency("quick", verify=False, iterations=1)
-            best = min(best, time.perf_counter() - start)
-        return best
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SIM_WHEEL", None)
-        else:
-            os.environ["REPRO_SIM_WHEEL"] = saved
-
-
 def test_sim_event_throughput(benchmark):
     eps = benchmark.pedantic(measure_events_per_second, rounds=1, iterations=1)
-    pooled_off = measure_events_per_second(repeats=1, event_pooling=False)
     benchmark.extra_info["events_per_second"] = round(eps)
-    benchmark.extra_info["events_per_second_pooling_off"] = round(pooled_off)
     record_sim_throughput(eps, WORKLOAD)
-    print(
-        f"\nsim throughput: {eps / 1e6:.2f}M events/s pooled, "
-        f"{pooled_off / 1e6:.2f}M events/s unpooled"
-    )
+    print(f"\nsim throughput: {eps / 1e6:.2f}M events/s")
     assert eps > 0
 
-
-def test_wheel_vs_heap_baseline(benchmark):
-    wheel = benchmark.pedantic(
-        measure_fig5_wallclock, args=(True,), rounds=1, iterations=1
-    )
-    heap = measure_fig5_wallclock(False)
-    benchmark.extra_info["wheel_seconds"] = round(wheel, 4)
-    benchmark.extra_info["heap_seconds"] = round(heap, 4)
-    record_wheel_baseline(wheel, heap, WHEEL_WORKLOAD)
-    print(
-        f"\nfig5:quick wall-clock: {wheel:.3f}s wheel, {heap:.3f}s heap "
-        f"({heap / wheel:.2f}x)"
-    )
-    assert wheel > 0 and heap > 0

@@ -92,11 +92,11 @@ def tune_stats_footer(snapshot: Optional[Dict[str, int]] = None) -> str:
 def dtype_stats_footer(snapshot: Optional[Dict[str, int]] = None) -> str:
     """One-line ``[dtype: ...]`` summary; empty when the datatype IR idled.
 
-    Reports the datatype compiler's canonicalization traffic: commits
+    Reports the datatype compiler's canonicalization traffic: types
     canonicalized, canonical collisions (distinct constructions that
-    collapsed onto one form), pass rewrite counts and the compiled state
+    collapsed onto one form) and the compiled state
     (tilings/slices/plans/signatures) served across instances. Nonzero
-    whenever ``use_dtir`` is on and derived datatypes were committed.
+    whenever derived datatypes were used.
     """
     if snapshot is None:
         return PERF.dtype_footer()

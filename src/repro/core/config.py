@@ -47,15 +47,6 @@ class GpuNcConfig:
     #: trace-equality tests pin this), so the switch exists for those
     #: tests and for debugging.
     use_plans: bool = True
-    #: When True (default), committed datatypes canonicalize through the
-    #: datatype IR (:mod:`repro.mpi.dtir`): equivalent layouts collapse
-    #: onto one registry entry and share compiled tilings, chunk slices,
-    #: transfer plans and tuning signatures process-wide. Wall-clock
-    #: only -- simulated traces are bit-identical either way (pinned by
-    #: the dtir trace-equality tests); ``False`` restores the legacy
-    #: per-instance compilation path exactly. ``REPRO_DTIR=0`` in the
-    #: environment forces it off before any engine is constructed.
-    use_dtir: bool = True
     #: Which transfer backend moves strided chunks: ``"auto"`` (default)
     #: follows the tuning table when one is attached and otherwise uses
     #: the GPU-pack pipeline (exactly the historical engine); ``"gpu"``,

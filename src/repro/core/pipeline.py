@@ -90,13 +90,6 @@ class GpuNcEngine:
     def __init__(self, world: "MpiWorld", config: Optional[GpuNcConfig] = None):
         self.world = world
         self.config = config if config is not None else GpuNcConfig()
-        # The datatype-IR gate is process-wide (the canonical registry
-        # is shared across worlds); the engine mirrors its config so
-        # ``GpuNcConfig(use_dtir=False)`` runs the legacy compilation
-        # path bit-for-bit.
-        from ..mpi import dtir
-
-        dtir.set_enabled(self.config.use_dtir)
         self._resources: Dict[int, _EndpointResources] = {}
         #: Resolved tuning table (or None = untuned, bit-identical engine).
         self.tuning = getattr(world, "tuning", None)

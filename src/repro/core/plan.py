@@ -5,9 +5,9 @@ range, segment slice, stage labels and stage durations. Legacy code
 recomputed all of that -- plus a staging-hop copy through the device tbuf --
 for every chunk of every message. A :class:`TransferPlan` compiles the
 structure **once** per ``(datatype version, count, chunk size, src kind,
-dst kind)`` and is cached on the :class:`~repro.mpi.datatype.Datatype`
-itself (see :meth:`~repro.mpi.datatype.Datatype.plan_for`), so a steady
-stream of same-shaped messages replays flat, preresolved chunk records.
+dst kind)`` and is cached in the datatype's canonical registry entry (see
+:meth:`~repro.mpi.datatype.Datatype.plan_for`), so a steady stream of
+same-shaped messages replays flat, preresolved chunk records.
 
 Replay preserves the simulated schedule bit-for-bit: the plan carries the
 exact labels and durations the legacy path would have produced, and the

@@ -21,8 +21,7 @@ A flattened type is a :class:`SegmentList`: byte offsets + lengths in
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,11 +29,6 @@ from ..perf.stats import PERF
 from . import dtir
 
 __all__ = ["Datatype", "SegmentList", "DatatypeError"]
-
-#: Marks a committed type that must *not* share a canonical entry (the
-#: registry refused it, e.g. on a digest collision); distinct from None,
-#: which means "not bound yet".
-_NO_ENTRY = object()
 
 #: Sentinel distinguishing "not yet computed" from a legitimate ``None``
 #: result in the :class:`SegmentList` memo slots.
@@ -230,11 +224,6 @@ class Datatype:
     being used in communication, exactly as in MPI.
     """
 
-    #: LRU capacities of the per-instance segment-compilation caches.
-    SEG_CACHE_CAP = 64
-    SLICE_CACHE_CAP = 256
-    PLAN_CACHE_CAP = 32
-
     __slots__ = (
         "name",
         "size",
@@ -245,11 +234,6 @@ class Datatype:
         "type_id",
         "base_np",
         "version",
-        "_seg_cache",
-        "_slice_cache",
-        "_plan_cache",
-        "_sig_cache",
-        "_ir",
         "_canon_entry",
     )
 
@@ -277,25 +261,12 @@ class Datatype:
         self._committed = False
         self.type_id = next(_ids)
         self.base_np = base_np
-        #: Bumped on every cache invalidation; cache keys are scoped to the
-        #: (type_id, version) pair, so stale compilations can never leak
-        #: across a derivation such as ``resized`` or ``dup``.
+        #: Bumped on every cache invalidation; plan keys are scoped to the
+        #: version, so stale plans can never leak across a derivation such
+        #: as ``resized`` or ``dup``.
         self.version = 0
-        # Per-instance LRU caches: count -> SegmentList, and
-        # (count, lo, hi) -> SegmentList for the chunked pipeline path.
-        self._seg_cache: "OrderedDict[int, SegmentList]" = OrderedDict()
-        self._slice_cache: "OrderedDict[Tuple[int, int, int], SegmentList]" = (
-            OrderedDict()
-        )
-        # (version, count, chunk_bytes, src_kind, dst_kind) -> TransferPlan
-        self._plan_cache: "OrderedDict[tuple, object]" = OrderedDict()
-        # (version, count) -> LayoutSignature (tuning-table key; tiny).
-        self._sig_cache: Dict[tuple, object] = {}
-        #: Symbolic IR tree built by the constructor (None when the
-        #: construction had no cheap symbolic form; detection covers it).
-        self._ir = None
-        #: Canonical-registry entry bound at commit (None = unbound,
-        #: _NO_ENTRY = refused; see :meth:`_entry`).
+        #: Canonical-registry entry (None = not bound yet; see
+        #: :meth:`_entry`).
         self._canon_entry = None
 
     # -- primitives --------------------------------------------------------------
@@ -306,8 +277,6 @@ class Datatype:
         size = dt.itemsize
         segs = SegmentList(np.array([0], np.int64), np.array([size], np.int64))
         out = cls(name or dt.name.upper(), size, 0, size, segs, base_np=dt)
-        if size > 0:
-            out._ir = dtir.Contig(0, size)
         out._committed = True
         return out
 
@@ -365,7 +334,7 @@ class Datatype:
         lo, hi = segs.span()
         if count == 0 or blocklength == 0:
             lo = hi = 0
-        out = cls(
+        return cls(
             name or f"hvector({count},{blocklength},{stride_bytes})",
             size,
             lo,
@@ -373,11 +342,6 @@ class Datatype:
             segs,
             base_np=base.base_np,
         )
-        if base._ir is not None:
-            ir = dtir.tiled_node(base._ir, blocklength, base.extent)
-            if ir is not None:
-                out._ir = dtir.tiled_node(ir, count, stride_bytes)
-        return out
 
     @classmethod
     def indexed(
@@ -402,30 +366,18 @@ class Datatype:
         if len(blocklengths) != len(byte_displacements):
             raise DatatypeError("blocklengths and displacements length mismatch")
         parts: List[SegmentList] = []
-        symbolic = (base._ir is not None
-                    and len(blocklengths) <= dtir.MAX_SYMBOLIC_PARTS)
-        ir_parts: List[object] = []
         for bl, disp in zip(blocklengths, byte_displacements):
             if bl < 0:
                 raise DatatypeError("negative blocklength")
             if bl == 0:
                 continue
             parts.append(base.segments.tiled(bl, base.extent).shifted(disp))
-            if symbolic:
-                t = dtir.tiled_node(base._ir, bl, base.extent)
-                if t is None:
-                    symbolic = False
-                else:
-                    ir_parts.append(dtir.shifted(t, disp))
         segs = _concat_segments(parts).coalesced()
         size = base.size * sum(blocklengths)
         lo, hi = segs.span()
-        out = cls(
+        return cls(
             name or "hindexed", size, lo, hi - lo, segs, base_np=base.base_np
         )
-        if symbolic:
-            out._ir = dtir.struct_node(ir_parts)
-        return out
 
     @classmethod
     def indexed_block(
@@ -450,11 +402,9 @@ class Datatype:
         )
         if base.committed:
             out._committed = True
-        # The duplicate shares the base's typemap but must compile its own
-        # tilings under its own (type_id, version) scope. The symbolic IR
-        # (and therefore the canonical entry) carries over untouched:
-        # lb/extent normalization makes a dup canonically identical.
-        out._ir = base._ir
+        # The duplicate shares the base's typemap, and therefore its
+        # canonical entry once bound (lb/extent normalization makes a dup
+        # canonically identical); its plans are scoped to its own version.
         out.invalidate_segment_cache()
         return out
 
@@ -470,8 +420,6 @@ class Datatype:
             raise DatatypeError("struct argument length mismatch")
         parts: List[SegmentList] = []
         size = 0
-        symbolic = len(blocklengths) <= dtir.MAX_SYMBOLIC_PARTS
-        ir_parts: List[object] = []
         for bl, disp, t in zip(blocklengths, byte_displacements, types):
             if bl < 0:
                 raise DatatypeError("negative blocklength")
@@ -479,23 +427,12 @@ class Datatype:
             if bl == 0:
                 continue
             parts.append(t.segments.tiled(bl, t.extent).shifted(disp))
-            if symbolic and t._ir is not None:
-                node = dtir.tiled_node(t._ir, bl, t.extent)
-                if node is None:
-                    symbolic = False
-                else:
-                    ir_parts.append(dtir.shifted(node, disp))
-            else:
-                symbolic = False
         segs = _concat_segments(parts).coalesced()
         lo, hi = segs.span()
         base_np = types[0].base_np if types else None
         if any(t.base_np != base_np for t in types):
             base_np = None
-        out = cls("struct", size, lo, hi - lo, segs, base_np=base_np)
-        if symbolic:
-            out._ir = dtir.struct_node(ir_parts)
-        return out
+        return cls("struct", size, lo, hi - lo, segs, base_np=base_np)
 
     @classmethod
     def subarray(
@@ -561,7 +498,7 @@ class Datatype:
             segs = _concat_segments(parts).coalesced()
         size = base.size * int(np.prod(subsizes))
         full = base.extent * int(np.prod(sizes))
-        out = cls(
+        return cls(
             f"subarray{tuple(subsizes)}of{tuple(sizes)}",
             size,
             0,
@@ -569,21 +506,6 @@ class Datatype:
             segs,
             base_np=base.base_np,
         )
-        if base.segments.count == 1 and int(base.segments.lengths[0]) == ext:
-            # Dense base: the subarray is literally a block grid (inner
-            # dim contiguous, one (count, stride) pair per outer dim).
-            off0 = int(sum(st * s for st, s in zip(starts_c, strides))) * ext
-            width = run_len * ext
-            if ndim == 1:
-                out._ir = dtir.Contig(off0, width)
-            else:
-                out._ir = dtir.BlockGrid(
-                    off0,
-                    tuple((subs_c[d], strides[d] * ext)
-                          for d in range(ndim - 1)),
-                    width,
-                )
-        return out
 
     #: Distribution kinds for :meth:`darray` (MPI_DISTRIBUTE_*).
     DIST_NONE = "none"
@@ -709,13 +631,11 @@ class Datatype:
             f"resized({base.name})", base.size, lb, extent, base.segments,
             base_np=base.base_np,
         )
-        # A resized type tiles with a *different* extent: any compilation
-        # keyed under the base's scope would be wrong here, so the new
-        # instance starts from an explicitly invalidated (empty) cache.
-        # Canonically it is the *same layout* (extent normalization: the
-        # canonical key covers the runs, never lb/extent), so the shared
-        # entry keys tilings on (count, extent) instead.
-        out._ir = base._ir
+        # A resized type tiles with a *different* extent, so it starts
+        # unbound under a fresh version. Canonically it is the *same
+        # layout* (extent normalization: the canonical key covers the
+        # runs, never lb/extent), so the shared entry keys tilings on
+        # (count, extent).
         out.invalidate_segment_cache()
         return out
 
@@ -723,32 +643,25 @@ class Datatype:
     def commit(self) -> "Datatype":
         """``MPI_Type_commit``. Returns self for chaining.
 
-        With the datatype IR enabled (``GpuNcConfig.use_dtir``, default
-        on), commit is where canonicalization happens: the constructor's
-        symbolic tree runs the rewrite passes, the compiled runs are
-        detected into their canonical node, and the type binds the
+        Commit is where canonicalization happens: the compiled runs are
+        detected into their canonical node and the type binds the
         process-wide :class:`~repro.mpi.dtir.CanonicalEntry` it will
         share with every equivalently laid-out type.
         """
         self._committed = True
-        if dtir.enabled():
-            self._entry()
+        self._entry()
         return self
 
-    def _entry(self):
-        """This type's canonical-registry entry (None = legacy path).
+    def _entry(self) -> "dtir.CanonicalEntry":
+        """This type's canonical-registry entry, bound on first use.
 
-        Bound lazily so primitives (committed at creation) and
-        re-committed/invalidated types pick their entry up on first use;
-        disabled mode always returns None without touching the registry.
+        Lazy so primitives (committed at creation) and invalidated types
+        pick their entry up when they next compile anything.
         """
-        if not (self._committed and dtir.enabled()):
-            return None
         e = self._canon_entry
         if e is None:
-            e = dtir.register(self._segments, self._ir, self.type_id)
-            self._canon_entry = e if e is not None else _NO_ENTRY
-        return e if e is not _NO_ENTRY else None
+            e = self._canon_entry = dtir.register(self._segments, self.type_id)
+        return e
 
     @property
     def committed(self) -> bool:
@@ -776,66 +689,34 @@ class Datatype:
     def segments_for_count(self, count: int) -> SegmentList:
         """Flattened segments of ``count`` consecutive elements of this type.
 
-        Compilations are cached in a per-instance LRU keyed on ``count``
-        (scoped to :attr:`version`); repeated packs/unpacks -- and every
-        chunk of a pipelined transfer -- reuse the same SegmentList and
-        therefore all of its memoized analysis (span, uniformity, gather
-        indices). Wall-clock only: the returned segments are bit-identical
-        to a fresh compilation.
+        The tiling is compiled once per *layout* -- cached in the
+        canonical entry keyed on ``(count, extent)`` and shared by every
+        equivalent type in the process -- so repeated packs/unpacks, and
+        every chunk of a pipelined transfer, reuse the same SegmentList
+        and therefore all of its memoized analysis (span, uniformity,
+        gather indices). Wall-clock only: the returned segments are
+        bit-identical to a fresh compilation.
         """
         if count < 0:
             raise DatatypeError("count must be non-negative")
         if count == 1:
             return self._segments
-        if count > 1:
-            entry = self._entry()
-            if entry is not None:
-                # Canonical route: the tiling is compiled once per
-                # *layout* (keyed on count and extent) and shared by
-                # every equivalent committed type in the process.
-                return entry.segments_for(count, self.extent, self.type_id)
-        cache = self._seg_cache
-        segs = cache.get(count)
-        if segs is not None:
-            cache.move_to_end(count)
-            PERF.bump("seg_cache_hit")
-            return segs
-        PERF.bump("seg_cache_miss")
-        segs = self._segments.tiled(count, self.extent).coalesced()
-        cache[count] = segs
-        if len(cache) > self.SEG_CACHE_CAP:
-            cache.popitem(last=False)
-        return segs
+        return self._entry().segments_for(count, self.extent, self.type_id)
 
     def segments_for_range(self, count: int, lo: int, hi: int) -> SegmentList:
         """Segments of packed-byte range ``[lo, hi)`` of ``count`` elements.
 
-        The chunking primitive behind the 5-stage pipeline, with its own
-        ``(count, lo, hi)``-keyed LRU so each chunk's slice is compiled
-        once per datatype rather than once per pack *and* per unpack *and*
-        per cost query. Full-range slices short-circuit to the cached
-        full compilation.
+        The chunking primitive behind the 5-stage pipeline. The canonical
+        entry caches slices keyed on ``(count, extent, lo, hi)``, so each
+        chunk's slice is compiled once per layout rather than once per
+        pack *and* per unpack *and* per cost query. Full-range slices
+        short-circuit to the cached full compilation.
         """
         full = self.segments_for_count(count)
         if lo == 0 and hi == full.total_bytes:
             return full
-        entry = self._entry()
-        if entry is not None:
-            ext = self.extent if count > 1 else 0
-            return entry.slice_for(full, count, ext, lo, hi, self.type_id)
-        key = (count, lo, hi)
-        cache = self._slice_cache
-        segs = cache.get(key)
-        if segs is not None:
-            cache.move_to_end(key)
-            PERF.bump("slice_cache_hit")
-            return segs
-        PERF.bump("slice_cache_miss")
-        segs = full.slice_bytes(lo, hi)
-        cache[key] = segs
-        if len(cache) > self.SLICE_CACHE_CAP:
-            cache.popitem(last=False)
-        return segs
+        ext = self.extent if count > 1 else 0
+        return self._entry().slice_for(full, count, ext, lo, hi, self.type_id)
 
     def plan_for(
         self, count: int, chunk_bytes: int, src_kind: str, dst_kind: str
@@ -844,58 +725,30 @@ class Datatype:
         pipelined transfer of ``count`` elements at ``chunk_bytes``
         granularity between the given buffer kinds.
 
-        Plans are cached in a per-instance LRU beside the segment caches,
-        keyed on ``(version, count, chunk_bytes, src_kind, dst_kind)`` --
-        the full signature of a transfer shape -- so a message stream with
-        a stable shape compiles once and replays forever. Like the segment
-        caches, the plan cache is a wall-clock optimization only: a cached
-        plan is bit-identical to a fresh compilation.
+        Plans are cached in the canonical entry keyed on ``(version,
+        count, extent, chunk_bytes, src_kind, dst_kind)`` -- the full
+        signature of a transfer shape -- so a message stream with a stable
+        shape compiles once and replays forever, and equivalent types
+        share the plan. Wall-clock only: a cached plan is bit-identical to
+        a fresh compilation.
         """
-        entry = self._entry()
-        if entry is not None:
-            ext = self.extent if count > 1 else 0
-            return entry.plan_for(self, count, ext, chunk_bytes,
-                                  src_kind, dst_kind)
-        key = (self.version, count, chunk_bytes, src_kind, dst_kind)
-        cache = self._plan_cache
-        plan = cache.get(key)
-        if plan is not None:
-            cache.move_to_end(key)
-            PERF.bump("plan_cache_hit")
-            return plan
-        PERF.bump("plan_cache_miss")
-        # Imported lazily: repro.core.plan imports this module.
-        from ..core.plan import TransferPlan
-
-        plan = TransferPlan.compile(self, count, chunk_bytes, src_kind, dst_kind)
-        cache[key] = plan
-        if len(cache) > self.PLAN_CACHE_CAP:
-            cache.popitem(last=False)
-        return plan
+        ext = self.extent if count > 1 else 0
+        return self._entry().plan_for(self, count, ext, chunk_bytes,
+                                      src_kind, dst_kind)
 
     def invalidate_segment_cache(self) -> None:
-        """Drop every cached compilation and bump :attr:`version`.
+        """Unbind the canonical entry and bump :attr:`version`.
 
-        Called automatically when a type is *derived from* (``resized`` /
-        ``dup``): the derived instance starts with an empty cache and the
-        base's version bump guarantees no key computed under the old
-        derivation graph is ever trusted again. Transfer plans embed
-        segment slices, so the plan cache is dropped with them.
+        Called automatically when a type is *derived* (``resized`` /
+        ``dup``): the derived instance starts unbound under a fresh
+        version, so no plan keyed under the old version is ever reused.
+        The registry itself is never mutated here -- other types sharing
+        the entry keep their compilations, and tilings and slices are
+        pure functions of the layout.
         """
-        self._seg_cache.clear()
-        self._slice_cache.clear()
-        self._plan_cache.clear()
-        self._sig_cache.clear()
-        # Unbind the canonical entry too: a committed type re-resolves it
-        # lazily (the registry itself is never mutated here -- other
-        # types sharing the entry keep their compilations).
         self._canon_entry = None
         self.version += 1
         PERF.bump("cache_invalidation")
-
-    def cache_stats(self) -> Tuple[int, int]:
-        """``(cached_counts, cached_slices)`` currently held by this type."""
-        return (len(self._seg_cache), len(self._slice_cache))
 
     def uniform_for_count(self, count: int) -> Optional[Tuple[int, int, int]]:
         """Uniform (width, height, pitch) for ``count`` elements, or None."""
@@ -908,25 +761,11 @@ class Datatype:
         Derived from the compiled segments, so differently *constructed*
         but identically *laid out* types (a ``dup``, a no-op ``resized``,
         an equivalent struct) share a signature, while types with
-        different byte layouts never do. Cached under the same
-        ``(version, count)`` scoping as the segment caches: a derivation
-        invalidates it together with the compilations it was computed
-        from.
+        different byte layouts never do. Cached in the canonical entry
+        beside the tilings it is computed from.
         """
-        from ..tune.signature import signature_of_segments
-
-        entry = self._entry()
-        if entry is not None:
-            ext = self.extent if count > 1 else 0
-            return entry.signature_for(self, count, ext)
-        key = (self.version, count)
-        sig = self._sig_cache.get(key)
-        if sig is None:
-            sig = signature_of_segments(self.segments_for_count(count))
-            if len(self._sig_cache) > 64:
-                self._sig_cache.clear()
-            self._sig_cache[key] = sig
-        return sig
+        ext = self.extent if count > 1 else 0
+        return self._entry().signature_for(self, count, ext)
 
     def span_for_count(self, count: int) -> int:
         """Bytes of buffer spanned by ``count`` elements (for bounds checks)."""
@@ -966,7 +805,7 @@ class Datatype:
         )
 
     def __getstate__(self) -> dict:
-        """Pickle without the canonical-entry link (and symbolic IR).
+        """Pickle without the canonical-entry link.
 
         Shard workers unpickle datatypes into their own process, whose
         registry is a different object: carrying an entry across would
@@ -976,14 +815,13 @@ class Datatype:
         state = {
             slot: getattr(self, slot)
             for slot in self.__slots__
-            if slot not in ("_ir", "_canon_entry")
+            if slot != "_canon_entry"
         }
         return state
 
     def __setstate__(self, state: dict) -> None:
         for key, value in state.items():
             setattr(self, key, value)
-        self._ir = None
         self._canon_entry = None
 
     def __repr__(self) -> str:  # pragma: no cover

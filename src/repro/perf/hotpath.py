@@ -23,26 +23,22 @@ __all__ = [
     "pipeline_file",
     "shard_file",
     "tune_file",
-    "dtype_file",
     "backend_file",
     "coll_file",
     "load",
     "record_wallclock",
     "record_shard_wallclock",
     "record_tuned_comparison",
-    "record_dtype_comparison",
     "record_backend_comparison",
     "record_coll_comparison",
     "record_pack_throughput",
     "record_sim_throughput",
-    "record_wheel_baseline",
 ]
 
 _DEFAULT_NAME = "BENCH_hotpath.json"
 _PIPELINE_NAME = "BENCH_pipeline.json"
 _SHARD_NAME = "BENCH_shard.json"
 _TUNE_NAME = "BENCH_tune.json"
-_DTYPE_NAME = "BENCH_dtype.json"
 _BACKEND_NAME = "BENCH_backend.json"
 _COLL_NAME = "BENCH_coll.json"
 
@@ -98,19 +94,6 @@ def tune_file() -> Path:
     job asserts.
     """
     return _resolve("REPRO_BENCH_TUNE", _TUNE_NAME)
-
-
-def dtype_file() -> Path:
-    """Resolve ``BENCH_dtype.json``: ``$REPRO_BENCH_DTYPE`` or repo root.
-
-    A comparison ledger like the shard file: each entry's ``before`` is the
-    legacy per-instance compilation wall-clock (``use_dtir=False``) and
-    ``after`` the datatype-IR wall-clock of the *same* workload in the same
-    run, so ``speedup`` is the win from collapsing equivalent layouts onto
-    one canonical registry entry (written by the ``zoo`` experiment; the
-    PR target pinned by CI is >= 1.2x).
-    """
-    return _resolve("REPRO_BENCH_DTYPE", _DTYPE_NAME)
 
 
 def backend_file() -> Path:
@@ -303,38 +286,6 @@ def record_coll_comparison(
     return entry
 
 
-def record_dtype_comparison(
-    name: str,
-    scale: str,
-    legacy_seconds: float,
-    dtir_seconds: float,
-    path: Optional[Path] = None,
-    extra: Optional[dict] = None,
-) -> dict:
-    """Record one legacy-vs-dtir comparison in ``BENCH_dtype.json``.
-
-    Both numbers come from the same run on the same host: ``before`` is
-    the workload under ``use_dtir=False`` (every ``Datatype`` instance
-    compiles its own tilings, slices, plans and signatures), ``after``
-    the identical workload with the datatype IR canonicalizing equivalent
-    layouts onto shared registry entries. Packed bytes and simulated
-    costs are asserted identical before the pair is recorded, so the
-    speedup is pure compilation/cache wall-clock.
-    """
-    data = load(path or dtype_file())
-    experiments: Dict[str, dict] = data.setdefault("experiments", {})
-    entry = experiments.setdefault(f"{name}:{scale}", {})
-    entry["before"] = round(legacy_seconds, 4)
-    entry["after"] = round(dtir_seconds, 4)
-    entry["cores"] = os.cpu_count()
-    if entry["after"] > 0:
-        entry["speedup"] = round(entry["before"] / entry["after"], 2)
-    if extra:
-        entry.update(extra)
-    _save(data, path or dtype_file())
-    return entry
-
-
 def record_pack_throughput(
     bytes_per_second: float,
     workload: str,
@@ -344,30 +295,6 @@ def record_pack_throughput(
     data = load(path)
     data["pack_throughput"] = {
         "bytes_per_second": round(bytes_per_second, 1),
-        "workload": workload,
-    }
-    _save(data, path)
-
-
-def record_wheel_baseline(
-    wheel_seconds: float,
-    heap_seconds: float,
-    workload: str,
-    path: Optional[Path] = None,
-) -> None:
-    """Record the event-wheel-vs-heap wall-clock pair for one workload.
-
-    Both numbers come from the same benchmark run on the same host:
-    ``heap_seconds`` with ``REPRO_SIM_WHEEL=0`` (the pure-heapq hot loop)
-    and ``wheel_seconds`` with the calendar wheel enabled. The perf-tier
-    pytest guard requires a fresh wheel-enabled run to stay at parity
-    with a fresh heap run -- the wheel must be neutral-to-better, never
-    a pessimization.
-    """
-    data = load(path)
-    data["wheel_baseline"] = {
-        "wheel_seconds": round(wheel_seconds, 4),
-        "heap_seconds": round(heap_seconds, 4),
         "workload": workload,
     }
     _save(data, path)

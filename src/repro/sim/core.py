@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from typing import Any, Iterable, List, Optional, Tuple
 
@@ -49,20 +48,6 @@ class EmptySchedule(Exception):
     """Raised internally when the event queue runs dry."""
 
 
-#: Bucket count of the calendar wheel (:meth:`Environment._insert_timed`).
-#: 256 buckets at half-the-median-delay width cover ~128 typical delays of
-#: near-horizon schedule churn; anything beyond falls back to the heap.
-_WHEEL_BUCKETS = 256
-
-#: Positive delays sampled before the wheel calibrates its bucket width.
-_WHEEL_SAMPLES = 32
-
-#: The wheel only engages (from empty) while the heap holds at least this
-#: many entries: below it, C heapq's O(log n) sift beats the wheel's
-#: per-insert bucket arithmetic, so small simulations pay ~nothing.
-_WHEEL_MIN_HEAP = 64
-
-
 class Environment:
     """A discrete-event simulation environment.
 
@@ -91,12 +76,7 @@ class Environment:
     partition-invariant.
     """
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        event_pooling: bool = True,
-        event_wheel: Optional[bool] = None,
-    ):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         #: Time of the last *processed* event. Differs from ``now`` only
         #: after a run stopped between events (``run(until=time)`` or a
@@ -108,41 +88,15 @@ class Environment:
         self._imm: "deque[Tuple[float, int, Event]]" = deque()
         self._eid = 0
         self._active_process: Optional[Process] = None
-        #: Free list of recyclable processed Timeouts (None disables the
-        #: pool; see :class:`repro.sim.events.Timeout`). Pooling changes
-        #: wall-clock only, never event order or timestamps.
-        self._timeout_pool: Optional[List[Timeout]] = [] if event_pooling else None
+        #: Free list of recyclable processed Timeouts (see
+        #: :class:`repro.sim.events.Timeout`). Pooling changes wall-clock
+        #: only, never event order or timestamps.
+        self._timeout_pool: List[Timeout] = []
         #: Pool hit/miss tallies batched locally and folded into the global
         #: PERF counters when :meth:`run` exits -- a per-timeout PERF.bump
         #: is measurable at millions of events per second.
         self._pool_hits = 0
         self._pool_misses = 0
-        #: Calendar wheel for the near-horizon band of timed events. Timed
-        #: inserts landing within ``_WHEEL_BUCKETS`` bucket widths of the
-        #: clock go to an array of per-bucket lists (O(1) append) instead
-        #: of the binary heap; buckets are sorted only when the clock
-        #: reaches them (C timsort over a small list beats n heap sifts).
-        #: ``_wb_head`` always holds the exact minimum wheel entry, so the
-        #: run loop merges heap, immediate lane and wheel by the same
-        #: ``(time, key)`` total order -- which structure an event sat in
-        #: can never change the processed sequence. Far timestamps, past
-        #: or current-bucket timestamps, and bulk ``schedule_many``
-        #: batches keep using the heap.
-        if event_wheel is None:
-            event_wheel = os.environ.get("REPRO_SIM_WHEEL", "1") != "0"
-        self._wheel_on = bool(event_wheel)
-        self._wb: List[List[Tuple[float, int, Event]]] = (
-            [[] for _ in range(_WHEEL_BUCKETS)] if self._wheel_on else []
-        )
-        self._wb_width = 0.0  # 0 until calibrated from observed delays
-        self._wb_base = 0.0
-        self._wb_cur = 0  # index of the bucket the clock is in
-        self._wb_pos = 0  # consumed prefix of the (sorted) current bucket
-        self._wb_count = 0
-        self._wb_head: Optional[Tuple[float, int, Event]] = None
-        self._wb_samples: List[float] = []
-        self._wheel_hits = 0
-        self._wheel_misses = 0
         #: When False, bulk data movement (CUDA copy apply functions, RDMA
         #: payload copies) charges simulated time but skips the actual byte
         #: movement. Used for timing-only benchmark runs whose working sets
@@ -171,8 +125,6 @@ class Environment:
 
     def timeout(self, delay: float, value: Any = None, label: str = "") -> Timeout:
         pool = self._timeout_pool
-        if pool is None:
-            return Timeout(self, delay, value=value, label=label)
         if pool:
             if delay < 0:
                 raise ValueError(f"negative timeout delay: {delay!r}")
@@ -189,8 +141,6 @@ class Environment:
             self._eid += 1
             if delay == 0.0:
                 self._imm.append((self._now, self._eid, t))
-            elif self._wheel_on:
-                self._insert_timed(self._now + delay, self._eid, t)
             else:
                 heapq.heappush(self._queue, (self._now + delay, self._eid, t))
             self._pool_hits += 1
@@ -216,12 +166,7 @@ class Environment:
         if delay == 0.0:
             self._imm.append((self._now, self._eid, event))
         elif delay > 0:
-            if self._wheel_on:
-                self._insert_timed(self._now + delay, self._eid, event)
-            else:
-                heapq.heappush(
-                    self._queue, (self._now + delay, self._eid, event)
-                )
+            heapq.heappush(self._queue, (self._now + delay, self._eid, event))
         else:
             raise SimulationError(f"cannot schedule {event!r} in the past")
 
@@ -240,8 +185,6 @@ class Environment:
         self._eid += 1
         if when == self._now:
             self._imm.append((self._now, self._eid, event))
-        elif self._wheel_on:
-            self._insert_timed(when, self._eid, event)
         else:
             heapq.heappush(self._queue, (when, self._eid, event))
 
@@ -268,10 +211,7 @@ class Environment:
         event._value = None
         event._state = TRIGGERED
         event.callbacks.append(callback)
-        if self._wheel_on:
-            self._insert_timed(when, key, event)
-        else:
-            heapq.heappush(self._queue, (when, key, event))
+        heapq.heappush(self._queue, (when, key, event))
         return event
 
     def schedule_many(self, entries: Iterable[Tuple[Event, float]]) -> None:
@@ -304,98 +244,10 @@ class Environment:
         if pushed:
             heapq.heapify(queue)
 
-    def _insert_timed(self, when: float, key: int, event: Event) -> None:
-        """Route a strictly-future entry to the wheel or the heap.
-
-        Wheel placement is a pure wall-clock optimization: both structures
-        pop in ``(time, key)`` order, so the choice can never change the
-        processed event sequence.
-        """
-        width = self._wb_width
-        if width == 0.0:
-            # Calibrating: sample delays, width = half the median delay.
-            samples = self._wb_samples
-            samples.append(when - self._now)
-            if len(samples) >= _WHEEL_SAMPLES:
-                samples.sort()
-                self._wb_width = max(samples[len(samples) // 2] * 0.5, 1e-12)
-                del samples[:]
-            heapq.heappush(self._queue, (when, key, event))
-            self._wheel_misses += 1
-            return
-        if self._wb_count == 0:
-            if len(self._queue) < _WHEEL_MIN_HEAP:
-                heapq.heappush(self._queue, (when, key, event))
-                self._wheel_misses += 1
-                return
-            # Wheel engages: re-anchor it at the current clock.
-            self._wb_base = self._now
-            self._wb_cur = 0
-            self._wb_pos = 0
-        idx = int((when - self._wb_base) / width)
-        if self._wb_cur < idx < _WHEEL_BUCKETS:
-            entry = (when, key, event)
-            self._wb[idx].append(entry)
-            self._wb_count += 1
-            head = self._wb_head
-            if head is None or entry < head:
-                self._wb_head = entry
-            self._wheel_hits += 1
-        else:
-            # Past the horizon, or at/behind the bucket the clock is
-            # consuming (which is already sorted and must stay stable).
-            heapq.heappush(self._queue, (when, key, event))
-            self._wheel_misses += 1
-
-    def _wb_take(self) -> Tuple[float, int, Event]:
-        """Pop the wheel minimum (``_wb_head``; caller ensures non-None)."""
-        entry = self._wb_head
-        wb = self._wb
-        cur, pos = self._wb_cur, self._wb_pos
-        bucket = wb[cur]
-        if pos >= len(bucket):
-            # Current bucket empty (happens right after a re-anchor whose
-            # first insert landed in a later bucket): hop to the head's.
-            bucket.clear()
-            cur += 1
-            while not wb[cur]:
-                cur += 1
-            bucket = wb[cur]
-            bucket.sort()
-            pos = 0
-        # Buckets cover disjoint time ranges and the current one is
-        # sorted, so the global minimum is exactly bucket[pos].
-        pos += 1
-        self._wb_count -= 1
-        if pos < len(bucket):
-            self._wb_cur, self._wb_pos = cur, pos
-            self._wb_head = bucket[pos]
-        else:
-            bucket.clear()
-            if self._wb_count:
-                cur += 1
-                while not wb[cur]:
-                    cur += 1
-                bucket = wb[cur]
-                bucket.sort()
-                self._wb_cur, self._wb_pos = cur, 0
-                self._wb_head = bucket[0]
-            else:
-                self._wb_cur, self._wb_pos = cur, 0
-                self._wb_head = None
-        return entry
-
     def _clear_schedule(self) -> None:
         """Drop every scheduled entry (shard merge resets worker queues)."""
         self._queue.clear()
         self._imm.clear()
-        if self._wheel_on:
-            for bucket in self._wb:
-                bucket.clear()
-            self._wb_count = 0
-            self._wb_cur = 0
-            self._wb_pos = 0
-            self._wb_head = None
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when idle.
@@ -407,9 +259,6 @@ class Environment:
         clock never drops or reorders scheduled work.
         """
         best = self._imm[0] if self._imm else None
-        wheel_head = self._wb_head
-        if wheel_head is not None and (best is None or wheel_head < best):
-            best = wheel_head
         queue = self._queue
         if queue and (best is None or queue[0] < best):
             best = queue[0]
@@ -424,17 +273,12 @@ class Environment:
         """
         imm, queue = self._imm, self._queue
         best = imm[0] if imm else None
-        wheel_head = self._wb_head
-        if wheel_head is not None and (best is None or wheel_head < best):
-            best = wheel_head
         if queue and (best is None or queue[0] < best):
             best = queue[0]
         if best is None:
             raise EmptySchedule()
         if imm and best is imm[0]:
             when, _, event = imm.popleft()
-        elif best is wheel_head:
-            when, _, event = self._wb_take()
         else:
             when, _, event = heapq.heappop(queue)
         assert when >= self._now, "event queue corrupted: time went backwards"
@@ -483,13 +327,9 @@ class Environment:
                         stop_event.defuse()
                         raise stop_event._value
                     return stop_event._value
-                # Merge the immediate lane, the wheel and the heap by
-                # (time, seq) key; the lane is append-ordered, so its head
-                # is its minimum, and _wb_head is the exact wheel minimum.
+                # Merge the immediate lane and the heap by (time, seq) key;
+                # the lane is append-ordered, so its head is its minimum.
                 best = imm[0] if imm else None
-                wheel_head = self._wb_head
-                if wheel_head is not None and (best is None or wheel_head < best):
-                    best = wheel_head
                 if queue and (best is None or queue[0] < best):
                     best = queue[0]
                 if best is None:
@@ -504,8 +344,6 @@ class Environment:
                     return None
                 if imm and best is imm[0]:
                     when, _, event = popleft()
-                elif best is wheel_head:
-                    when, _, event = self._wb_take()
                 else:
                     when, _, event = pop(queue)
                 self._now = when
@@ -521,12 +359,6 @@ class Environment:
             if self._pool_misses:
                 PERF.bump("event_pool_miss", self._pool_misses)
                 self._pool_misses = 0
-            if self._wheel_hits:
-                PERF.bump("event_wheel_hit", self._wheel_hits)
-                self._wheel_hits = 0
-            if self._wheel_misses:
-                PERF.bump("event_wheel_miss", self._wheel_misses)
-                self._wheel_misses = 0
 
     def run_window(self, bound: float) -> int:
         """Process every event with time **strictly below** ``bound``.
@@ -551,17 +383,12 @@ class Environment:
         try:
             while True:
                 best = imm[0] if imm else None
-                wheel_head = self._wb_head
-                if wheel_head is not None and (best is None or wheel_head < best):
-                    best = wheel_head
                 if queue and (best is None or queue[0] < best):
                     best = queue[0]
                 if best is None or best[0] >= bound:
                     break
                 if imm and best is imm[0]:
                     when, _, event = popleft()
-                elif best is wheel_head:
-                    when, _, event = self._wb_take()
                 else:
                     when, _, event = pop(queue)
                 self._now = when
@@ -574,12 +401,6 @@ class Environment:
             if self._pool_misses:
                 PERF.bump("event_pool_miss", self._pool_misses)
                 self._pool_misses = 0
-            if self._wheel_hits:
-                PERF.bump("event_wheel_hit", self._wheel_hits)
-                self._wheel_hits = 0
-            if self._wheel_misses:
-                PERF.bump("event_wheel_miss", self._wheel_misses)
-                self._wheel_misses = 0
         if count:
             self._last_event = self._now
         if bound != float("inf") and bound > self._now:

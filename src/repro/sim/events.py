@@ -219,8 +219,7 @@ class Timeout(Event):
     meaning no reference to the object survives processing. Pooling is a
     wall-clock optimization only -- a pooled timeout is scheduled through
     the same :meth:`Environment._schedule` call as a fresh one, so event
-    order and simulated timestamps are bit-identical with pooling on or
-    off (``Environment(event_pooling=False)``).
+    order and simulated timestamps are those of a fresh timeout.
     """
 
     __slots__ = ("delay",)
@@ -244,8 +243,7 @@ class Timeout(Event):
         # base class cannot apply; recycle instead when safe.
         pool = self.env._timeout_pool
         if (
-            pool is not None
-            and len(pool) < TIMEOUT_POOL_CAP
+            len(pool) < TIMEOUT_POOL_CAP
             and len(callbacks) == 1
             and getattr(callbacks[0], "__func__", None) in RECYCLABLE_CALLBACKS
         ):

@@ -167,11 +167,11 @@ def test_transfer_bytes_identical_plans_on_off(src_dev, dst_dev):
 
 # -- Figure 3 trace equality: optimizations are wall-clock only -----------------
 
-def _fig3_trace(use_plans: bool, event_pooling: bool, recovery=None):
+def _fig3_trace(use_plans: bool, recovery=None):
     """One pipelined strided transfer; returns (intervals, final clock)."""
     rows = 1 << 14
     vec = Datatype.hvector(rows, 4, 8, BYTE).commit()
-    env = Environment(event_pooling=event_pooling)
+    env = Environment()
     cluster = Cluster(2, env=env)
 
     def program(ctx):
@@ -191,14 +191,14 @@ def _fig3_trace(use_plans: bool, event_pooling: bool, recovery=None):
 
 
 def test_fig3_trace_identical_with_and_without_optimizations():
-    """Plan replay + event pooling change nothing the simulation observes.
+    """Plan replay changes nothing the simulation observes.
 
     Every traced interval (start, end, engine, label) and the final
-    simulated clock must be identical whether the optimizations are on
+    simulated clock must be identical whether compiled plans are on
     (the default) or off.
     """
-    fast_ivs, fast_now = _fig3_trace(use_plans=True, event_pooling=True)
-    ref_ivs, ref_now = _fig3_trace(use_plans=False, event_pooling=False)
+    fast_ivs, fast_now = _fig3_trace(use_plans=True)
+    ref_ivs, ref_now = _fig3_trace(use_plans=False)
     assert fast_now == ref_now
     assert len(fast_ivs) == len(ref_ivs)
     assert fast_ivs == ref_ivs
@@ -217,9 +217,9 @@ def test_fig3_trace_identical_with_recovery_armed():
     from repro.core.config import RecoveryConfig
 
     armed_ivs, armed_now = _fig3_trace(
-        use_plans=True, event_pooling=True, recovery=RecoveryConfig()
+        use_plans=True, recovery=RecoveryConfig()
     )
-    ref_ivs, ref_now = _fig3_trace(use_plans=True, event_pooling=True)
+    ref_ivs, ref_now = _fig3_trace(use_plans=True)
     assert armed_now == ref_now
     assert armed_ivs == ref_ivs
 

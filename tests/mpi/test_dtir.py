@@ -1,16 +1,16 @@
-"""The datatype IR: canonical forms, rewrite passes, shared registry.
+"""The datatype IR: canonical forms and the shared registry.
 
-Three property groups pin the compiler's contract:
+Two property groups pin the compiler's contract:
 
 * **lowering fidelity** -- for random constructor trees, the detected
-  canonical node and the symbolically canonicalized tree both lower to
-  exactly the legacy compiler's coalesced run arrays;
+  canonical node lowers to exactly the compiler's coalesced run arrays;
 * **equivalence collapse** -- the four textbook constructions of one
   strided grid (vector, hvector-of-contig, subarray slab, struct of
   half-vectors) share one canonical key, one tuning signature and one
-  compiled TransferPlan object;
-* **trace transparency** -- a pipelined engine exchange is bit-identical
-  with ``use_dtir`` on and off.
+  compiled TransferPlan object.
+
+Trace transparency of the registry is pinned by the golden trace digests
+(``tests/golden``).
 """
 
 import pickle
@@ -21,23 +21,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mpi import BYTE, FLOAT, Datatype, SegmentList, dtir
-from repro.mpi.dtir_passes import canonicalize
 from repro.perf.stats import PERF
 from repro.tune.signature import signature_of_segments
-
-pytestmark = pytest.mark.skipif(
-    dtir._FORCED_OFF, reason="REPRO_DTIR=0 forces the datatype IR off"
-)
 
 
 @pytest.fixture(autouse=True)
 def clean_registry():
-    """Each test gets an empty registry and the IR enabled."""
-    prior = dtir.enabled()
+    """Each test gets an empty registry."""
     dtir.reset_registry()
-    dtir.set_enabled(True)
     yield
-    dtir.set_enabled(prior)
     dtir.reset_registry()
 
 
@@ -113,33 +105,6 @@ def test_detected_node_lowers_to_legacy_runs(dt):
     offs, lens = dtir.lower(det)
     assert np.array_equal(offs, segs.offsets)
     assert np.array_equal(lens, segs.lengths)
-
-
-@given(dt=datatypes())
-@settings(max_examples=80, deadline=None)
-def test_symbolic_canonicalization_preserves_lowering(dt):
-    if dt._ir is None:
-        return
-    segs = dt.segments
-    sym = canonicalize(dt._ir)
-    offs, lens = dtir.coalesce_runs(*dtir.lower(sym))
-    assert np.array_equal(offs, segs.offsets)
-    assert np.array_equal(lens, segs.lengths)
-    # When the passes fully normalize the tree, they must land on the
-    # same node detection derives from the run arrays.
-    det = dtir.detect(segs.offsets, segs.lengths)
-    if not isinstance(sym, (dtir.Struct, dtir.Irregular)):
-        assert sym == det
-
-
-@given(dt=datatypes())
-@settings(max_examples=60, deadline=None)
-def test_canonicalize_is_idempotent_and_deterministic(dt):
-    if dt._ir is None:
-        return
-    once = canonicalize(dt._ir)
-    assert canonicalize(once) == once
-    assert canonicalize(dt._ir) == once
 
 
 @given(dt=datatypes(), count=st.integers(2, 5), cuts=st.integers(0, 3))
@@ -258,17 +223,6 @@ def test_resized_and_dup_share_the_base_entry():
     assert copy.layout_signature(3) == vec.layout_signature(3)
 
 
-def test_disabled_ir_keeps_legacy_per_instance_plans():
-    dtir.set_enabled(False)
-    a = Datatype.vector(ROWS, 4, 16, FLOAT).commit()
-    b = Datatype.vector(ROWS, 4, 16, FLOAT).commit()
-    assert a._entry() is None and b._entry() is None
-    pa = a.plan_for(3, 4096, "device", "host")
-    pb = b.plan_for(3, 4096, "device", "host")
-    assert pa is not pb
-    assert dtir.registry_size() == 0
-
-
 def test_committed_type_with_entry_survives_pickle():
     """Shard workers pickle datatypes; entries re-bind in-process."""
     vec = Datatype.vector(ROWS, 4, 16, FLOAT).commit()
@@ -311,38 +265,3 @@ def test_classifier_agrees_with_signature_on_uniform():
     sig = signature_of_segments(segs)
     assert (sig.kind, sig.width, sig.pitch) == ("uniform", 8, 24)
 
-
-# ---------------------------------------------------------------------------
-# Trace transparency
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("shards", [1, 2])
-def test_engine_traces_bit_identical_with_and_without_ir(shards):
-    from repro.core import GpuNcConfig
-    from repro.hw import Cluster
-    from repro.mpi import MpiWorld
-
-    rows = 1 << 10
-
-    def run(use_dtir):
-        dtir.reset_registry()
-        vec = Datatype.hvector(rows, 4, 8, BYTE).commit()
-        cluster = Cluster(2, shards=shards)
-
-        def program(ctx):
-            buf = ctx.cuda.malloc(rows * 8)
-            if ctx.rank == 0:
-                yield from ctx.comm.Send(buf, 1, vec, dest=1)
-            else:
-                yield from ctx.comm.Recv(buf, 1, vec, source=0)
-
-        MpiWorld(cluster, gpu_config=GpuNcConfig(use_dtir=use_dtir)).run(
-            program
-        )
-        return cluster.tracer.intervals
-
-    with_ir = run(True)
-    without = run(False)
-    assert with_ir == without
-    assert len(with_ir) > 0

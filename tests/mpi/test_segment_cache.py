@@ -1,10 +1,11 @@
-"""The segment-compilation cache: bit-identical to fresh compilation.
+"""The canonical-entry compilation cache: bit-identical to fresh compilation.
 
 Property tests build random datatypes through the full constructor
 algebra (including ``resized``/``dup`` derivation and nested
 ``hvector(struct(...))``) and assert that cached compilations -- segments,
 slices and gather-index arrays -- are exactly what an uncached compile
-produces. Plus explicit LRU, invalidation and counter tests.
+produces. Plus explicit LRU, invalidation, counter and private-entry
+tests.
 """
 
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpi import BYTE, Datatype
+from repro.mpi import BYTE, Datatype, dtir
+from repro.mpi.dtir import CanonicalEntry
 from repro.perf.stats import PERF
 
 
@@ -145,27 +147,34 @@ def test_resized_does_not_reuse_base_tilings():
     assert_seglists_equal(r_tiled, fresh_segments(r, 3))
 
 
-def test_dup_compiles_under_its_own_cache():
+def test_dup_and_resized_start_unbound():
     vec = Datatype.hvector(4, 2, 8, BYTE).commit()
     vec.segments_for_count(2)
     d = Datatype.dup(vec)
-    assert d.cache_stats() == (0, 0)
-    assert_seglists_equal(d.segments_for_count(2), fresh_segments(d, 2))
+    r = Datatype.resized(vec, 0, vec.extent * 2)
+    assert d._canon_entry is None and r._canon_entry is None
     assert d.committed
+    assert_seglists_equal(d.segments_for_count(2), fresh_segments(d, 2))
+    assert_seglists_equal(r.segments_for_count(2), fresh_segments(r, 2))
+    # Same runs, so both bind the base's entry (extent normalization).
+    assert d._entry() is vec._entry()
+    assert r._entry() is vec._entry()
 
 
-def test_invalidation_clears_caches_and_bumps_version():
-    vec = Datatype.hvector(4, 2, 8, BYTE)
-    vec.segments_for_count(2)
-    vec.segments_for_range(2, 1, 3)
-    assert vec.cache_stats() == (1, 1)
+def test_invalidation_bumps_version_and_forces_a_fresh_plan():
+    vec = Datatype.hvector(64, 2, 8, BYTE).commit()
+    entry = vec._entry()
+    plan = vec.plan_for(2, 64, "device", "host")
+    assert vec.plan_for(2, 64, "device", "host") is plan
     v0 = vec.version
     before = PERF.counters["cache_invalidation"]
     vec.invalidate_segment_cache()
-    assert vec.cache_stats() == (0, 0)
+    assert vec._canon_entry is None
     assert vec.version == v0 + 1
     assert PERF.counters["cache_invalidation"] == before + 1
-    # Recompilation after invalidation is still bit-identical.
+    assert vec.plan_for(2, 64, "device", "host") is not plan
+    # The registry is untouched: the type re-binds the same entry.
+    assert vec._entry() is entry
     assert_seglists_equal(vec.segments_for_count(2), fresh_segments(vec, 2))
 
 
@@ -177,17 +186,18 @@ def test_derivation_constructors_invalidate():
     assert PERF.counters["cache_invalidation"] == before + 2
 
 
-def test_lru_eviction_bounds_cache_size():
+def test_lru_eviction_bounds_entry_tilings():
     vec = Datatype.hvector(4, 2, 8, BYTE)
-    for count in range(2, Datatype.SEG_CACHE_CAP + 40):
+    entry = vec._entry()
+    for count in range(2, CanonicalEntry.SEG_CAP + 40):
         vec.segments_for_count(count)
-    counts, _ = vec.cache_stats()
-    assert counts <= Datatype.SEG_CACHE_CAP
+    assert len(entry.seg_cache) <= CanonicalEntry.SEG_CAP
     # Evicted entries recompile to the same thing.
     assert_seglists_equal(vec.segments_for_count(2), fresh_segments(vec, 2))
 
 
 def test_hit_miss_counters_move():
+    dtir.reset_registry()
     vec = Datatype.hvector(16, 4, 8, BYTE)
     h0, m0 = PERF.counters["seg_cache_hit"], PERF.counters["seg_cache_miss"]
     vec.segments_for_count(5)
@@ -199,3 +209,38 @@ def test_hit_miss_counters_move():
     vec.segments_for_range(5, 2, 9)
     assert PERF.counters["slice_cache_miss"] == sm0 + 1
     assert PERF.counters["slice_cache_hit"] == s0 + 1
+    p0, pm0 = PERF.counters["plan_cache_hit"], PERF.counters["plan_cache_miss"]
+    vec.plan_for(5, 64, "device", "host")
+    vec.plan_for(5, 64, "device", "host")
+    assert PERF.counters["plan_cache_miss"] == pm0 + 1
+    assert PERF.counters["plan_cache_hit"] == p0 + 1
+
+
+def test_mismatched_registry_key_gets_a_private_entry(monkeypatch):
+    """A key whose registry entry disagrees on segment count/size (only a
+    128-bit digest collision can cause it) must never share: the type gets
+    a private entry outside the registry, and everything it compiles
+    equals a fresh compilation."""
+    dtir.reset_registry()
+    owner = Datatype.hindexed([2, 1], [0, 5], BYTE).commit()
+    owner_entry = owner._entry()
+    intruder = Datatype.hindexed([1, 3, 2], [0, 4, 11], BYTE)
+    monkeypatch.setattr(dtir, "detect", lambda offs, lens: owner_entry.node)
+    private = intruder._entry()
+    monkeypatch.undo()
+    assert private is not owner_entry
+    assert private.key == owner_entry.key
+    assert dtir.registry_size() == 1
+    assert dtir._REGISTRY[owner_entry.key] is owner_entry
+
+    count, chunk = 3, 4
+    full = fresh_segments(intruder, count)
+    assert_seglists_equal(intruder.segments_for_count(count), full)
+    assert_seglists_equal(intruder.segments_for_range(count, 1, 7),
+                          full.slice_bytes(1, 7))
+    plan = intruder.plan_for(count, chunk, "device", "host")
+    assert plan.total == full.total_bytes
+    for cp in plan.chunks:
+        assert_seglists_equal(cp.segs, full.slice_bytes(cp.lo, cp.hi))
+    assert intruder._entry() is private
+    assert dtir.registry_size() == 1

@@ -52,35 +52,3 @@ def test_sim_throughput_within_30_percent_of_recorded():
         f"({ref.get('workload', '?')})"
     )
 
-
-def test_event_wheel_not_slower_than_heap_on_fig5():
-    """The calendar wheel must be neutral-to-better on a paper workload.
-
-    Both sides are measured fresh on this host (best-of-5 each), so the
-    comparison is immune to cross-machine drift; the pinned pair in
-    ``BENCH_hotpath.json`` (written by the benchmark) gates whether the
-    guard runs at all, and a generous 2x ceiling against the pinned heap
-    number additionally catches gross same-class-host regressions.
-    """
-    ref = load().get("wheel_baseline")
-    if not ref or "heap_seconds" not in ref:
-        pytest.skip("no wheel_baseline recorded in BENCH_hotpath.json")
-    import sys
-    from pathlib import Path
-
-    bench_dir = Path(__file__).resolve().parents[2] / "benchmarks"
-    sys.path.insert(0, str(bench_dir))
-    try:
-        from bench_sim_throughput import measure_fig5_wallclock
-    finally:
-        sys.path.remove(str(bench_dir))
-    wheel = measure_fig5_wallclock(True)
-    heap = measure_fig5_wallclock(False)
-    assert wheel <= 1.25 * heap, (
-        f"event wheel pessimizes fig5:quick: {wheel:.3f}s with wheel vs "
-        f"{heap:.3f}s pure heap (allowed: 1.25x for timer jitter)"
-    )
-    assert wheel <= 2.0 * ref["heap_seconds"], (
-        f"fig5:quick with wheel took {wheel:.3f}s vs pinned heap baseline "
-        f"{ref['heap_seconds']}s ({ref.get('workload', '?')})"
-    )
