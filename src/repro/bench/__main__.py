@@ -10,9 +10,10 @@ its own deterministic simulation environment and per-run seed); output is
 identical to a serial run. ``--shards N`` runs the shard-aware experiments
 on the parallel sharded engine (bit-identical results, plus a ``[shard:]``
 footer); ``--cache`` serves unchanged experiments from ``.bench_cache.json``.
-Every run records its wall-clock per experiment in ``BENCH_hotpath.json``
-and ends with a one-line perf-stats footer (segment-cache hit rates,
-vectorized pack-path counters).
+Unless ``--no-record`` is given, every run records its wall-clock per
+experiment in ``BENCH_hotpath.json``. Every run ends with a one-line
+perf-stats footer (segment-cache hit rates, vectorized pack-path
+counters).
 """
 
 from __future__ import annotations
@@ -61,7 +62,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--no-record",
         action="store_true",
-        help="do not update BENCH_hotpath.json with this run's wall-clock",
+        help="write no BENCH_*.json ledger: neither this run's wall-clock "
+        "nor the pins the scale, scale1024, coll and conformance "
+        "experiments record",
     )
     parser.add_argument(
         "--shards",

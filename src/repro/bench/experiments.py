@@ -328,10 +328,8 @@ def scale1024_weak_stencil(scale: str = "full") -> dict:
     whose leaves align with the 16-shard contiguous partition, so every
     cross-shard message is inter-leaf and the coordinator's conservative
     lookahead widens from the base latency to the (2x slower) spine
-    latency. Sixteen shards exceed the coordinator fanout, so the run
-    exercises the full hierarchical path: pod relays for grant/reply
-    fan-out, the global slot-array ladder for worker self-synchronization
-    and direct worker-to-worker delivery pipes across pod boundaries.
+    latency. The coordinator drives all sixteen workers directly, one
+    granted window per worker per round.
 
     Nodes carry reduced memory arenas (a 1024-node world at the default
     12 GiB per node would ask the host for terabytes of address space);
@@ -368,7 +366,7 @@ def scale1024_weak_stencil(scale: str = "full") -> dict:
     if not invariant:
         raise RuntimeError(
             f"scale1024: {nranks}-rank iteration times diverged under "
-            f"hierarchical coordination -- shard invariance broken"
+            f"{shards} shards -- shard invariance broken"
         )
     sim_seconds = max(sum(ts) for ts in seq.iteration_times)
     entry = record_shard_wallclock(
@@ -395,10 +393,10 @@ def scale1024_weak_stencil(scale: str = "full") -> dict:
           f"{shard_wall:.2f} ({entry['speedup']:.2f}x)",
           "yes" if invariant else "NO"]],
         title=f"Weak scaling to {nranks} ranks: fat-tree fabric, "
-        f"hierarchical coordination ({shards} shards, pods of 8)",
+        f"{shards} shards",
     ) + (
         f"\n\nsimulated iteration times bit-identical sequential vs "
-        f"{shards}-way hierarchical sharding (verified); wall-clock on a "
+        f"{shards}-way sharding (verified); wall-clock on a "
         f"{result['cores']}-core host"
     )
     return result

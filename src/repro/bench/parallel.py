@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..perf.hotpath import pipeline_file, record_wallclock
+from ..perf.hotpath import pipeline_file, record_wallclock, recording
 from ..perf.stats import PERF
 
 __all__ = ["RunResult", "run_one", "run_many"]
@@ -126,7 +126,8 @@ def _cache_store(entries: Dict[str, dict]) -> None:
 
 # -- runners --------------------------------------------------------------------
 
-def run_one(name: str, scale: str, shards: int = 1) -> RunResult:
+def run_one(name: str, scale: str, shards: int = 1,
+            record: bool = True) -> RunResult:
     """Run one experiment in this process (the pool's worker function).
 
     Resets the perf counters so the returned snapshot is attributable to
@@ -134,7 +135,9 @@ def run_one(name: str, scale: str, shards: int = 1) -> RunResult:
     per (experiment, scale) -- the experiments already use explicit
     ``default_rng`` seeds, this just pins anything that might not.
     ``shards > 1`` is forwarded to experiments that accept it (``fig3``,
-    ``faultmx``, ``scale``); others run sequentially as always.
+    ``faultmx``, ``scale``); others run sequentially as always. With
+    ``record`` off, the ledgers an experiment pins itself (``scale``,
+    ``scale1024``, ``coll``, ``conformance``) are left untouched.
     """
     import inspect
 
@@ -147,7 +150,8 @@ def run_one(name: str, scale: str, shards: int = 1) -> RunResult:
     if shards > 1 and "shards" in inspect.signature(fn).parameters:
         kwargs["shards"] = shards
     start = time.perf_counter()
-    result = fn(**kwargs)
+    with recording(record):
+        result = fn(**kwargs)
     elapsed = time.perf_counter() - start
     return RunResult(name, scale, elapsed, result["text"], PERF.snapshot())
 
@@ -165,7 +169,8 @@ def run_many(
     ``jobs`` of ``None`` or ``1`` runs serially in-process (no pool, no
     pickling). Results always come back in submission order; when
     ``record`` is set each run's wall-clock is written to
-    ``BENCH_hotpath.json``. With ``cache=True``, runs whose
+    ``BENCH_hotpath.json``, and when it is not, no ledger is written at
+    all. With ``cache=True``, runs whose
     ``(name, scale, seed, git HEAD)`` key is already stored are served
     from ``.bench_cache.json`` instead of re-running (see module
     docstring for the invalidation rules).
@@ -188,11 +193,12 @@ def run_many(
     to_run = [n for n in names if n not in cached_results]
 
     if jobs is None or jobs == 1 or len(to_run) <= 1:
-        fresh = [run_one(name, scale, shards) for name in to_run]
+        fresh = [run_one(name, scale, shards, record) for name in to_run]
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, len(to_run))) as pool:
             futures = [
-                pool.submit(run_one, name, scale, shards) for name in to_run
+                pool.submit(run_one, name, scale, shards, record)
+                for name in to_run
             ]
             fresh = [f.result() for f in futures]
 

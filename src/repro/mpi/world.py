@@ -86,10 +86,6 @@ class MpiWorld:
             "recovery": recovery,
             "tuning": tuning,
         }
-        #: Filled by a sharded run with coordinator statistics (rounds,
-        #: cross-shard message counts, per-shard event totals).
-        self.shard_stats = None
-
         if gpu_config is None:
             from ..core.config import GpuNcConfig
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional
 
 __all__ = [
     "hotpath_file",
@@ -26,6 +27,7 @@ __all__ = [
     "backend_file",
     "coll_file",
     "load",
+    "recording",
     "record_wallclock",
     "record_shard_wallclock",
     "record_tuned_comparison",
@@ -133,7 +135,28 @@ def load(path: Optional[Path] = None) -> dict:
         return {"schema": 1, "experiments": {}}
 
 
+#: Cleared by :func:`recording` to make every ledger write a no-op.
+_RECORDING = True
+
+
+@contextmanager
+def recording(enabled: bool) -> Iterator[None]:
+    """Enable or suppress every ledger write in this process for a block.
+
+    The ``record_*`` helpers still compute and return their entries; only
+    the file write is skipped (``python -m repro.bench --no-record``).
+    """
+    global _RECORDING
+    saved, _RECORDING = _RECORDING, enabled
+    try:
+        yield
+    finally:
+        _RECORDING = saved
+
+
 def _save(data: dict, path: Optional[Path] = None) -> None:
+    if not _RECORDING:
+        return
     path = path or hotpath_file()
     try:
         with open(path, "w") as fh:

@@ -36,27 +36,17 @@ Counter names
 Shard counters (:mod:`repro.sim.shard`; all zero on sequential runs)
 --------------------------------------------------------------------------
 ``shard_rounds`` / ``shard_null_grants``
-    Coordinator pipe interactions (one packed grant + one packed reply per
-    shard each), and the subset whose batches carried no cross-shard
-    messages in either direction (pure window-ladder grants).
+    Coordinator rounds (one grant + one reply per shard each), and the
+    subset whose grants and replies carried no cross-shard messages.
 ``shard_windows``
-    Conservative windows executed in total. Each interaction grants a
-    *ladder* of up to K windows that workers run self-synchronized
-    through shared memory, so ``shard_windows / shard_rounds`` is the
-    mean adaptive-lookahead depth per interaction.
-``shard_ladder_min`` / ``shard_ladder_max``
-    Smallest / largest ladder depth over all interactions (these two keys
-    merge by min/max, not addition).
+    Conservative windows executed per shard: one per round, so always
+    equal to ``shard_rounds``.
 ``shard_pipe_msgs``
-    Worker-level coordinator pipe messages (grants sent plus replies
-    received, summed over shards) -- the serialization cost the batched
-    protocol minimizes.
+    Coordinator pipe messages (grants sent plus replies received, summed
+    over shards).
 ``shard_batch_msgs`` / ``shard_batch_bytes``
-    Cross-shard messages routed through coordinator-packed grant batches,
-    and the pickled bytes of those packed grants.
-``shard_direct_msgs`` / ``shard_direct_bytes``
-    Cross-shard messages shipped worker-to-worker through per-pair pipes
-    mid-ladder (never serializing on the coordinator), and their bytes.
+    Cross-shard messages delivered with the coordinator's grants, and the
+    pickled bytes of all grants sent.
 ``shard_xmsg_ctl`` / ``shard_xmsg_rdma`` / ``shard_xmsg_rreq`` / ``shard_xmsg_rresp``
     Cross-shard wire messages by kind: control messages, RDMA-write
     payload landings, RDMA-read requests and their responses.
@@ -200,27 +190,8 @@ class PerfStats:
         return dict(self.counters)
 
     def merge(self, other: Dict[str, int]) -> None:
-        """Fold a snapshot (e.g. from a worker process) into this one.
-
-        Keys ending in ``_min`` / ``_max`` fold by minimum / maximum
-        (``Counter.update`` would add them, corrupting extrema).
-        """
-        extrema = {
-            k: v for k, v in other.items()
-            if k.endswith("_min") or k.endswith("_max")
-        }
-        if not extrema:
-            self.counters.update(other)
-            return
-        self.counters.update(
-            {k: v for k, v in other.items() if k not in extrema}
-        )
-        for k, v in extrema.items():
-            cur = self.counters.get(k)
-            if cur is None:
-                self.counters[k] = v
-            else:
-                self.counters[k] = min(cur, v) if k.endswith("_min") else max(cur, v)
+        """Fold a snapshot (e.g. from a worker process) into this one."""
+        self.counters.update(other)
 
     # -- derived figures ----------------------------------------------------
     def hit_rate(self, kind: str) -> float:
@@ -290,17 +261,12 @@ class PerfStats:
             per_shard.append(c[f"shard{i}_events"])
             i += 1
         null = c["shard_null_grants"]
-        windows = c["shard_windows"]
         parts = [
-            f"{rounds} rounds / {windows} windows "
-            f"(ladder {c['shard_ladder_min']}-{windows / rounds:.1f}-"
-            f"{c['shard_ladder_max']})",
+            f"{rounds} rounds (one window each)",
             f"{null} null rounds ({100 * null / rounds:.0f}%)",
             f"pipe {c['shard_pipe_msgs']} msgs",
             f"batch {c['shard_batch_msgs']} msgs / "
             f"{c['shard_batch_bytes'] / rounds:.0f} B per round",
-            f"direct {c['shard_direct_msgs']} msgs / "
-            f"{c['shard_direct_bytes']} B",
             f"xmsg {sum(xmsg.values())} "
             f"({' / '.join(f'{v} {k}' for k, v in xmsg.items())})",
             f"events per shard {per_shard}",

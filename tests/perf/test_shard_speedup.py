@@ -67,8 +67,8 @@ def test_smallest_point_ratio_not_collapsed():
     floor is deliberately loose (0.35x, best-of-3): the workload is
     ~100 ms, and on an oversubscribed single-core host a ratio this
     small jitters by 2x run to run -- the guard is for order-of-
-    magnitude collapses (a reintroduced per-window round-trip), not for
-    scheduling noise.
+    magnitude collapses (coordination rounds or their per-round cost
+    blowing up), not for scheduling noise.
     """
     entry = _entries().get("scale8:quick")
     if entry is None:

@@ -1,26 +1,20 @@
-"""Transport-mode invariance of the sharded engine (hypothesis).
+"""Random partitions and fault classes on the sharded engine (hypothesis).
 
-The ladder protocol has three independently-switchable mechanisms that
-must never affect simulated results: batched window grants (ladder depth
-``REPRO_SHARD_LADDER_MAX``), direct worker-to-worker message shipping
-(``REPRO_SHARD_DIRECT``) and the adaptive widening of the conservative
-lookahead under a fat-tree topology. This module drives randomized
-workloads -- random node partitions, every fault class of the ``faultmx``
-experiment -- through the default engine and through the degenerate
-*per-event shipping* reference mode (depth 1, direct off: every message
-rides a coordinator round, the pre-ladder protocol), and requires traces,
-results and clocks bit-identical between the two transports.
+The engine grants every shard one conservative window per coordinator
+round, and no choice of partition may change simulated results. This
+module drives randomized workloads -- random node partitions, every fault
+class of the ``faultmx`` experiment, fat-tree lookahead widening --
+through it.
 
 Sequential equality is asserted where it is defined. Unfiltered fault
 specs ("drop the first RTS *anywhere*") tally matches with one global
 per-spec counter, and each shard runs its own injector -- so which
-operation is "first" legitimately depends on the partition. Specs with a
-``src`` filter confine matching to one node's deterministic TX order,
+operation is "first" legitimately depends on the partition. For those,
+two sharded runs of the same map must still be bit-identical. Specs with
+a ``src`` filter confine matching to one node's deterministic TX order,
 which no partition can reorder, so for those (and for fault-free runs)
-all three modes must agree with the sequential run exactly.
+every partition must agree with the sequential run exactly.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -92,19 +86,6 @@ def _fingerprint(run):
     )
 
 
-def _in_mode(env_vars, fn):
-    saved = {k: os.environ.get(k) for k in env_vars}
-    os.environ.update(env_vars)
-    try:
-        return fn()
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-
-
 def _normalized_map(raw):
     """Remap to contiguous shard ids 0..k in order of first appearance."""
     order = {}
@@ -113,33 +94,28 @@ def _normalized_map(raw):
     return tuple(order[s] for s in raw)
 
 
-_PER_EVENT = {"REPRO_SHARD_LADDER_MAX": "1", "REPRO_SHARD_DIRECT": "0"}
+_RANDOM_MAP = st.lists(
+    st.sampled_from(range(8)), min_size=_NODES, max_size=_NODES
+).filter(lambda m: 2 <= len(set(m)) <= 8)
 
 
-class TestTransportModeInvariance:
+class TestRandomPartitions:
     @settings(max_examples=5, deadline=None)
     @given(
-        raw_map=st.lists(
-            st.sampled_from(range(8)), min_size=_NODES, max_size=_NODES
-        ).filter(lambda m: 2 <= len(set(m)) <= 8),
+        raw_map=_RANDOM_MAP,
         fault_idx=st.integers(0, len(FAULT_CLASSES) - 1),
     )
-    def test_ladders_and_direct_match_per_event(self, raw_map, fault_idx):
+    def test_repeat_runs_bit_identical(self, raw_map, fault_idx):
         shard_map = _normalized_map(raw_map)
         _, specs = FAULT_CLASSES[fault_idx]
-        ladders = _fingerprint(_run(shard_map, specs))
-        per_event = _in_mode(
-            _PER_EVENT, lambda: _fingerprint(_run(shard_map, specs))
-        )
-        assert ladders == per_event
+        first = _fingerprint(_run(shard_map, specs))
+        assert first == _fingerprint(_run(shard_map, specs))
         if not specs:
-            assert ladders == _fingerprint(_run(None, specs))
+            assert first == _fingerprint(_run(None, specs))
 
     @settings(max_examples=4, deadline=None)
     @given(
-        raw_map=st.lists(
-            st.sampled_from(range(8)), min_size=_NODES, max_size=_NODES
-        ).filter(lambda m: 2 <= len(set(m)) <= 8),
+        raw_map=_RANDOM_MAP,
         fault_idx=st.integers(1, len(FAULT_CLASSES) - 1),
         src=st.integers(0, _NODES - 1),
     )
@@ -152,12 +128,7 @@ class TestTransportModeInvariance:
         _, specs = FAULT_CLASSES[fault_idx]
         pinned = [replace(s, src=src) for s in specs]
         sequential = _fingerprint(_run(None, pinned))
-        ladders = _fingerprint(_run(shard_map, pinned))
-        per_event = _in_mode(
-            _PER_EVENT, lambda: _fingerprint(_run(shard_map, pinned))
-        )
-        assert ladders == sequential
-        assert per_event == sequential
+        assert _fingerprint(_run(shard_map, pinned)) == sequential
 
 
 class TestFatTreeLookahead:
