@@ -54,6 +54,28 @@ class TestConstruction:
         assert t.size == 4
         assert seg_pairs(t) == [(0, 4)]
 
+    def test_fortran_order_grid_is_row_major(self):
+        """The process grid is row-major in either array order: on a 2x3
+        grid rank r sits at (r // 3, r % 3), F order or not."""
+        t = D.darray(6, 1, [4, 6], [D.DIST_BLOCK] * 2, [None, None],
+                     [2, 3], FLOAT, order="F")
+        # Rank 1 owns rows 0-1 of columns 2-3; column j starts at 4j.
+        assert seg_pairs(t) == [(32, 8), (48, 8)]
+        flat = np.arange(24).reshape(4, 6, order="F")
+        for rank in range(6):
+            t = D.darray(6, rank, [4, 6], [D.DIST_BLOCK] * 2, [None, None],
+                         [2, 3], FLOAT, order="F")
+            pr, pc = divmod(rank, 3)
+            want = flat[2 * pr:2 * pr + 2, 2 * pc:2 * pc + 2].ravel(order="F")
+            got = t.segments.gather_indices()[::4] // 4
+            assert got.tolist() == want.tolist(), f"rank {rank}"
+
+    def test_single_run_base_keeps_its_offset(self):
+        # One 8-byte run at byte 4: element k of the array sits at 8k + 4.
+        base = D.hindexed([2], [4], FLOAT)
+        t = D.darray(2, 1, [4], [D.DIST_BLOCK], [None], [2], base)
+        assert seg_pairs(t) == [(20, 16)]
+
     @pytest.mark.parametrize(
         "kwargs",
         [

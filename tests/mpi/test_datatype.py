@@ -157,6 +157,13 @@ class TestSubarray:
         assert t.segments.count == 2
         assert seg_pairs(t) == [(80, 32), (144, 32)]
 
+    def test_single_run_base_keeps_its_offset(self):
+        # One 8-byte run at byte 4: element k of the array sits at 8k + 4.
+        base = Datatype.hindexed([2], [4], FLOAT)
+        t = Datatype.subarray([4], [2], [1], base)
+        assert seg_pairs(t) == [(12, 16)]
+        assert seg_pairs(t) == seg_pairs(Datatype.hindexed([2], [8], base))
+
     def test_bounds_validation(self):
         with pytest.raises(DatatypeError):
             Datatype.subarray([4, 4], [3, 3], [2, 2], FLOAT)
