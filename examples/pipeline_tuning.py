@@ -32,7 +32,7 @@ def main():
     for chunk_kib in (8, 16, 32, 64, 128, 256, 512, 1024):
         chunk = chunk_kib * KiB
         cand = Candidate(chunk, default.pipeline_threshold,
-                         default.tbuf_chunks, default.use_plans)
+                         default.tbuf_chunks)
         latency = trial_latency(message, cand, iterations=2)
         points.append({"size": chunk, "latency": latency})
 

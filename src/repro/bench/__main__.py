@@ -9,9 +9,8 @@ Independent experiments fan across ``--jobs`` worker processes (each with
 its own deterministic simulation environment and per-run seed); output is
 identical to a serial run. ``--shards N`` runs the shard-aware experiments
 on the parallel sharded engine (bit-identical results, plus a ``[shard:]``
-footer); ``--cache`` serves unchanged experiments from ``.bench_cache.json``.
-Unless ``--no-record`` is given, every run records its wall-clock per
-experiment in ``BENCH_hotpath.json``. Every run ends with a one-line
+footer). Unless ``--no-record`` is given, every run records its wall-clock
+per experiment in ``BENCH_hotpath.json``. Every run ends with a one-line
 perf-stats footer (segment-cache hit rates, vectorized pack-path
 counters).
 """
@@ -75,12 +74,6 @@ def main(argv=None) -> int:
         "sharded engine with N worker processes; results are bit-identical "
         "to sequential (default 1 = sequential)",
     )
-    parser.add_argument(
-        "--cache",
-        action="store_true",
-        help="serve unchanged experiments from .bench_cache.json (keyed on "
-        "name, scale, seed and git HEAD; disabled while the tree is dirty)",
-    )
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
@@ -94,13 +87,11 @@ def main(argv=None) -> int:
 
     results = run_many(
         names, scale=args.scale, jobs=args.jobs, record=not args.no_record,
-        shards=args.shards, cache=args.cache,
+        shards=args.shards,
     )
     for res in results:
         print(res.text)
-        suffix = " (cached)" if res.cached else ""
-        print(f"[{res.name} regenerated in {res.elapsed:.1f}s wall "
-              f"time{suffix}]\n")
+        print(f"[{res.name} regenerated in {res.elapsed:.1f}s wall time]\n")
     print(perf_stats_footer())
     shard = shard_stats_footer()
     if shard:

@@ -424,7 +424,7 @@ def ablation_chunk_size(scale: str = "full", verify: bool = False) -> dict:
     points = []
     for chunk in chunks:
         cand = Candidate(chunk, default.pipeline_threshold,
-                         default.tbuf_chunks, default.use_plans)
+                         default.tbuf_chunks)
         t = trial_latency(message, cand, iterations=2, verify=verify)
         points.append({"size": chunk, "latency": t})
     best = min(points, key=lambda p: p["latency"])

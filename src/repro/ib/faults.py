@@ -3,7 +3,7 @@
 The five-stage pipeline is normally simulated over a perfect fabric. This
 module supplies the *imperfect* one: a :class:`FaultPlan` is a seeded,
 reproducible schedule of faults -- control-message drop/duplication/latency
-spikes, RDMA write/read stall or failure -- applied inside
+spikes, RDMA write stall or failure -- applied inside
 :class:`repro.ib.verbs.HCA` by a :class:`FaultInjector` attached to the
 :class:`repro.ib.fabric.Fabric`.
 
@@ -57,7 +57,7 @@ class RdmaError(RuntimeError):
     """An RDMA work request completed with an error status.
 
     Raised into any process waiting on the local completion event of a
-    failed RDMA write/read. Without the retry layer armed this aborts the
+    failed RDMA write. Without the retry layer armed this aborts the
     simulation loudly; with it, the sender retransmits with backoff.
     """
 
@@ -84,7 +84,7 @@ class CancelToken:
 #: Valid (op, action) combinations.
 _CTL_ACTIONS = ("drop", "duplicate", "delay")
 _RDMA_ACTIONS = ("stall", "fail")
-_OPS = ("ctl", "rdma_write", "rdma_read")
+_OPS = ("ctl", "rdma_write")
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class FaultSpec:
     ``count`` consecutive matches starting there are affected.
     """
 
-    op: str                      #: "ctl" | "rdma_write" | "rdma_read"
+    op: str                      #: "ctl" | "rdma_write"
     action: str                  #: ctl: drop/duplicate/delay; rdma: stall/fail
     nth: int = 1                 #: first matching occurrence hit (1-based)
     count: int = 1               #: how many consecutive occurrences
@@ -120,6 +120,12 @@ class FaultSpec:
             raise ValueError("delay must be non-negative")
         if self.action in ("delay", "stall") and self.delay == 0.0:
             raise ValueError(f"{self.action!r} fault needs a positive delay")
+        if self.action not in ("delay", "stall") and self.delay != 0.0:
+            raise ValueError(f"{self.action!r} fault takes no delay")
+        if self.ctl_type is not None and self.op != "ctl":
+            # The injector matches RDMA operations without a message type,
+            # so a type filter on one could never fire.
+            raise ValueError(f"ctl_type filters only op 'ctl', not {self.op!r}")
 
     def matches(self, op: str, src: int, dst: int, ctl_type: str) -> bool:
         return (
@@ -165,7 +171,6 @@ class FaultPlan:
         menu = [
             ("ctl", "drop"), ("ctl", "duplicate"), ("ctl", "delay"),
             ("rdma_write", "stall"), ("rdma_write", "fail"),
-            ("rdma_read", "stall"), ("rdma_read", "fail"),
         ]
         specs = []
         for _ in range(nfaults):
@@ -196,7 +201,7 @@ class ControlAction:
 
 @dataclass
 class RdmaAction:
-    """Injector verdict for one RDMA write/read."""
+    """Injector verdict for one RDMA write."""
 
     fail: bool = False
     stall: float = 0.0
@@ -264,9 +269,9 @@ class FaultInjector:
                        type=ctl_type, delay=act.delay)
         return act
 
-    def on_rdma(self, op: str, src: int, dst: int, nbytes: int) -> Optional[RdmaAction]:
-        """Verdict for an RDMA write ("rdma_write") or read ("rdma_read")."""
-        fired = self._applicable(op, src, dst)
+    def on_rdma(self, src: int, dst: int, nbytes: int) -> Optional[RdmaAction]:
+        """Verdict for an RDMA write about to stream."""
+        fired = self._applicable("rdma_write", src, dst)
         if not fired:
             return None
         act = RdmaAction()
@@ -276,8 +281,9 @@ class FaultInjector:
             else:
                 act.stall += spec.delay
         if act.stall:
-            self._note("fault_rdma_stall", f"{op}:stall", src, dst,
+            self._note("fault_rdma_stall", "rdma_write:stall", src, dst,
                        bytes=nbytes, stall=act.stall)
         if act.fail:
-            self._note("fault_rdma_fail", f"{op}:fail", src, dst, bytes=nbytes)
+            self._note("fault_rdma_fail", "rdma_write:fail", src, dst,
+                       bytes=nbytes)
         return act

@@ -12,9 +12,8 @@ The model keeps the properties the paper's protocol relies on:
   connection semantics): all traffic serializes through the sender's TX
   engine and experiences the same wire latency.
 
-Every remote-side effect -- an inbox deposit, an RDMA payload landing, a
-read request reaching its responder, a read response returning -- is
-scheduled as a *wire-delivery event* (:meth:`Environment.schedule_wire`)
+Every remote-side effect -- an inbox deposit or an RDMA payload landing --
+is scheduled as a *wire-delivery event* (:meth:`Environment.schedule_wire`)
 keyed by ``(arrival time, source node, per-source sequence)``. The key is
 computed entirely from sender-local state, so the delivery order of
 same-instant arrivals is independent of how the simulation is partitioned:
@@ -52,11 +51,6 @@ class RemoteBuffer:
     node_id: int
     offset: int
     nbytes: int
-
-    def sub(self, offset: int, nbytes: int) -> "RemoteBuffer":
-        if offset < 0 or offset + nbytes > self.nbytes:
-            raise ValueError("sub-window exceeds registered remote buffer")
-        return RemoteBuffer(self.node_id, self.offset + offset, nbytes)
 
 
 @dataclass(frozen=True)
@@ -131,15 +125,6 @@ class HCA:
             raise ValueError("buffer does not belong to this HCA's node")
         return RemoteBuffer(self.node.node_id, ptr.offset, ptr.nbytes)
 
-    def resolve(self, rbuf: RemoteBuffer) -> BufferPtr:
-        """Local pointer for a remote-buffer handle naming *this* node."""
-        if rbuf.node_id != self.node.node_id:
-            raise ValueError(
-                f"remote buffer names node {rbuf.node_id}, this is node "
-                f"{self.node.node_id}"
-            )
-        return BufferPtr(self.node.memory, rbuf.offset, rbuf.nbytes)
-
     # -- verbs ------------------------------------------------------------------------
     def rdma_write(
         self,
@@ -182,7 +167,7 @@ class HCA:
         cfg = self.cfg
         inj = self.fabric.injector
         act = (
-            inj.on_rdma("rdma_write", self.node.node_id, dst.node_id, src.nbytes)
+            inj.on_rdma(self.node.node_id, dst.node_id, src.nbytes)
             if inj is not None else None
         )
         with self.tx.request() as req:
@@ -235,133 +220,6 @@ class HCA:
                 BufferPtr(target_node.memory, dst.offset, dst.nbytes).view()[:] = data
 
         self.env.schedule_wire(arrival, key, land, label="wire-rdma")
-
-    def rdma_read(
-        self,
-        dst: BufferPtr,
-        src: RemoteBuffer,
-        token: Optional[CancelToken] = None,
-    ) -> Event:
-        """Post an RDMA read: fetch remote host memory into a local buffer.
-
-        The request rides to the target whose HCA *responder* streams the
-        data back; the target CPU is not involved. Completion fires at the
-        origin once the data has landed.
-
-        ``token`` (retry layer only): cancelling it abandons the attempt --
-        an in-flight read will not write the local buffer nor complete.
-        """
-        if dst.space != "host":
-            raise ValueError("RDMA read destination must be host memory")
-        if dst.nbytes != src.nbytes:
-            raise ValueError(
-                f"RDMA size mismatch: local {dst.nbytes} vs remote {src.nbytes}"
-            )
-        done = self.env.event(label=f"rdma-read:{self.name}<-{src.node_id}")
-        self.env.process(
-            self._rdma_read_proc(dst, src, done, token),
-            name=f"rdma-read {self.name}<-{src.node_id}",
-        )
-        return done
-
-    def _rdma_read_proc(
-        self,
-        dst: BufferPtr,
-        src: RemoteBuffer,
-        done: Event,
-        token: Optional[CancelToken] = None,
-    ):
-        cfg = self.cfg
-        inj = self.fabric.injector
-        act = (
-            inj.on_rdma("rdma_read", self.node.node_id, src.node_id, src.nbytes)
-            if inj is not None else None
-        )
-        # Post the read request (small work request on our TX queue).
-        with self.tx.request() as req:
-            yield req
-            yield self.env.timeout(cfg.net_post_overhead)
-        arrival = self.env.now + self._latency(src.node_id)
-        key = self._next_wire_key()
-        stall = act.stall if act is not None else 0.0
-        fail_msg = (
-            f"rdma_read {self.name}<-{src.node_id} "
-            f"({src.nbytes} bytes) completed in error"
-        )
-        if not self.fabric.is_local(src.node_id):
-            # Cross-shard: ship the request to the shard owning the target;
-            # its responder TX streams under that shard's contention and the
-            # bridge completes ``done`` here when the response lands.
-            self.fabric.bridge.post_read(
-                dst, src, done, act, token, arrival, key,
-                origin_node=self.node.node_id, fail_msg=fail_msg,
-            )
-            return
-
-        # Local: the request arrives at the responder one latency out; the
-        # responder streams over its own TX and its response arrives back
-        # here as another keyed wire delivery. Identical structure -- same
-        # keys, same snapshot point (responder TX end) -- to the bridged
-        # cross-shard path.
-        responder = self.fabric.hcas[src.node_id]
-        env = self.env
-
-        def complete(data):
-            def apply(_event):
-                if token is not None and token.cancelled:
-                    return
-                if act is not None and act.fail:
-                    done.fail(RdmaError(fail_msg))
-                    return
-                if data is not None:
-                    dst.view()[:] = data
-                done.succeed()
-            return apply
-
-        def deliver(resp_arrival, resp_key, data):
-            env.schedule_wire(
-                resp_arrival, resp_key, complete(data), label="wire-rresp"
-            )
-
-        def request_arrives(_event):
-            env.process(
-                responder._read_respond_proc(
-                    src.offset, src.nbytes, stall, self.node.node_id, deliver
-                ),
-                name=f"rdma-read-resp {responder.name}->{self.name}",
-            )
-
-        env.schedule_wire(arrival, key, request_arrives, label="wire-rreq")
-
-    def _read_respond_proc(self, offset: int, nbytes: int, stall: float,
-                           origin_node: int, deliver):
-        """Responder half of an RDMA read (this HCA owns the data).
-
-        Streams ``nbytes`` over this HCA's TX engine (queueing behind its
-        other traffic), snapshots the window at TX end, and hands
-        ``deliver(arrival, key, data)`` the response's precomputed wire
-        arrival and key. Shared verbatim by the sequential path above and
-        the shard bridge's request injection, so both stream under the
-        same contention and snapshot at the same instant.
-        """
-        cfg = self.cfg
-        env = self.env
-        with self.tx.request() as req:
-            yield req
-            start = env.now
-            if stall:
-                # Fault: the responder wedges before streaming the payload.
-                yield env.timeout(stall)
-            yield env.timeout(nbytes / cfg.net_bandwidth)
-            if self.tracer.enabled:
-                self.tracer.record(
-                    start, env.now, f"{self.name}.tx", "rdma_read_resp",
-                    bytes=nbytes, origin=origin_node,
-                )
-        data = None
-        if env.functional:
-            data = self.node.memory.raw[offset : offset + nbytes].copy()
-        deliver(env.now + self._latency(origin_node), self._next_wire_key(), data)
 
     def send_control(self, dst_node: int, payload: Any, size_bytes: int = 64) -> Event:
         """Send a small control message; returns the local completion event.

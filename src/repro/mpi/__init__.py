@@ -12,7 +12,6 @@ from .comm import CartComm, Comm
 from .datatype import Datatype, DatatypeError, SegmentList
 from .endpoint import Endpoint, EndpointStats, VbufPool
 from .request import Request, test_all, wait_all, wait_any
-from .rma import LOCK_EXCLUSIVE, LOCK_SHARED, Win
 from .status import ANY_SOURCE, ANY_TAG, PROC_NULL, UNDEFINED, MpiError, Status
 from .world import MpiWorld, RankContext, run_world
 
@@ -42,9 +41,6 @@ __all__ = [
     "wait_all",
     "wait_any",
     "test_all",
-    "Win",
-    "LOCK_EXCLUSIVE",
-    "LOCK_SHARED",
     "Status",
     "MpiError",
     "ANY_SOURCE",

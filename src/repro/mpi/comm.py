@@ -433,15 +433,6 @@ class Comm:
                 unpack_from(inbuf.sub(position, nbytes), datatype, count, outbuf)
         return position + nbytes
 
-    # -- one-sided (RMA) --------------------------------------------------------------
-    def Win_create(self, buf):
-        """``MPI_Win_create`` (a generator; collective): expose host memory
-        for one-sided access. Returns the :class:`~repro.mpi.rma.Win`."""
-        from .rma import Win
-
-        win = yield from Win.create(self, buf)
-        return win
-
     # -- communicator management ---------------------------------------------------
     def _next_context(self, *parts) -> Tuple:
         self._epoch += 1

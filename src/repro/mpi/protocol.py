@@ -35,7 +35,6 @@ import numpy as np
 
 from ..hw.memory import BufferPtr
 from ..ib.faults import CancelToken, RdmaError
-from ..ib.verbs import RemoteBuffer
 from ..perf.stats import PERF
 from ..sim import Event, Store
 from .datatype import Datatype
@@ -494,20 +493,24 @@ def _backoff(rec, attempt: int) -> float:
     return min(rec.backoff_cap, rec.backoff_base * (1 << (attempt - 1)))
 
 
-def verbs_retry(endpoint: Endpoint, rec, post, what: str = "rdma"):
-    """Run an RDMA op under a completion timeout with retransmit (a generator).
+def rdma_write_safe(endpoint: Endpoint, src, rb):
+    """RDMA-write a chunk, with retry when recovery is armed (a generator).
 
-    ``post(token)`` posts one attempt and returns its local completion
-    event. On timeout or completion-in-error the attempt's token is
+    Armed, each attempt carries a :class:`CancelToken` and races a
+    completion timeout. On timeout or completion-in-error the token is
     cancelled (a stale in-flight write must never land in a landing buffer
-    that has been re-granted) and the op is re-posted after capped
+    that has been re-granted) and the write is re-posted after capped
     exponential backoff, up to ``rec.max_attempts``.
     """
+    rec = endpoint.recovery
+    if rec is None:
+        yield endpoint.hca.rdma_write(src, rb)
+        return
     env = endpoint.env
     attempt = 0
     while True:
         token = CancelToken()
-        done = post(token)
+        done = endpoint.hca.rdma_write(src, rb, token=token)
         ok = True
         try:
             yield env.any_of([done, env.timeout(rec.rdma_timeout)])
@@ -522,40 +525,13 @@ def verbs_retry(endpoint: Endpoint, rec, post, what: str = "rdma"):
         endpoint.stats.rdma_retries += 1
         endpoint.tracer.record_fault(
             env.now, "recovery:rdma_retry", src=endpoint.node.node_id,
-            attempt=attempt, what=what,
+            attempt=attempt, what="rdma_write",
         )
         if attempt >= rec.max_attempts:
             raise MpiError(
-                f"{what}: no successful completion after {attempt} attempts"
+                f"rdma_write: no successful completion after {attempt} attempts"
             )
         yield env.timeout(_backoff(rec, attempt))
-
-
-def rdma_write_safe(endpoint: Endpoint, src, rb):
-    """RDMA-write a chunk, with retry when recovery is armed (a generator)."""
-    rec = endpoint.recovery
-    if rec is None:
-        yield endpoint.hca.rdma_write(src, rb)
-    else:
-        yield from verbs_retry(
-            endpoint, rec,
-            lambda token: endpoint.hca.rdma_write(src, rb, token=token),
-            what="rdma_write",
-        )
-
-
-def rdma_read_safe(endpoint: Endpoint, dst, rb):
-    """RDMA-read into ``dst``, with retry when recovery is armed (a
-    generator). The one-sided Get path uses this."""
-    rec = endpoint.recovery
-    if rec is None:
-        yield endpoint.hca.rdma_read(dst, rb)
-    else:
-        yield from verbs_retry(
-            endpoint, rec,
-            lambda token: endpoint.hca.rdma_read(dst, rb, token=token),
-            what="rdma_read",
-        )
 
 
 def await_cts(endpoint: Endpoint, state: SendState, rts_payload: dict, rec):

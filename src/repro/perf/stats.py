@@ -47,9 +47,9 @@ Shard counters (:mod:`repro.sim.shard`; all zero on sequential runs)
 ``shard_batch_msgs`` / ``shard_batch_bytes``
     Cross-shard messages delivered with the coordinator's grants, and the
     pickled bytes of all grants sent.
-``shard_xmsg_ctl`` / ``shard_xmsg_rdma`` / ``shard_xmsg_rreq`` / ``shard_xmsg_rresp``
-    Cross-shard wire messages by kind: control messages, RDMA-write
-    payload landings, RDMA-read requests and their responses.
+``shard_xmsg_ctl`` / ``shard_xmsg_rdma``
+    Cross-shard wire messages by kind: control messages and RDMA-write
+    payload landings.
 ``shard<i>_events``
     Events processed by shard *i*'s worker environment.
 ``shard_payload_shm_bytes`` / ``shard_payload_inline_bytes``
@@ -241,7 +241,7 @@ class PerfStats:
     )
 
     #: Cross-shard message kinds, in footer order.
-    SHARD_MSG_KINDS = ("ctl", "rdma", "rreq", "rresp")
+    SHARD_MSG_KINDS = ("ctl", "rdma")
 
     def shard_footer(self) -> str:
         """The one-line ``[shard: ...]`` footer; empty on sequential runs.

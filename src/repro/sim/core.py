@@ -14,10 +14,10 @@ __all__ = ["Environment", "EmptySchedule", "WIRE_KEY_BASE", "wire_key"]
 
 #: Heap keys at or above this value mark *wire delivery* events: the
 #: remote-side effects of cross-node fabric traffic (control-message inbox
-#: deposits, RDMA payload landings, read requests/responses). They share
-#: the event queue with ordinary events but use a key derived from the
-#: *sending node* -- ``(src_node, per-source sequence)`` -- instead of the
-#: global creation counter. Two consequences, both deliberate:
+#: deposits and RDMA payload landings). They share the event queue with
+#: ordinary events but use a key derived from the *sending node* --
+#: ``(src_node, per-source sequence)`` -- instead of the global creation
+#: counter. Two consequences, both deliberate:
 #:
 #: * at any instant, every locally-created event (keys are creation
 #:   sequence numbers, far below the base) processes before any wire
@@ -213,36 +213,6 @@ class Environment:
         event.callbacks.append(callback)
         heapq.heappush(self._queue, (when, key, event))
         return event
-
-    def schedule_many(self, entries: Iterable[Tuple[Event, float]]) -> None:
-        """Bulk-schedule ``(event, absolute time)`` pairs with one heapify.
-
-        The incremental path pays one ``heappush`` (O(log n)) per event; a
-        batch of *k* entries appended and heapified once costs O(n + k).
-        Entry order assigns the sequence numbers, so for same-time events
-        the pop order equals scheduling the entries one by one -- the bulk
-        path is purely a wall-clock fast path (covered by a determinism
-        test against the incremental path). Zero-delay entries go to the
-        immediate lane exactly as in :meth:`_schedule`.
-        """
-        queue = self._queue
-        imm = self._imm
-        now = self._now
-        pushed = False
-        for event, when in entries:
-            if when < now:
-                raise SimulationError(
-                    f"cannot schedule {event!r} at {when} (now is {now})"
-                )
-            event._state = TRIGGERED
-            self._eid += 1
-            if when == now:
-                imm.append((now, self._eid, event))
-            else:
-                queue.append((when, self._eid, event))
-                pushed = True
-        if pushed:
-            heapq.heapify(queue)
 
     def _clear_schedule(self) -> None:
         """Drop every scheduled entry (shard merge resets worker queues)."""

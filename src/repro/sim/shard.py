@@ -39,7 +39,7 @@ shard with the next grant and are injected as plain events at the
 precomputed arrival time -- by the safety argument above, never in the
 receiver's past.
 
-Payload bytes (RDMA writes and read responses) travel through per-shard
+RDMA-write payload bytes travel through per-shard
 ``multiprocessing.shared_memory`` staging arenas (two halves, used in
 round parity: a half filled in round *n* is recycled in round *n + 2*,
 after every message staged in it was copied out by its receiver at the
@@ -73,7 +73,7 @@ import numpy as np
 
 from ..perf.stats import PERF
 from .core import Environment
-from .events import Event, SimulationError
+from .events import SimulationError
 
 __all__ = ["ShardView", "ShardBridge", "run_sharded_world", "window_bounds"]
 
@@ -130,11 +130,11 @@ def _open_shm(name: str):
 class ShardBridge:
     """The worker-side endpoint of the cross-shard channel.
 
-    The verbs layer calls :meth:`send_ctl` / :meth:`send_rdma` /
-    :meth:`post_read` when an operation's destination node is not local;
-    the worker main loop drains :meth:`take_outbox` after every window
-    (the records ride the reply to the coordinator) and feeds inbound
-    messages through :meth:`deliver`.
+    The verbs layer calls :meth:`send_ctl` / :meth:`send_rdma` when an
+    operation's destination node is not local; the worker main loop
+    drains :meth:`take_outbox` after every window (the records ride the
+    reply to the coordinator) and feeds inbound messages through
+    :meth:`deliver`.
     """
 
     def __init__(self, view: ShardView, shm_names: List[str]):
@@ -142,10 +142,8 @@ class ShardBridge:
 
         self.view = view
         self.outbox: List[tuple] = []
-        self.pending_reads: Dict[tuple, tuple] = {}
         self.fabric = None
         self.env: Optional[Environment] = None
-        self._read_id = 0
         self._shms = [_open_shm(name) for name in shm_names]
         self._seg_views = [
             np.frombuffer(shm.buf, dtype=np.uint8) for shm in self._shms
@@ -238,26 +236,6 @@ class ShardBridge:
             dst_node, offset, self._stage(data),
         ))
 
-    def post_read(self, dst, src, done: Event, act, token, arrival: float,
-                  key: int, origin_node: int, fail_msg: str) -> None:
-        """Queue an RDMA-read request for the shard owning ``src.node_id``.
-
-        The local completion context (destination pointer, completion
-        event, fault action/cancel token) stays here under a request id;
-        the target shard's responder streams under its own TX contention
-        and the response completes the read via the ``rresp`` callback.
-        """
-        PERF.bump("shard_xmsg_rreq")
-        rid = (self.view.index, self._read_id)
-        self._read_id += 1
-        self.pending_reads[rid] = (dst, done, act, token, fail_msg)
-        stall = act.stall if act is not None else 0.0
-        self.outbox.append((
-            "rreq", arrival, key, self.view.node_to_shard[src.node_id],
-            src.node_id, src.offset, src.nbytes, stall, origin_node,
-            self.view.index, rid,
-        ))
-
     def take_outbox(self) -> List[tuple]:
         out, self.outbox = self.outbox, []
         return out
@@ -281,13 +259,6 @@ class ShardBridge:
             elif kind == "rdma":
                 data = self._fetch(m[6])
                 cb = self._rdma_callback(m[4], m[5], data)
-            elif kind == "rreq":
-                cb = self._rreq_callback(m[4], m[5], m[6], m[7], m[8], m[9],
-                                         m[10])
-            elif kind == "rresp":
-                ref = m[5]
-                data = self._fetch(ref) if ref is not None else None
-                cb = self._rresp_callback(m[4], data)
             else:  # pragma: no cover - protocol error
                 raise SimulationError(f"unknown cross-shard message {kind!r}")
             env.schedule_wire(arrival, key, cb, label=f"xshard-{kind}")
@@ -305,47 +276,6 @@ class ShardBridge:
         def apply(_event, self=self):
             node = self.fabric.nodes[dst_node]
             node.memory.raw[offset : offset + data.nbytes] = data
-        return apply
-
-    def _rreq_callback(self, target_node: int, offset: int, nbytes: int,
-                       stall: float, origin_node: int, origin_shard: int,
-                       rid: tuple):
-        # The injected request spawns the *shared* responder coroutine
-        # (HCA._read_respond_proc): same TX contention, same stall fault,
-        # same trace record and same snapshot point as the sequential
-        # path. Only the response transport differs -- it rides the bridge
-        # back to the origin shard, carrying the responder's wire key.
-        def apply(_event, self=self):
-            responder = self.fabric.hcas[target_node]
-
-            def deliver(arrival, key, data):
-                ref = self._stage(data) if data is not None else None
-                PERF.bump("shard_xmsg_rresp")
-                self.outbox.append(
-                    ("rresp", arrival, key, origin_shard, rid, ref)
-                )
-
-            self.env.process(
-                responder._read_respond_proc(
-                    offset, nbytes, stall, origin_node, deliver
-                ),
-                name=f"rdma-read-resp hca{target_node}->shard{origin_shard}",
-            )
-        return apply
-
-    def _rresp_callback(self, rid: tuple, data: Optional[np.ndarray]):
-        def apply(_event, self=self):
-            from ..ib.faults import RdmaError
-
-            dst, done, act, token, fail_msg = self.pending_reads.pop(rid)
-            if token is not None and token.cancelled:
-                return
-            if act is not None and act.fail:
-                done.fail(RdmaError(fail_msg))
-                return
-            if data is not None:
-                dst.view()[:] = data
-            done.succeed()
         return apply
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from ..hw import HardwareConfig
 from ..perf.stats import PERF
@@ -70,14 +71,10 @@ def _cmd_search(args) -> int:
     from .search import SearchSpace, run_search
 
     space = SearchSpace.smoke() if args.smoke else SearchSpace()
-    if args.chunks or args.backends:
-        space = SearchSpace(
-            chunk_bytes=tuple(args.chunks) if args.chunks else space.chunk_bytes,
-            pipeline_threshold=space.pipeline_threshold,
-            tbuf_chunks=space.tbuf_chunks,
-            use_plans=space.use_plans,
-            backend=tuple(args.backends) if args.backends else space.backend,
-        )
+    if args.chunks:
+        space = replace(space, chunk_bytes=tuple(args.chunks))
+    if args.backends:
+        space = replace(space, backend=tuple(args.backends))
     sizes = args.sizes
     if sizes is None and args.scale == "full":
         from ..bench.experiments import _sizes

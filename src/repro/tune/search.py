@@ -2,9 +2,10 @@
 
 The tuner the paper's "administrator tuned 64 KB once per cluster" implies
 but never describes: sweep the pipeline knobs -- ``chunk_bytes``,
-``pipeline_threshold``, ``tbuf_chunks``, ``use_plans`` -- over simulated
-Figure-5-style transfers and persist the winner per ``(layout signature,
-message-size bucket)`` into a :class:`~repro.tune.table.TuningTable`.
+``pipeline_threshold``, ``tbuf_chunks`` and the transfer ``backend`` --
+over simulated Figure-5-style transfers and persist the winner per
+``(layout signature, message-size bucket)`` into a
+:class:`~repro.tune.table.TuningTable`.
 
 Search = grid + successive halving. Rung 0 evaluates every candidate at a
 single iteration; the top half (by the deterministic rank below) advances
@@ -68,7 +69,6 @@ class Candidate:
     chunk_bytes: int
     pipeline_threshold: int
     tbuf_chunks: int
-    use_plans: bool
     backend: str = "gpu"
 
     def to_config(self) -> GpuNcConfig:
@@ -82,7 +82,6 @@ class Candidate:
             chunk_bytes=self.chunk_bytes,
             pipeline_threshold=self.pipeline_threshold,
             tbuf_chunks=self.tbuf_chunks,
-            use_plans=self.use_plans,
             backend=self.backend,
         )
 
@@ -91,7 +90,7 @@ class Candidate:
         cfg = GpuNcConfig()
         return cls(cfg.chunk_bytes,
                    min(cfg.pipeline_threshold, cfg.chunk_bytes),
-                   cfg.tbuf_chunks, cfg.use_plans, "gpu")
+                   cfg.tbuf_chunks, "gpu")
 
 
 def pipeline_engages(size: int, cand: Candidate) -> bool:
@@ -115,14 +114,12 @@ class SearchSpace:
     )
     pipeline_threshold: Tuple[int, ...] = (64 * KiB,)
     tbuf_chunks: Tuple[int, ...] = (32, 64)
-    use_plans: Tuple[bool, ...] = (True, False)
     backend: Tuple[str, ...] = ("gpu",)
 
     @classmethod
     def smoke(cls) -> "SearchSpace":
         """Tiny 2-chunk-value space for the CI ``tune-smoke`` job."""
-        return cls(chunk_bytes=(16 * KiB, 64 * KiB), tbuf_chunks=(64,),
-                   use_plans=(True,))
+        return cls(chunk_bytes=(16 * KiB, 64 * KiB), tbuf_chunks=(64,))
 
     def candidates(self) -> List[Candidate]:
         """The sorted, normalized grid with the default force-included.
@@ -133,10 +130,10 @@ class SearchSpace:
         the degenerate shape ``pipeline_engages`` rejects per size.
         """
         grid = {
-            Candidate(c, min(p, c), t, u, b)
-            for c, p, t, u, b in product(
+            Candidate(c, min(p, c), t, b)
+            for c, p, t, b in product(
                 self.chunk_bytes, self.pipeline_threshold,
-                self.tbuf_chunks, self.use_plans, self.backend,
+                self.tbuf_chunks, self.backend,
             )
         }
         grid.add(Candidate.default())
@@ -147,16 +144,15 @@ def _rank(cand: Candidate, latency: float,
           default: Candidate) -> tuple:
     """Total order on trial outcomes: latency, then closeness to default.
 
-    Ties (common: ``use_plans`` and sub-threshold knobs are simulated-time
-    invariant) resolve toward the default knob values, then toward the
-    smaller candidate, never toward float noise or iteration order.
+    Ties (common: sub-threshold knobs are simulated-time invariant)
+    resolve toward the default knob values, then toward the smaller
+    candidate, never toward float noise or iteration order.
     """
     return (
         latency,
         abs(_l2(cand.chunk_bytes) - _l2(default.chunk_bytes)),
         abs(_l2(cand.tbuf_chunks) - _l2(default.tbuf_chunks)),
         abs(_l2(cand.pipeline_threshold) - _l2(default.pipeline_threshold)),
-        cand.use_plans is not default.use_plans,
         cand.backend != default.backend,
         cand,
     )
@@ -343,7 +339,7 @@ def run_search(
                 pipeline_threshold=min(winner.pipeline_threshold,
                                        winner.chunk_bytes),
                 tbuf_chunks=winner.tbuf_chunks,
-                use_plans=winner.use_plans,
+                use_plans=True,
                 latency=win_latency,
                 default_latency=default_latency,
                 backend=winner.backend,

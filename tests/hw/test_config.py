@@ -177,3 +177,22 @@ class TestPresets:
 
     def test_fermi_preset_has_independent_engines(self):
         assert not HardwareConfig.fermi_qdr().shared_engines
+
+
+class TestFabricPresets:
+    def test_ddr_slower_than_qdr(self):
+        qdr = HardwareConfig.fermi_qdr()
+        ddr = HardwareConfig.fermi_ddr_ib()
+        assert ddr.net_bandwidth < qdr.net_bandwidth
+        assert ddr.net_latency > qdr.net_latency
+
+    def test_roce_slowest(self):
+        roce = HardwareConfig.fermi_roce()
+        assert roce.net_bandwidth < HardwareConfig.fermi_ddr_ib().net_bandwidth
+
+    def test_presets_share_pcie_model(self):
+        """The PCIe side is identical across fabrics -- the point of the
+        interconnect ablation."""
+        qdr, roce = HardwareConfig.fermi_qdr(), HardwareConfig.fermi_roce()
+        assert qdr.pcie_row_cost_nc2nc == roce.pcie_row_cost_nc2nc
+        assert qdr.pcie_bandwidth == roce.pcie_bandwidth

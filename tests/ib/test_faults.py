@@ -187,6 +187,23 @@ class TestFaultSpecValidation:
         with pytest.raises(ValueError):
             FaultSpec("ctl", "delay")
 
+    def test_unknown_op_rejected(self):
+        with pytest.raises(ValueError, match="unknown fault op"):
+            FaultSpec("rdma_read", "fail")
+
+    def test_ctl_type_only_filters_control_messages(self):
+        # RDMA writes carry no message type, so the filter could never
+        # match and the spec would silently never fire.
+        with pytest.raises(ValueError, match="ctl_type"):
+            FaultSpec("rdma_write", "stall", delay=5e-4, ctl_type="rts")
+
+    @pytest.mark.parametrize("op,action", [
+        ("ctl", "drop"), ("ctl", "duplicate"), ("rdma_write", "fail"),
+    ])
+    def test_delay_rejected_where_it_cannot_act(self, op, action):
+        with pytest.raises(ValueError, match="takes no delay"):
+            FaultSpec(op, action, delay=1e-3)
+
     def test_counts_are_one_based_and_positive(self):
         with pytest.raises(ValueError):
             FaultSpec("ctl", "drop", nth=0)

@@ -94,30 +94,6 @@ class TestWireKeys:
         assert wire_key(0, 2) < wire_key(1, 1)
 
 
-class TestScheduleMany:
-    def test_bulk_matches_incremental(self):
-        def build(bulk):
-            env = Environment()
-            seen = []
-            entries = []
-            times = [3.0, 1.0, 2.0, 1.0, 0.0, 2.0, 0.0]
-            for i, t in enumerate(times):
-                ev = env.event(label=f"e{i}")
-                ev._ok = True
-                ev._value = None
-                ev.callbacks.append(lambda _ev, i=i, t=t: seen.append((t, i)))
-                entries.append((ev, t))
-            if bulk:
-                env.schedule_many(entries)
-            else:
-                for ev, t in entries:
-                    env.schedule_at(ev, t)
-            env.run()
-            return seen
-
-        assert build(bulk=True) == build(bulk=False)
-
-
 # -- workload equality ----------------------------------------------------------
 
 def _ring_program(ctx, vec, payload):

@@ -60,8 +60,7 @@ class TestSearchDeterminism:
     def test_default_always_evaluated(self):
         # Even a space excluding the default chunk carries an
         # apples-to-apples default_latency per entry.
-        space = SearchSpace(chunk_bytes=(16 * KiB,), tbuf_chunks=(64,),
-                            use_plans=(True,))
+        space = SearchSpace(chunk_bytes=(16 * KiB,), tbuf_chunks=(64,))
         table = run_search(message_sizes=[64 * KiB], space=space,
                            iterations=2)
         (entry,) = table.entries.values()
@@ -170,12 +169,12 @@ class TestDegenerateTrials:
     def test_candidates_normalize_threshold(self):
         space = SearchSpace(chunk_bytes=(8 * KiB, 64 * KiB),
                             pipeline_threshold=(256 * KiB,),
-                            tbuf_chunks=(64,), use_plans=(True,))
+                            tbuf_chunks=(64,))
         for cand in space.candidates():
             assert cand.pipeline_threshold <= cand.chunk_bytes
 
     def test_pipeline_engages(self):
-        cand = Candidate(64 * KiB, 16 * KiB, 64, True)
+        cand = Candidate(64 * KiB, 16 * KiB, 64)
         assert pipeline_engages(8 * KiB, cand)      # under the floor
         assert pipeline_engages(256 * KiB, cand)    # multiple chunks
         assert not pipeline_engages(32 * KiB, cand)  # one chunk, no floor
@@ -185,8 +184,7 @@ class TestDegenerateTrials:
         # the config claims to pipeline but never can. The trial is
         # dropped with a warning and the rejection counter fires; the
         # default still produces the bucket's entry.
-        space = SearchSpace(chunk_bytes=(256 * KiB,), tbuf_chunks=(64,),
-                            use_plans=(True,))
+        space = SearchSpace(chunk_bytes=(256 * KiB,), tbuf_chunks=(64,))
         before = PERF.snapshot().get("tune_trial_rejected", 0)
         with pytest.warns(UserWarning, match="tuning trial rejected"):
             table = run_search(message_sizes=[128 * KiB], space=space,
@@ -205,12 +203,11 @@ class TestDegenerateTrials:
         # a hand-built degenerate candidate trips the GpuNcConfig
         # validation warning instead of being silently repaired.
         with pytest.warns(UserWarning, match="pipeline_threshold"):
-            Candidate(16 * KiB, 64 * KiB, 64, True).to_config()
+            Candidate(16 * KiB, 64 * KiB, 64).to_config()
 
 
 class TestBackendAxis:
     SPACE = SearchSpace(chunk_bytes=(64 * KiB,), tbuf_chunks=(64,),
-                        use_plans=(True,),
                         backend=("gpu", "host", "nic"))
 
     def test_wide_workload_picks_nic(self):
