@@ -14,10 +14,12 @@ exact labels and durations the legacy path would have produced, and the
 pipeline still enqueues the same operations on the same engines. Only the
 *functional* byte movement is restructured: the pack-to-tbuf and
 tbuf-to-vbuf (resp. vbuf-to-tbuf and unpack-from-tbuf) hops are fused into
-a single precomputed fancy-index gather into the wire staging buffer (resp.
-one scatter out of it), so each chunk's data moves once instead of twice.
-The tbuf is still acquired and released -- it remains the pipeline's
-device-side flow-control token -- but its bytes are no longer written.
+one gather into the wire staging buffer (resp. one scatter out of it), so
+each chunk's data moves once instead of twice. The copies run through the
+word kernels of :mod:`repro.mpi.pack`; compiling a plan builds each
+irregular chunk's word index up front, so replay only copies. The tbuf is
+still acquired and released -- it remains the pipeline's device-side
+flow-control token -- but its bytes are no longer written.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 import numpy as np
 
 from ..hw.config import CopyKind
-from ..hw.memory import wide_rows
 from ..mpi.datatype import SegmentList
-from ..perf.stats import PERF
+from ..mpi.pack import gather_into, scatter_from
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..hw.config import HardwareConfig
@@ -67,46 +68,17 @@ class ChunkPlan:
     def gather_into(self, src: "BufferPtr", dst_view: np.ndarray) -> None:
         """Gather this chunk's segments of ``src`` into ``dst_view[:n]``.
 
-        The fused pack+stage movement: one strided 2-D copy (uniform
-        layouts) or one fancy-index gather over the plan's memoized index
-        array, writing straight into the wire staging buffer.
+        The fused pack+stage movement, written straight into the wire
+        staging buffer by the one gather kernel.
         """
-        segs = self.segs
-        uniform = segs.uniform()
-        if uniform is not None:
-            PERF.bump("gather_2d")
-            width, height, pitch = uniform
-            base = int(segs.offsets[0]) if segs.count else 0
-            sw = wide_rows(src.arena, src.offset + base, pitch, width, height)
-            if sw is not None:
-                np.copyto(dst_view[: self.nbytes].view(sw.dtype), sw)
-                return
-            view = src.arena.strided_view(src.offset + base, pitch, width, height)
-            np.copyto(dst_view[: self.nbytes].reshape(height, width), view)
-            return
-        PERF.bump("gather_vec")
-        np.take(src.view(), segs.gather_indices(), out=dst_view[: self.nbytes])
+        gather_into(src, self.segs, dst_view)
 
     def scatter_from(self, src_view: np.ndarray, dst: "BufferPtr") -> None:
         """Scatter ``src_view[:n]`` into this chunk's segments of ``dst``.
 
         The fused stage+unpack movement on the receiver.
         """
-        segs = self.segs
-        uniform = segs.uniform()
-        if uniform is not None:
-            PERF.bump("scatter_2d")
-            width, height, pitch = uniform
-            base = int(segs.offsets[0]) if segs.count else 0
-            dw = wide_rows(dst.arena, dst.offset + base, pitch, width, height)
-            if dw is not None:
-                np.copyto(dw, src_view[: self.nbytes].view(dw.dtype))
-                return
-            view = dst.arena.strided_view(dst.offset + base, pitch, width, height)
-            np.copyto(view, src_view[: self.nbytes].reshape(height, width))
-            return
-        PERF.bump("scatter_vec")
-        dst.view()[segs.gather_indices()] = src_view[: self.nbytes]
+        scatter_from(src_view, self.segs, dst)
 
 
 class TransferPlan:
@@ -164,9 +136,9 @@ class TransferPlan:
             hi = min(lo + chunk_bytes, total)
             csegs = dtype.segments_for_range(count, lo, hi)
             if kind == "strided" and csegs.uniform() is None:
-                # Build the gather index array now so replay never pays
+                # Build the word index now so replay never pays
                 # compilation inside a functional apply.
-                csegs.gather_indices()
+                csegs.word_indices()
             chunks.append(ChunkPlan(i, lo, hi, csegs))
         return cls(
             dtype.type_id, dtype.version, count, chunk_bytes, total, nchunks,

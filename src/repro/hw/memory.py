@@ -21,6 +21,7 @@ __all__ = [
     "OutOfMemoryError",
     "InvalidPointerError",
     "ALIGNMENT",
+    "WORDS",
     "wide_rows",
 ]
 
@@ -145,8 +146,8 @@ class BufferPtr:
         )
 
 
-#: Row widths that can be reinterpreted as one machine-sized element.
-_WIDE_DTYPES = {2: np.uint16, 4: np.uint32, 8: np.uint64}
+#: Unsigned machine words by byte width.
+WORDS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 
 def wide_rows(arena: "Arena", offset: int, pitch: int, width: int,
@@ -155,23 +156,20 @@ def wide_rows(arena: "Arena", offset: int, pitch: int, width: int,
 
     Uniform strided layouts with narrow rows (the paper's 4-byte vector
     elements) dominate the functional copies; reinterpreting each row as a
-    single ``uint16``/``uint32``/``uint64`` lets NumPy's strided copy loop
-    move one element per row instead of ``width`` bytes. Returns ``None``
-    when the geometry cannot be widened (row width not a machine size, or
-    pitch/offset not multiples of it) -- callers fall back to the byte
-    view. The element values are the same bytes, so copies through the
-    widened view are bit-identical to the 2-D byte copy they replace.
+    single machine word lets NumPy's strided copy loop move one element
+    per row instead of ``width`` bytes. Returns ``None`` when the geometry
+    cannot be widened (row width not a machine size, or pitch/offset not
+    multiples of it) -- callers fall back to the byte view. The element
+    values are the same bytes, so copies through the widened view are
+    bit-identical to the 2-D byte copy they replace.
     """
-    dt = _WIDE_DTYPES.get(width)
+    dt = WORDS.get(width)
     if dt is None or pitch % width or offset % width:
         return None
     arena.check_2d_bounds(offset, pitch, width, height)
     if height <= 0:
         return np.empty(0, dtype=dt)
-    base = arena.raw[offset : offset + (height - 1) * pitch + width]
-    return np.lib.stride_tricks.as_strided(
-        base.view(dt), shape=(height,), strides=(pitch,)
-    )
+    return np.ndarray((height,), dt, arena.raw, offset, (pitch,))
 
 
 class Arena:
@@ -310,12 +308,7 @@ class Arena:
         self.check_2d_bounds(offset, pitch, width, height)
         if height == 0 or width == 0:
             return np.empty((height, width), dtype=np.uint8)
-        return np.lib.stride_tricks.as_strided(
-            self.raw[offset:],
-            shape=(height, width),
-            strides=(pitch, 1),
-            writeable=True,
-        )
+        return np.ndarray((height, width), np.uint8, self.raw, offset, (pitch, 1))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

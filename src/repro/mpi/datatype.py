@@ -54,14 +54,14 @@ class SegmentList:
     """Contiguous byte runs of a flattened datatype, in pack order.
 
     Instances are logically immutable: derived quantities (prefix sums,
-    total size, span, uniformity, gather indices) are memoized on first
-    use, so a cached SegmentList amortizes *all* of its analysis across
-    every pack/unpack that reuses it. Callers must never mutate the
+    total size, span, uniformity, copy word, word indices) are memoized on
+    first use, so a cached SegmentList amortizes *all* of its analysis
+    across every pack/unpack that reuses it. Callers must never mutate the
     ``offsets``/``lengths`` arrays in place.
     """
 
     __slots__ = ("offsets", "lengths", "_prefix", "_total", "_span",
-                 "_uniform", "_indices")
+                 "_uniform", "_word", "_index")
 
     def __init__(self, offsets: np.ndarray, lengths: np.ndarray):
         if offsets.shape != lengths.shape:
@@ -72,7 +72,8 @@ class SegmentList:
         self._total: Optional[int] = None
         self._span: Optional[Tuple[int, int]] = None
         self._uniform = _UNSET
-        self._indices: Optional[np.ndarray] = None
+        self._word: Optional[int] = None
+        self._index: Optional[np.ndarray] = None
 
     @property
     def count(self) -> int:
@@ -189,30 +190,40 @@ class SegmentList:
         # zero-width runs with count > 1 are irregular, never uniform.
         return dtir.classify_segments(self).uniform_tuple()
 
-    def gather_indices(self) -> np.ndarray:
-        """Flat element indices covered, in pack order (general gather).
+    @property
+    def word(self) -> int:
+        """Bytes per copy unit: the widest of 8, 4, 2 and 1 that divides
+        every offset and length, so gathers and scatters move machine
+        words instead of bytes."""
+        if self._word is None:
+            # The lowest set bit of the OR of all offsets and lengths is
+            # the largest power of two dividing every one of them.
+            bits = (int(np.bitwise_or.reduce(self.offsets))
+                    | int(np.bitwise_or.reduce(self.lengths)))
+            self._word = min(8, bits & -bits) if bits else 8
+        return self._word
 
-        Memoized: the flat index array is built once per SegmentList and
-        reused, turning every subsequent gather/scatter over this layout
-        into a single NumPy fancy-indexing operation with zero setup.
+    def word_indices(self) -> np.ndarray:
+        """Buffer word of each packed word, in pack order (general gather).
+
+        Words are :attr:`word` bytes wide, so packed bytes ``[k*w,
+        (k+1)*w)`` are word ``index[k]`` of the buffer viewed as ``w``-byte
+        words and the index costs ``8 / w`` bytes per payload byte.
+        Memoized: built once per SegmentList and reused, turning every
+        later gather/scatter over this layout into a single NumPy
+        fancy-indexing operation with zero setup.
         """
-        if self._indices is not None:
+        if self._index is not None:
             PERF.bump("index_reuse")
-            return self._indices
+            return self._index
         PERF.bump("index_build")
-        total = self.total_bytes
-        if total == 0:
-            idx = np.empty(0, dtype=np.int64)
-        else:
-            lens = self.lengths
-            starts = self.offsets
-            # Classic repeat/cumsum run-length expansion.
-            idx = np.repeat(starts, lens) + (
-                np.arange(total, dtype=np.int64)
-                - np.repeat(self.prefix, lens)
-            )
-        self._indices = idx
-        return idx
+        w = self.word
+        # Run-length expansion: packed word k of run i, which starts at
+        # packed word prefix[i], is buffer word offsets[i] + k - prefix[i].
+        self._index = np.repeat(
+            (self.offsets - self.prefix) // w, self.lengths // w
+        ) + np.arange(self.total_bytes // w, dtype=np.int64)
+        return self._index
 
     def span(self) -> Tuple[int, int]:
         """``(min_offset, max_end)`` over all segments (0,0 when empty)."""

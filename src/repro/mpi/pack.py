@@ -2,8 +2,18 @@
 
 This is the datatype-processing engine an MPI library runs on the host CPU
 (Ross et al. style), i.e. the thing the paper *offloads to the GPU*. The
-functional half really moves bytes (vectorized gather/scatter over arena
-views); the timing half charges :meth:`HardwareConfig.host_pack_time`.
+functional half really moves bytes; the timing half charges
+:meth:`HardwareConfig.host_pack_time`.
+
+Every functional pack and unpack in the simulator -- these entry points,
+the compiled plans' chunk replay (:mod:`repro.core.plan`) and the backends
+-- moves its bytes through one gather kernel, :func:`gather_into`, and one
+scatter kernel, :func:`scatter_from`. Both copy machine words, not bytes:
+the word is the widest of 8/4/2/1 bytes that divides every offset and
+length of the layout (:attr:`SegmentList.word`). A uniform layout is one
+strided 2-D copy of words; any other is one ``np.take`` (or fancy
+assignment) over a word view of the buffer with the layout's memoized word
+indices. Both kernels check the layout's span against the buffer first.
 """
 
 from __future__ import annotations
@@ -13,11 +23,13 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..hw.config import HardwareConfig
-from ..hw.memory import BufferPtr, wide_rows
+from ..hw.memory import WORDS, BufferPtr, wide_rows
 from ..perf.stats import PERF
 from .datatype import Datatype, DatatypeError, SegmentList
 
 __all__ = [
+    "gather_into",
+    "scatter_from",
     "pack_bytes",
     "pack_into",
     "unpack_from",
@@ -49,53 +61,79 @@ def check_buffer_bounds(buf: BufferPtr, dtype: Datatype, count: int) -> None:
         )
 
 
-def _gather(buf: BufferPtr, segs: SegmentList) -> np.ndarray:
-    """Gather the segments of ``buf`` into a fresh contiguous byte array.
+def _words(
+    buf: BufferPtr, segs: SegmentList
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``(view, index)``: the bytes ``segs`` covers in ``buf``, as words.
 
-    Uniform layouts use a single strided 2-D view copy; everything else is
-    one fancy-indexing gather over the (memoized) flat index array.
+    Words are ``segs.word`` bytes wide. A uniform layout is one strided
+    ``(rows, words per row)`` view and ``index`` is None; any other layout
+    is a flat word view of ``buf`` plus the layout's memoized word indices
+    into it. NumPy accepts word views of unaligned byte slices, so the
+    word depends on the layout alone, never on where ``buf`` sits. Raises
+    :class:`DatatypeError` when the layout reaches outside ``buf``.
     """
+    lo, hi = segs.span()
+    if lo < 0 or hi > buf.nbytes:
+        raise DatatypeError(
+            f"layout spans [{lo}, {hi}) bytes but buffer holds "
+            f"[0, {buf.nbytes})"
+        )
+    w = segs.word
     uniform = segs.uniform()
-    if uniform is not None:
+    if uniform is None:
+        view = np.ndarray(hi // w, WORDS[w], buf.arena.raw, buf.offset)
+        return view, segs.word_indices()
+    width, height, pitch = uniform
+    view = np.ndarray((height, width // w), WORDS[w], buf.arena.raw,
+                      buf.offset + lo, (pitch, w))
+    return view, None
+
+
+def gather_into(buf: BufferPtr, segs: SegmentList, out: np.ndarray) -> None:
+    """Copy the bytes ``segs`` covers in ``buf``, in pack order, into the
+    contiguous bytes ``out[:n]``.
+
+    The one gather kernel every functional pack runs: one strided 2-D copy
+    for a uniform layout, one ``np.take`` over the memoized word indices
+    for any other.
+    """
+    src, index = _words(buf, segs)
+    dst = out[: segs.total_bytes].view(src.dtype)
+    if index is None:
         PERF.bump("gather_2d")
-        width, height, pitch = uniform
-        base = int(segs.offsets[0]) if segs.count else 0
-        w = wide_rows(buf.arena, buf.offset + base, pitch, width, height)
-        if w is not None:
-            return np.ascontiguousarray(w).view(np.uint8)
-        view = buf.arena.strided_view(buf.offset + base, pitch, width, height)
-        return view.reshape(-1).copy()
-    PERF.bump("gather_vec")
-    return buf.view()[segs.gather_indices()]
+        np.copyto(dst.reshape(src.shape), src)
+    else:
+        PERF.bump("gather_vec")
+        np.take(src, index, out=dst)
 
 
-def _scatter(buf: BufferPtr, segs: SegmentList, data: np.ndarray) -> None:
-    """Scatter contiguous ``data`` bytes into the segments of ``buf``."""
-    if data.nbytes != segs.total_bytes:
+def scatter_from(data: np.ndarray, segs: SegmentList, buf: BufferPtr) -> None:
+    """Copy the contiguous bytes ``data[:n]`` into the bytes ``segs`` covers
+    in ``buf``: the one scatter kernel, the inverse of :func:`gather_into`."""
+    src = data[: segs.total_bytes]
+    if src.nbytes != segs.total_bytes:
         raise ValueError(
-            f"scatter size mismatch: {data.nbytes} bytes for "
+            f"scatter size mismatch: {src.nbytes} bytes for "
             f"{segs.total_bytes}-byte layout"
         )
-    uniform = segs.uniform()
-    if uniform is not None:
+    dst, index = _words(buf, segs)
+    src = src.view(dst.dtype)
+    if index is None:
         PERF.bump("scatter_2d")
-        width, height, pitch = uniform
-        base = int(segs.offsets[0]) if segs.count else 0
-        w = wide_rows(buf.arena, buf.offset + base, pitch, width, height)
-        if w is not None and data.flags.c_contiguous:
-            np.copyto(w, data.view(w.dtype))
-            return
-        view = buf.arena.strided_view(buf.offset + base, pitch, width, height)
-        np.copyto(view, data.reshape(height, width))
-        return
-    PERF.bump("scatter_vec")
-    buf.view()[segs.gather_indices()] = data
+        np.copyto(dst, src.reshape(dst.shape))
+    else:
+        PERF.bump("scatter_vec")
+        dst[index] = src
 
 
 def pack_bytes(buf: BufferPtr, dtype: Datatype, count: int) -> np.ndarray:
     """Pack ``count`` elements of ``dtype`` from ``buf`` into a byte array."""
     check_buffer_bounds(buf, dtype, count)
-    return _gather(buf, dtype.segments_for_count(count))
+    segs = dtype.segments_for_count(count)
+    out = np.empty(segs.total_bytes, np.uint8)
+    gather_into(buf, segs, out)
+    return out
 
 
 def pack_into(
@@ -123,7 +161,7 @@ def unpack_from(
         raise DatatypeError(
             f"unpack needs {nbytes} bytes but source holds {src.nbytes}"
         )
-    _scatter(dst, segs, src.view()[:nbytes])
+    scatter_from(src.view(), segs, dst)
     return nbytes
 
 
@@ -133,7 +171,9 @@ def pack_range_bytes(
     """Pack only packed-byte range ``[lo, hi)`` -- the chunking primitive."""
     check_buffer_bounds(buf, dtype, count)
     segs = dtype.segments_for_range(count, lo, hi)
-    return _gather(buf, segs)
+    out = np.empty(segs.total_bytes, np.uint8)
+    gather_into(buf, segs, out)
+    return out
 
 
 def pack_range_into(
@@ -147,22 +187,7 @@ def pack_range_into(
     fuses the pack and the stage copy into one movement.
     """
     check_buffer_bounds(buf, dtype, count)
-    segs = dtype.segments_for_range(count, lo, hi)
-    dst = out[: hi - lo]
-    uniform = segs.uniform()
-    if uniform is not None:
-        PERF.bump("gather_2d")
-        width, height, pitch = uniform
-        base = int(segs.offsets[0]) if segs.count else 0
-        w = wide_rows(buf.arena, buf.offset + base, pitch, width, height)
-        if w is not None and dst.flags.c_contiguous:
-            np.copyto(dst.view(w.dtype), w)
-            return
-        view = buf.arena.strided_view(buf.offset + base, pitch, width, height)
-        np.copyto(dst.reshape(height, width), view)
-        return
-    PERF.bump("gather_vec")
-    np.take(buf.view(), segs.gather_indices(), out=dst)
+    gather_into(buf, dtype.segments_for_range(count, lo, hi), out)
 
 
 def unpack_range_from(
@@ -170,8 +195,7 @@ def unpack_range_from(
 ) -> None:
     """Unpack ``src`` (holding packed bytes [lo, hi)) into its place."""
     check_buffer_bounds(dst, dtype, count)
-    segs = dtype.segments_for_range(count, lo, hi)
-    _scatter(dst, segs, src.view()[: hi - lo])
+    scatter_from(src.view(), dtype.segments_for_range(count, lo, hi), dst)
 
 
 def unpack_array_into(
@@ -183,8 +207,7 @@ def unpack_array_into(
     rather than as simulated staging memory.
     """
     check_buffer_bounds(dst, dtype, count)
-    segs = dtype.segments_for_range(count, lo, lo + data.nbytes)
-    _scatter(dst, segs, data)
+    scatter_from(data, dtype.segments_for_range(count, lo, lo + data.nbytes), dst)
 
 
 def strided_rows_equal(

@@ -5,10 +5,6 @@ Every benchmark run records its wall-clock per experiment id here, keyed
 an entry is written (the pre-optimization baseline of the PR that created
 it) and is never overwritten; ``after`` tracks the most recent run, so
 ``before / after`` is the cumulative speedup relative to that baseline.
-
-The file also records a reference ``pack_throughput`` figure that the
-``perf``-marked pytest guards against regressions (>30% below the
-recorded number fails).
 """
 
 from __future__ import annotations
@@ -33,8 +29,6 @@ __all__ = [
     "record_tuned_comparison",
     "record_backend_comparison",
     "record_coll_comparison",
-    "record_pack_throughput",
-    "record_sim_throughput",
 ]
 
 _DEFAULT_NAME = "BENCH_hotpath.json"
@@ -307,35 +301,3 @@ def record_coll_comparison(
         entry["speedup"] = round(entry["before"] / entry["after"], 3)
     _save(data, path or coll_file())
     return entry
-
-
-def record_pack_throughput(
-    bytes_per_second: float,
-    workload: str,
-    path: Optional[Path] = None,
-) -> None:
-    """Record the reference pack throughput the perf pytest guards."""
-    data = load(path)
-    data["pack_throughput"] = {
-        "bytes_per_second": round(bytes_per_second, 1),
-        "workload": workload,
-    }
-    _save(data, path)
-
-
-def record_sim_throughput(
-    events_per_second: float,
-    workload: str,
-    path: Optional[Path] = None,
-) -> None:
-    """Record the reference simulator event throughput (events/second).
-
-    Like ``pack_throughput``, the recorded figure is a reference for the
-    ``perf``-marked pytest guard (runs more than 30% below it fail).
-    """
-    data = load(path)
-    data["sim_throughput"] = {
-        "events_per_second": round(events_per_second, 1),
-        "workload": workload,
-    }
-    _save(data, path)

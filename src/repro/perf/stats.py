@@ -18,11 +18,14 @@ Counter names
     :meth:`Datatype.invalidate_segment_cache` call): the type unbinds its
     entry and bumps its version.
 ``index_build`` / ``index_reuse``
-    Gather-index arrays computed from scratch vs. served memoized.
+    Word-index arrays (:meth:`SegmentList.word_indices`, one int64 per
+    machine word of an irregular layout) computed from scratch vs. served
+    memoized.
 ``gather_2d`` / ``scatter_2d``
     Pack/unpack served by the uniform 2-D strided-view fast path.
 ``gather_vec`` / ``scatter_vec``
-    Pack/unpack served by one NumPy fancy-indexing operation.
+    Pack/unpack served by one NumPy fancy-indexing operation over the
+    word indices.
 ``tbuf_acquire``
     Device staging chunks handed out by :class:`repro.core.staging.TbufPool`.
 ``plan_cache_hit`` / ``plan_cache_miss``

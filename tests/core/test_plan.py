@@ -23,7 +23,8 @@ from repro.core import GpuNcConfig
 from repro.core.plan import TransferPlan
 from repro.hw import Cluster
 from repro.hw.memory import Arena
-from repro.mpi import BYTE, Datatype, MpiWorld
+from repro.mpi import BYTE, FLOAT, Datatype, MpiWorld
+from repro.mpi.datatype import DatatypeError
 from repro.mpi.pack import pack_bytes, pack_range_bytes, unpack_range_from
 from repro.sim import Environment
 
@@ -117,6 +118,31 @@ def test_plan_gather_scatter_matches_reference(dtype, count, data):
         unpack_range_from(staged.sub(0, cp.nbytes), dtype, count, ref,
                           cp.lo, cp.hi)
     assert np.array_equal(dst_arena.raw, ref_arena.raw)
+
+
+def _short_buffer_replay():
+    """A chunk of an 80-float column replayed against a 64-byte buffer,
+    with a 64-byte neighbour allocated right after it."""
+    col = Datatype.vector(80, 1, 4, FLOAT).commit()
+    (chunk,) = TransferPlan.compile(col, 1, col.size, "device", "host").chunks
+    arena = Arena(4096, "device", "plan-short")
+    buf = arena.alloc(64)
+    neighbour = arena.alloc(64)
+    neighbour.view()[:] = 0x5A
+    return chunk, buf, neighbour
+
+
+def test_plan_gather_rejects_a_buffer_shorter_than_its_layout():
+    chunk, buf, _ = _short_buffer_replay()
+    with pytest.raises(DatatypeError):
+        chunk.gather_into(buf, np.empty(chunk.nbytes, np.uint8))
+
+
+def test_plan_scatter_rejects_a_buffer_shorter_than_its_layout():
+    chunk, buf, neighbour = _short_buffer_replay()
+    with pytest.raises(DatatypeError):
+        chunk.scatter_from(np.zeros(chunk.nbytes, np.uint8), buf)
+    assert (neighbour.view() == 0x5A).all()
 
 
 def test_plan_cache_reuses_compiled_plans():

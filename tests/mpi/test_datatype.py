@@ -230,8 +230,12 @@ class TestSegmentList:
 
     def test_gather_indices_order(self):
         t = Datatype.hindexed([1, 1], [4, 0], BYTE)  # pack order reversed!
-        idx = t.segments.gather_indices()
-        assert idx.tolist() == [4, 0]
+        assert t.segments.word == 1
+        assert t.segments.word_indices().tolist() == [4, 0]
+        # Two-float runs at 8-byte offsets gather in 8-byte words.
+        t = Datatype.hindexed([2, 2], [8, 0], FLOAT)
+        assert t.segments.word == 8
+        assert t.segments.word_indices().tolist() == [1, 0]
 
     def test_slices_partition_packed_bytes(self):
         t = Datatype.vector(8, 3, 5, FLOAT)

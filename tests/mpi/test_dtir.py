@@ -123,8 +123,9 @@ def test_committed_compilations_bit_identical_to_legacy(dt, count, cuts):
     got_slice = dt.segments_for_range(count, lo, hi)
     assert np.array_equal(got_slice.offsets, want_slice.offsets)
     assert np.array_equal(got_slice.lengths, want_slice.lengths)
+    assert got_slice.word == want_slice.word
     assert np.array_equal(
-        got_slice.gather_indices(), want_slice.gather_indices()
+        got_slice.word_indices(), want_slice.word_indices()
     )
 
 

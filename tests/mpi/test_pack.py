@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.plan import ChunkPlan
 from repro.hw import Arena, HardwareConfig
 from repro.mpi.datatype import Datatype, DatatypeError
 from repro.mpi.pack import (
@@ -13,6 +14,8 @@ from repro.mpi.pack import (
     pack_bytes,
     pack_into,
     pack_range_bytes,
+    pack_range_into,
+    unpack_array_into,
     unpack_from,
     unpack_range_from,
 )
@@ -229,3 +232,114 @@ def test_chunked_pack_matches_whole_pack(dtype, count, chunk):
     ]
     got = np.concatenate(parts) if parts else np.empty(0, np.uint8)
     assert np.array_equal(got, whole)
+
+
+# -- every entry point against a per-segment slice oracle ------------------------
+
+WORD_PRIMS = [BYTE, Datatype.named(np.int16, "INT16"), FLOAT,
+              Datatype.named(np.float64, "DOUBLE")]
+
+
+@st.composite
+def placed_layout(draw):
+    """``(dtype, runs)``: an ``hindexed`` or ``struct`` of primitives and its
+    byte runs ``(offset, nbytes)`` in pack order.
+
+    Blocks sit at every byte alignment, never overlap and are packed in a
+    shuffled order; zero-length blocks and empty layouts are included.
+    """
+    n = draw(st.integers(0, 6))
+    struct = draw(st.booleans())
+    base = draw(st.sampled_from(WORD_PRIMS))
+    types = [draw(st.sampled_from(WORD_PRIMS)) if struct else base
+             for _ in range(n)]
+    blocks = [draw(st.integers(0, 4)) for _ in range(n)]
+    displs, cur = [], draw(st.integers(0, 7))
+    for t, b in zip(types, blocks):
+        displs.append(cur)
+        cur += b * t.size + draw(st.integers(0, 9))
+    order = draw(st.permutations(range(n)))
+    blocks = [blocks[i] for i in order]
+    displs = [displs[i] for i in order]
+    types = [types[i] for i in order]
+    if struct:
+        dtype = Datatype.struct(blocks, displs, types)
+    else:
+        dtype = Datatype.hindexed(blocks, displs, base)
+    runs = [(d, b * t.size) for d, b, t in zip(displs, blocks, types)]
+    return dtype, runs
+
+
+def slice_gather(raw, runs, lo, hi):
+    """Packed bytes ``[lo, hi)`` of ``raw``, one slice per run."""
+    out, pos = [], 0
+    for off, n in runs:
+        a, b = max(lo, pos), min(hi, pos + n)
+        if a < b:
+            out.append(raw[off + a - pos: off + b - pos])
+        pos += n
+    return np.concatenate(out) if out else np.empty(0, np.uint8)
+
+
+def slice_scatter(raw, runs, data, lo):
+    """Write ``data`` (packed bytes ``[lo, lo + len)``) into ``raw``."""
+    hi, pos = lo + data.nbytes, 0
+    for off, n in runs:
+        a, b = max(lo, pos), min(hi, pos + n)
+        if a < b:
+            raw[off + a - pos: off + b - pos] = data[a - lo: b - lo]
+        pos += n
+
+
+@settings(max_examples=200, deadline=None)
+@given(placed_layout(), st.integers(1, 2), st.integers(0, 7), st.data())
+def test_every_entry_point_matches_slice_oracle(layout, count, base, data):
+    """Each gather equals a slice loop and each scatter writes exactly the
+    bytes a slice loop writes, at any buffer alignment and byte range."""
+    dtype, runs = layout
+    runs = [(off + k * dtype.extent, n) for k in range(count) for off, n in runs]
+    total = dtype.size * count
+    lo = data.draw(st.integers(0, total), label="lo")
+    hi = data.draw(st.integers(lo, total), label="hi")
+    span = dtype.span_for_count(count)
+    rng = np.random.default_rng(total * 97 + span * 8 + base)
+
+    arena = Arena(span + 264, "host", "oracle")
+    arena.raw[:] = rng.integers(0, 256, arena.size, dtype=np.uint8)
+    buf = arena.alloc(span + 8).sub(base, span)
+    raw = buf.view()
+    before = arena.raw.copy()
+    packed = slice_gather(raw, runs, 0, total)
+    want = packed[lo:hi]
+
+    assert np.array_equal(pack_bytes(buf, dtype, count), packed)
+    assert np.array_equal(pack_range_bytes(buf, dtype, count, lo, hi), want)
+    out = np.full(hi - lo + 8, 0xA5, np.uint8)
+    pack_range_into(buf, dtype, count, lo, hi, out)
+    assert np.array_equal(out[: hi - lo], want)
+    assert (out[hi - lo:] == 0xA5).all()
+    chunk = ChunkPlan(0, lo, hi, dtype.segments_for_range(count, lo, hi))
+    out[:] = 0xA5
+    chunk.gather_into(buf, out)
+    assert np.array_equal(out[: hi - lo], want)
+    assert (out[hi - lo:] == 0xA5).all()
+    assert np.array_equal(arena.raw, before)  # gathers only read
+
+    incoming = rng.integers(0, 256, total + 8, dtype=np.uint8)
+    staged = Arena(total + 264, "host", "staged").alloc(total + 8)
+    staged.view()[:] = incoming
+    scatters = [  # (first packed byte, packed bytes, scatter)
+        (0, total, lambda: unpack_from(staged, dtype, count, buf)),
+        (lo, hi - lo,
+         lambda: unpack_range_from(staged, dtype, count, buf, lo, hi)),
+        (lo, hi - lo,
+         lambda: unpack_array_into(incoming[: hi - lo], dtype, count, buf, lo)),
+        (lo, hi - lo, lambda: chunk.scatter_from(incoming, buf)),
+    ]
+    for first, length, scatter in scatters:
+        arena.raw[:] = before
+        scatter()
+        expected = before.copy()
+        slice_scatter(expected[buf.offset: buf.end], runs,
+                      incoming[:length], first)
+        assert np.array_equal(arena.raw, expected)

@@ -3,7 +3,7 @@
 Property tests build random datatypes through the full constructor
 algebra (including ``resized``/``dup`` derivation and nested
 ``hvector(struct(...))``) and assert that cached compilations -- segments,
-slices and gather-index arrays -- are exactly what an uncached compile
+slices and word-index arrays -- are exactly what an uncached compile
 produces. Plus explicit LRU, invalidation, counter and private-entry
 tests.
 """
@@ -87,9 +87,10 @@ def test_cached_segments_bit_identical(dt, count):
     assert got_hit is got_miss or count == 1
     assert_seglists_equal(got_miss, want)
     assert_seglists_equal(got_hit, want)
-    # Memoized gather indices match a from-scratch expansion.
-    fresh_idx = fresh_segments(dt, count).gather_indices()
-    assert np.array_equal(got_hit.gather_indices(), fresh_idx)
+    # Memoized word indices match a from-scratch expansion.
+    fresh = fresh_segments(dt, count)
+    assert got_hit.word == fresh.word
+    assert np.array_equal(got_hit.word_indices(), fresh.word_indices())
     # Memoized span/uniform/total match the fresh compilation's.
     assert got_hit.span() == want.span()
     assert got_hit.total_bytes == want.total_bytes
@@ -108,7 +109,8 @@ def test_cached_slices_bit_identical(dt, count, cuts):
     again = dt.segments_for_range(count, lo, hi)
     assert_seglists_equal(got, want)
     assert_seglists_equal(again, want)
-    assert np.array_equal(got.gather_indices(), want.gather_indices())
+    assert got.word == want.word
+    assert np.array_equal(got.word_indices(), want.word_indices())
 
 
 @pytest.mark.slow
@@ -118,7 +120,8 @@ def test_cached_segments_bit_identical_deep(dt, count):
     want = fresh_segments(dt, count)
     got = dt.segments_for_count(count)
     assert_seglists_equal(dt.segments_for_count(count), want)
-    assert np.array_equal(got.gather_indices(), want.gather_indices())
+    assert got.word == want.word
+    assert np.array_equal(got.word_indices(), want.word_indices())
 
 
 def test_nested_hvector_of_struct_cached():

@@ -53,14 +53,6 @@ def test_hotpath_emitter_pins_before_and_tracks_after(tmp_path):
     assert data["experiments"]["figX:quick"]["speedup"] == 4.0
 
 
-def test_hotpath_pack_throughput_roundtrip(tmp_path):
-    path = tmp_path / "BENCH_hotpath.json"
-    hotpath.record_pack_throughput(1.5e9, "test workload", path=path)
-    data = hotpath.load(path)
-    assert data["pack_throughput"]["bytes_per_second"] == 1.5e9
-    assert data["pack_throughput"]["workload"] == "test workload"
-
-
 def test_load_missing_file_is_empty(tmp_path):
     assert hotpath.load(tmp_path / "nope.json") == {
         "schema": 1, "experiments": {},

@@ -10,14 +10,18 @@ A change that lowers a count lowers its ceiling with it.
 * ``events``: events scheduled (the environment's sequence counter);
 * ``processes``: :class:`~repro.sim.Process` instances started;
 * ``timeouts``: timeouts created (``event_pool_hit + event_pool_miss``).
+
+Irregular layouts carry a second deterministic cost: the memoized word
+index a gather or scatter walks, pinned as index bytes per payload byte.
 """
 
+import numpy as np
 import pytest
 
 from repro.apps import StencilConfig, run_stencil
 from repro.bench.vector_latency import make_nc_program
 from repro.hw import Cluster, HardwareConfig, MiB
-from repro.mpi import MpiWorld
+from repro.mpi import DOUBLE, FLOAT, Datatype, MpiWorld
 from repro.perf.stats import PERF
 from repro.sim import Process
 
@@ -82,3 +86,35 @@ def test_work_per_operation_within_ceiling(name, monkeypatch):
         for k, v in per_op.items() if v > CEILINGS[name][k]
     }
     assert not over, f"{name}: per-operation work above its ceiling: {over}"
+
+
+#: Memoized index bytes per payload byte, pinned at the measured figures.
+INDEX_CEILINGS = {
+    # alltoallv-mixed's irregular blocks: 64 FLOAT runs, 4-byte words.
+    "float-hindexed": 2.0,
+    # Runs of whole doubles at double offsets: 8-byte words.
+    "double-hindexed": 1.0,
+}
+
+
+def _hindexed(base: Datatype) -> Datatype:
+    """64 runs of 1-32 elements, separated by gaps of 1-8 elements."""
+    rng = np.random.default_rng(64)
+    lengths = 1 + rng.integers(0, 32, 64)
+    gaps = 1 + rng.integers(0, 8, 64)
+    starts = np.cumsum(gaps) + np.concatenate(([0], np.cumsum(lengths[:-1])))
+    return Datatype.hindexed(lengths.tolist(), (starts * base.size).tolist(),
+                             base)
+
+
+INDEXED_LAYOUTS = {"float-hindexed": FLOAT, "double-hindexed": DOUBLE}
+
+
+@pytest.mark.parametrize("name", sorted(INDEXED_LAYOUTS))
+def test_index_bytes_per_payload_byte_within_ceiling(name):
+    segs = _hindexed(INDEXED_LAYOUTS[name]).segments
+    per_byte = segs.word_indices().nbytes / segs.total_bytes
+    assert per_byte <= INDEX_CEILINGS[name], (
+        f"{name}: word index holds {per_byte:.2f} bytes per payload byte, "
+        f"ceiling {INDEX_CEILINGS[name]}"
+    )
