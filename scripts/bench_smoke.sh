@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Fast CI split: the non-slow test tier plus a quick-scale benchmark pass.
+# Fast CI split: the non-slow test tier plus a quick-scale benchmark pass
+# (with --no-record, so it leaves every BENCH ledger as committed).
 #
 #   scripts/bench_smoke.sh            # smoke tests + quick benches
 #   JOBS=4 scripts/bench_smoke.sh     # fan the benches across 4 workers
@@ -16,4 +17,4 @@ echo "== pytest (smoke tier: -m 'not slow') =="
 python -m pytest -x -q -m "not slow"
 
 echo "== benchmarks (quick scale) =="
-python -m repro.bench all --scale quick --jobs "${JOBS:-2}"
+python -m repro.bench all --scale quick --jobs "${JOBS:-2}" --no-record

@@ -9,10 +9,10 @@ Independent experiments fan across ``--jobs`` worker processes (each with
 its own deterministic simulation environment and per-run seed); output is
 identical to a serial run. ``--shards N`` runs the shard-aware experiments
 on the parallel sharded engine (bit-identical results, plus a ``[shard:]``
-footer). Unless ``--no-record`` is given, every run records its wall-clock
-per experiment in ``BENCH_hotpath.json``. Every run ends with a one-line
-perf-stats footer (segment-cache hit rates, vectorized pack-path
-counters).
+footer). ``--no-record`` stops the experiments that pin a ledger
+(``BENCH_sim.json``, ``BENCH_shard.json``) from writing it. Every run ends
+with a one-line perf-stats footer (segment-cache hit rates, vectorized
+pack-path counters), then one line per subsystem the run engaged.
 """
 
 from __future__ import annotations
@@ -20,17 +20,10 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ..perf.stats import PERF
+from ..tune.table import active_provenance
 from .experiments import EXPERIMENTS
 from .parallel import run_many
-from .report import (
-    backend_stats_footer,
-    coll_stats_footer,
-    dtype_stats_footer,
-    fault_stats_footer,
-    perf_stats_footer,
-    shard_stats_footer,
-    tune_stats_footer,
-)
 
 
 def main(argv=None) -> int:
@@ -61,9 +54,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--no-record",
         action="store_true",
-        help="write no BENCH_*.json ledger: neither this run's wall-clock "
-        "nor the pins the scale, scale1024, coll and conformance "
-        "experiments record",
+        help="write no BENCH_*.json ledger: the scale, scale1024, coll "
+        "and conformance experiments leave their pins untouched",
     )
     parser.add_argument(
         "--shards",
@@ -92,25 +84,8 @@ def main(argv=None) -> int:
     for res in results:
         print(res.text)
         print(f"[{res.name} regenerated in {res.elapsed:.1f}s wall time]\n")
-    print(perf_stats_footer())
-    shard = shard_stats_footer()
-    if shard:
-        print(shard)
-    faults = fault_stats_footer()
-    if faults:
-        print(faults)
-    tune = tune_stats_footer()
-    if tune:
-        print(tune)
-    dtype = dtype_stats_footer()
-    if dtype:
-        print(dtype)
-    backend = backend_stats_footer()
-    if backend:
-        print(backend)
-    coll = coll_stats_footer()
-    if coll:
-        print(coll)
+    for line in PERF.footers(active_provenance()):
+        print(line)
     return 0
 
 

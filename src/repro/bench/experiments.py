@@ -261,7 +261,7 @@ def scale_weak_stencil(scale: str = "full", shards: int = 0) -> dict:
     import os
     import time
 
-    from ..perf.hotpath import record_shard_wallclock
+    from ..perf import ledger
 
     grids = [(4, 2), (4, 4), (8, 4), (8, 8)] if scale == "full" \
         else [(4, 2), (4, 4)]
@@ -298,9 +298,10 @@ def scale_weak_stencil(scale: str = "full", shards: int = 0) -> dict:
             point["sharded_wall"][nsh] = wall
             row.append(f"{wall:.2f} ({seq_wall / wall:.2f}x)")
         widest = max(point["sharded_wall"])
-        record_shard_wallclock(
-            f"scale{nranks}", scale, seq_wall,
-            point["sharded_wall"][widest], widest,
+        ledger.record(
+            "shard", f"scale{nranks}:{scale}", seq_wall,
+            point["sharded_wall"][widest], shards=widest,
+            cores=os.cpu_count(),
         )
         result["points"].append(point)
         rows.append(row)
@@ -337,10 +338,11 @@ def scale1024_weak_stencil(scale: str = "full") -> dict:
     simulated iteration times is asserted, and the wall-clock pair plus
     the invariance verdict are pinned in ``BENCH_shard.json``.
     """
+    import os
     import time
 
     from ..ib.fabric import FatTreeTopology
-    from ..perf.hotpath import record_shard_wallclock
+    from ..perf import ledger
 
     grid = 32 if scale == "full" else 16
     nranks = grid * grid
@@ -369,13 +371,11 @@ def scale1024_weak_stencil(scale: str = "full") -> dict:
             f"{shards} shards -- shard invariance broken"
         )
     sim_seconds = max(sum(ts) for ts in seq.iteration_times)
-    entry = record_shard_wallclock(
-        f"scale{nranks}fat", scale, seq_wall, shard_wall, shards,
-        extra={"invariant": True, "leaf_size": leaf,
-               "inter_latency": topo.inter_latency},
+    entry = ledger.record(
+        "shard", f"scale{nranks}fat:{scale}", seq_wall, shard_wall,
+        shards=shards, cores=os.cpu_count(), invariant=True,
+        leaf_size=leaf, inter_latency=topo.inter_latency,
     )
-    import os as _os
-
     result = {
         "ranks": nranks,
         "shards": shards,
@@ -383,7 +383,7 @@ def scale1024_weak_stencil(scale: str = "full") -> dict:
         "sequential_wall": seq_wall,
         "sharded_wall": shard_wall,
         "invariant": invariant,
-        "cores": _os.cpu_count(),
+        "cores": os.cpu_count(),
     }
     result["text"] = table(
         ["Ranks", "Shards", "Leaf", "Sim (ms)", "Seq (s)", "Sharded (s)",
@@ -939,8 +939,9 @@ def conformance(scale: str = "full", verify: bool = True) -> dict:
     through :func:`~repro.core.backends.guideline_backend` so a backend
     whose *modeled* cost is out of tolerance can never be picked on a
     lucky measurement), the tuned chooser re-runs every point against
-    the default config, and each pair is pinned in ``BENCH_backend.json``
-    -- where CI asserts speedup >= 1.0 everywhere and > 1.0 somewhere.
+    the default config, and each pair is pinned in ``BENCH_sim.json``
+    -- where ``tests/bench/test_sim_ledger.py`` asserts speedup >= 1.0
+    everywhere and > 1.0 somewhere.
     """
     from ..baselines import manual_pipeline_latency, naive_vector_latency
     from ..core.backends import (
@@ -949,7 +950,7 @@ def conformance(scale: str = "full", verify: bool = True) -> dict:
         guideline_backend,
     )
     from ..mpi import BYTE, Datatype
-    from ..perf.hotpath import record_backend_comparison
+    from ..perf import ledger
     from ..tune import TuningEntry, TuningTable, size_bucket
     from ..tune.table import cluster_config_hash
 
@@ -1044,9 +1045,9 @@ def conformance(scale: str = "full", verify: bool = True) -> dict:
             )
         speedup = default_lat / tuned_lat if tuned_lat else 1.0
         speedups.append(speedup)
-        record_backend_comparison(
-            f"{layout}:s{size_bucket(size)}", default_lat, tuned_lat,
-            winner, default_chunk,
+        ledger.record(
+            "sim", f"conformance:{layout}:s{size_bucket(size)}",
+            default_lat, tuned_lat, backend=winner, chunk_bytes=default_chunk,
         )
         rows.append([
             layout, format_size(size),
@@ -1089,7 +1090,7 @@ def table_render_conformance(rows, best: float) -> str:
         f"(verified)\nHunold/Traeff: tuned >= default >= naive and "
         f"datatype >= manual pack hold on every point (verified)\n"
         f"best tuned-chooser speedup over the default backend: "
-        f"{best:.2f}x (pinned in BENCH_backend.json)"
+        f"{best:.2f}x (pinned in BENCH_sim.json)"
     )
 
 
@@ -1175,11 +1176,11 @@ def coll_datatype_aware(scale: str = "full", verify: bool = True) -> dict:
     context (``coll:f4``) and mirror the default transfer geometry: it
     must reproduce the aware latency exactly while resolving through the
     context rows (``coll_tuned_hit``), proving the context plumbing end
-    to end. Each (size-bucket) pair is pinned in ``BENCH_coll.json``;
+    to end. Each (size-bucket) pair is pinned in ``BENCH_sim.json``;
     full scale requires >= 1.2x on at least one bucket.
     """
     from ..mpi import Datatype
-    from ..perf.hotpath import record_coll_comparison
+    from ..perf import ledger
     from ..perf.stats import PERF
     from ..tune import TuningEntry, TuningTable, coll_context, size_bucket
     from ..tune.table import cluster_config_hash
@@ -1268,9 +1269,9 @@ def coll_datatype_aware(scale: str = "full", verify: bool = True) -> dict:
         schedule = "small" if delta["coll_small_sched"] else "large"
         speedup = naive_t / aware_t if aware_t else 1.0
         speedups.append(speedup)
-        record_coll_comparison(
-            f"blockx4:s{size_bucket(blk)}", naive_t, aware_t,
-            schedule, delta["coll_messages"],
+        ledger.record(
+            "sim", f"coll:blockx4:s{size_bucket(blk)}", naive_t, aware_t,
+            schedule=schedule, messages=delta["coll_messages"],
         )
         result_points.append({
             "block_bytes": blk, "naive": naive_t, "aware": aware_t,
@@ -1304,7 +1305,7 @@ def coll_datatype_aware(scale: str = "full", verify: bool = True) -> dict:
     ) + (
         f"\n\nbyte equality: naive, aware and context-tuned aware "
         f"identical on every point (verified)\nbest datatype-aware "
-        f"speedup: {max(speedups):.2f}x (pinned in BENCH_coll.json)"
+        f"speedup: {max(speedups):.2f}x (pinned in BENCH_sim.json)"
     )
     return result
 

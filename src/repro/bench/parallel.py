@@ -9,7 +9,7 @@ output, just produced faster.
 
 Each worker returns its wall-clock and a :mod:`repro.perf.stats` snapshot;
 the parent merges the snapshots so the perf-stats footer covers the whole
-fan-out, and records per-experiment wall-clock in ``BENCH_hotpath.json``.
+fan-out.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..perf.hotpath import pipeline_file, record_wallclock, recording
+from ..perf.ledger import recording
 from ..perf.stats import PERF
 
 __all__ = ["RunResult", "run_one", "run_many"]
@@ -58,8 +58,8 @@ def run_one(name: str, scale: str, shards: int = 1,
     ``default_rng`` seeds, this just pins anything that might not.
     ``shards > 1`` is forwarded to experiments that accept it (``fig3``,
     ``faultmx``, ``scale``); others run sequentially as always. With
-    ``record`` off, the ledgers an experiment pins itself (``scale``,
-    ``scale1024``, ``coll``, ``conformance``) are left untouched.
+    ``record`` off, the ledgers the ``scale``, ``scale1024``, ``coll``
+    and ``conformance`` experiments pin are left untouched.
     """
     import inspect
 
@@ -88,10 +88,8 @@ def run_many(
     """Run experiments, fanning across ``jobs`` worker processes.
 
     ``jobs`` of ``None`` or ``1`` runs serially in-process (no pool, no
-    pickling). Results always come back in submission order; when
-    ``record`` is set each run's wall-clock is written to
-    ``BENCH_hotpath.json``, and when it is not, no ledger is written at
-    all.
+    pickling). Results always come back in submission order; with
+    ``record`` off, no experiment writes a ledger.
     """
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -112,10 +110,4 @@ def run_many(
     PERF.reset()
     for res in results:
         PERF.merge(res.perf)
-        if record:
-            record_wallclock(res.name, res.scale, res.elapsed)
-            # Mirror into the pipeline before/after ledger so per-PR
-            # wall-clock targets are pinned against their own baseline.
-            record_wallclock(res.name, res.scale, res.elapsed,
-                             path=pipeline_file())
     return results

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
-
-from ..perf.stats import PERF
+from typing import Iterable, List, Optional, Sequence
 
 __all__ = [
     "format_size",
@@ -12,134 +10,7 @@ __all__ = [
     "table",
     "series_table",
     "comparison_row",
-    "perf_stats_footer",
-    "fault_stats_footer",
-    "shard_stats_footer",
-    "tune_stats_footer",
-    "dtype_stats_footer",
-    "backend_stats_footer",
-    "coll_stats_footer",
 ]
-
-
-def perf_stats_footer(snapshot: Optional[Dict[str, int]] = None) -> str:
-    """One-line wall-clock perf summary for the bench CLI.
-
-    Reports the segment/slice cache hit rates and the vectorized-path
-    counters of :data:`repro.perf.stats.PERF` (or of an explicit snapshot,
-    e.g. one collected from a parallel worker process).
-    """
-    if snapshot is None:
-        return PERF.footer()
-    from ..perf.stats import PerfStats
-
-    stats = PerfStats()
-    stats.merge(snapshot)
-    return stats.footer()
-
-
-def fault_stats_footer(snapshot: Optional[Dict[str, int]] = None) -> str:
-    """One-line ``[faults: ...]`` summary; empty when nothing fired.
-
-    Nonzero only for fault-matrix runs (or real recovery activity); the
-    paper-figure experiments run with faults disabled and print nothing.
-    """
-    if snapshot is None:
-        return PERF.fault_footer()
-    from ..perf.stats import PerfStats
-
-    stats = PerfStats()
-    stats.merge(snapshot)
-    return stats.fault_footer()
-
-
-def shard_stats_footer(snapshot: Optional[Dict[str, int]] = None) -> str:
-    """One-line ``[shard: ...]`` summary; empty for sequential runs.
-
-    Reports the sharded engine's synchronization cost -- window rounds,
-    null-message overhead, cross-shard message counts by kind and
-    per-shard event totals -- whenever any experiment in the run used
-    ``shards > 1``.
-    """
-    if snapshot is None:
-        return PERF.shard_footer()
-    from ..perf.stats import PerfStats
-
-    stats = PerfStats()
-    stats.merge(snapshot)
-    return stats.shard_footer()
-
-
-def tune_stats_footer(snapshot: Optional[Dict[str, int]] = None) -> str:
-    """One-line ``[tune: ...]`` summary; empty when tuning never engaged.
-
-    Reports tuning-table lookup traffic (hits/misses/LRU/nearest-bucket),
-    clamped chunk preferences, search trials and the provenance of every
-    table attached in this process. The paper-figure experiments run
-    tuning-disabled and print nothing.
-    """
-    from ..tune.table import active_provenance
-
-    if snapshot is None:
-        return PERF.tune_footer(active_provenance())
-    from ..perf.stats import PerfStats
-
-    stats = PerfStats()
-    stats.merge(snapshot)
-    return stats.tune_footer(active_provenance())
-
-
-def dtype_stats_footer(snapshot: Optional[Dict[str, int]] = None) -> str:
-    """One-line ``[dtype: ...]`` summary; empty when the datatype IR idled.
-
-    Reports the datatype compiler's canonicalization traffic: types
-    canonicalized, canonical collisions (distinct constructions that
-    collapsed onto one form) and the compiled state
-    (tilings/slices/plans/signatures) served across instances. Nonzero
-    whenever derived datatypes were used.
-    """
-    if snapshot is None:
-        return PERF.dtype_footer()
-    from ..perf.stats import PerfStats
-
-    stats = PerfStats()
-    stats.merge(snapshot)
-    return stats.dtype_footer()
-
-
-def backend_stats_footer(snapshot: Optional[Dict[str, int]] = None) -> str:
-    """One-line ``[backend: ...]`` summary; empty on the default path.
-
-    Reports per-backend chunk counts, NIC descriptors posted and
-    guideline vetoes whenever any transfer in the run left the default
-    GPU-pack backend (a forced backend, or a tuned chooser resolving
-    ``host``/``nic``). Runs that never leave the default print nothing.
-    """
-    if snapshot is None:
-        return PERF.backend_footer()
-    from ..perf.stats import PerfStats
-
-    stats = PerfStats()
-    stats.merge(snapshot)
-    return stats.backend_footer()
-
-
-def coll_stats_footer(snapshot: Optional[Dict[str, int]] = None) -> str:
-    """One-line ``[coll: ...]`` summary; empty when no datatype-aware
-    collective ran.
-
-    Reports how the v-variants decomposed -- calls, spawned peer-messages,
-    schedule rounds, small/large schedule split and collective-context
-    tuned hits. Runs that never call ``Alltoallv``/``Allgatherv``/
-    ``Neighbor_alltoallv`` print nothing.
-    """
-    if snapshot is None:
-        return PERF.coll_footer()
-    from ..perf.stats import PerfStats
-
-    stats = PerfStats()
-    stats.merge(snapshot)
-    return stats.coll_footer()
 
 
 def format_size(nbytes: int) -> str:

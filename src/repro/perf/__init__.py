@@ -1,14 +1,15 @@
 """Performance instrumentation for the simulator's wall-clock hot paths.
 
-This package never influences *simulated* time -- it exists to measure and
-amortize the cost of running the simulator itself:
+This package never influences *simulated* time -- it measures the cost of
+running the simulator itself and pins what the benchmark experiments
+measured:
 
 * :mod:`repro.perf.stats` -- process-wide counters for the datatype
   segment-compilation cache (hits/misses/invalidations) and the
   vectorized pack/unpack paths.
-* :mod:`repro.perf.hotpath` -- the ``BENCH_hotpath.json`` emitter that
-  records before/after wall-clock per experiment so the perf trajectory
-  of the repo stays machine-readable across PRs.
+* :mod:`repro.perf.ledger` -- the ``BENCH_sim.json`` (simulated seconds)
+  and ``BENCH_shard.json`` (sequential-vs-sharded wall-clock) ledgers,
+  each entry a baseline and an optimized run measured in the same run.
 """
 
 from .stats import PERF, PerfStats

@@ -169,7 +169,7 @@ Backend counters (:mod:`repro.core.backends`)
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict
+from typing import Dict, List
 
 __all__ = ["PerfStats", "PERF"]
 
@@ -233,6 +233,18 @@ class PerfStats:
             f"{c['cache_invalidation']} invalidations",
         ]
         return "[perf: " + ", ".join(parts) + "]"
+
+    def footers(self, provenance: str = "") -> List[str]:
+        """The ``[perf:]`` line, then every non-empty footer in CLI order.
+
+        ``provenance`` is passed on to :meth:`tune_footer`.
+        """
+        lines = [
+            self.footer(), self.shard_footer(), self.fault_footer(),
+            self.tune_footer(provenance), self.dtype_footer(),
+            self.backend_footer(), self.coll_footer(),
+        ]
+        return [line for line in lines if line]
 
     #: Counters that appear in the fault footer (order matters for output).
     FAULT_COUNTERS = (

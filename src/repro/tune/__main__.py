@@ -13,7 +13,7 @@ byte-identical file, across ``--jobs`` and ``--shards``). ``show`` prints
 a persisted table. ``apply`` re-runs the workload with the table attached
 (``MpiWorld(tuning=...)``), checks the tuned run is no slower than the
 64 KB default on every bucket, and pins the comparison in
-``BENCH_tune.json``.
+``BENCH_sim.json``.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def _cmd_show(args) -> int:
 def _cmd_apply(args) -> int:
     from ..bench.report import format_size, table as render
     from ..bench.vector_latency import mv2_gpu_nc_latency
-    from ..perf.hotpath import record_tuned_comparison, tune_file
+    from ..perf import ledger
 
     path = args.table or _default_table_path()
     table = TuningTable.load(
@@ -130,9 +130,9 @@ def _cmd_apply(args) -> int:
         vec = Datatype.hvector(size // elem, elem, 2 * elem, BYTE).commit()
         entry = table.lookup(vec.layout_signature(1), size)
         chunk = entry.chunk_bytes if entry else 0
-        record_tuned_comparison(
-            f"fig5-vector:s{size_bucket(size)}", default_lat, tuned_lat,
-            chunk, table.provenance(),
+        ledger.record(
+            "sim", f"tune:fig5-vector:s{size_bucket(size)}", default_lat,
+            tuned_lat, chunk_bytes=chunk, table=table.provenance(),
         )
         if tuned_lat > default_lat:
             regressions.append(size)
@@ -147,7 +147,7 @@ def _cmd_apply(args) -> int:
         title=f"Tuned vs 64 KB-default simulated latency "
         f"(table {table.provenance()})",
     ))
-    print(f"\npinned in {tune_file()}")
+    print("\npinned in BENCH_sim.json")
     print(PERF.tune_footer(active_provenance()))
     if regressions:
         print(f"tuned slower than default for sizes {regressions} -- "
@@ -202,7 +202,7 @@ def main(argv=None) -> int:
     apply_ = sub.add_parser(
         "apply",
         help="run the workload with the table attached and pin "
-        "default-vs-tuned latency in BENCH_tune.json",
+        "default-vs-tuned latency in BENCH_sim.json",
     )
     apply_.add_argument("table", nargs="?",
                         help="table path (default: this cluster's)")

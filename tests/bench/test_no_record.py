@@ -1,43 +1,39 @@
-"""``--no-record`` leaves every BENCH ledger untouched.
+"""``--no-record`` leaves both BENCH ledgers untouched.
 
 The ``scale`` experiment pins its sequential-vs-sharded wall-clocks in
-``BENCH_shard.json`` itself, outside the harness's own wall-clock
-recording, so the flag has to reach into the experiment -- also when the
-experiment runs in a ``--jobs`` worker process.
+``BENCH_shard.json`` and ``coll`` its simulated latencies in
+``BENCH_sim.json``, each from inside the experiment, so the flag has to
+reach into the experiments -- also when they run in a ``--jobs`` worker
+process.
 """
 
 import pytest
 
 from repro.bench.__main__ import main
+from repro.perf import ledger
 
-_LEDGERS = {
-    "REPRO_BENCH_HOTPATH": "hotpath.json",
-    "REPRO_BENCH_PIPELINE": "pipeline.json",
-    "REPRO_BENCH_SHARD": "shard.json",
-}
+_ARGS = ["coll", "scale", "--scale", "quick", "--shards", "2"]
 
 
 @pytest.fixture
-def ledgers(tmp_path, monkeypatch):
-    paths = {}
-    for var, name in _LEDGERS.items():
-        paths[var] = tmp_path / name
-        monkeypatch.setenv(var, str(paths[var]))
-    return paths
+def ledger_dir(tmp_path, monkeypatch):
+    monkeypatch.setattr(ledger, "DIR", tmp_path)
+    return tmp_path
 
 
-@pytest.mark.parametrize("extra", [[], ["fig3", "--jobs", "2"]],
+@pytest.mark.parametrize("extra", [[], ["--jobs", "2"]],
                          ids=["serial", "jobs2"])
-def test_no_record_writes_no_ledger(ledgers, extra, capsys):
-    main(["scale", *extra, "--scale", "quick", "--shards", "2",
-          "--no-record"])
+def test_no_record_writes_no_ledger(ledger_dir, extra, capsys):
+    main([*_ARGS, *extra, "--no-record"])
     assert "[shard:" in capsys.readouterr().out
-    written = sorted(p.name for p in ledgers.values() if p.exists())
-    assert written == []
+    assert list(ledger_dir.iterdir()) == []
 
 
-def test_recording_run_writes_the_shard_ledger(ledgers, capsys):
-    # The control: the paths above are the ones a recording run writes.
-    main(["scale", "--scale", "quick", "--shards", "2"])
-    assert ledgers["REPRO_BENCH_SHARD"].exists()
-    assert ledgers["REPRO_BENCH_HOTPATH"].exists()
+def test_recording_run_writes_the_shard_ledger(ledger_dir, capsys):
+    # The control: a recording run writes both ledgers here, and no other.
+    main(_ARGS)
+    assert sorted(p.name for p in ledger_dir.iterdir()) == [
+        "BENCH_shard.json", "BENCH_sim.json",
+    ]
+    for key, entry in ledger.load("shard")["experiments"].items():
+        assert entry["cores"] >= 1 and entry["shards"] == 2, key

@@ -35,6 +35,7 @@ import pytest
 from repro.apps import StencilConfig, run_stencil
 from repro.bench import experiments
 from repro.mpi import MpiWorld
+from repro.perf.ledger import recording
 from repro.sim.trace import Tracer
 
 DIGEST_FILE = Path(__file__).with_name("digests.json")
@@ -134,9 +135,10 @@ def _digests_of(name: str) -> dict:
 
 
 @pytest.fixture(autouse=True)
-def _no_ledger_writes(monkeypatch, tmp_path):
+def _no_ledger_writes():
     # coll pins a comparison ledger; keep the committed one untouched.
-    monkeypatch.setenv("REPRO_BENCH_COLL", str(tmp_path / "coll.json"))
+    with recording(False):
+        yield
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -149,11 +151,7 @@ def test_golden_digest(name):
 
 
 def main(argv) -> int:
-    import os
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        os.environ["REPRO_BENCH_COLL"] = os.path.join(tmp, "coll.json")
+    with recording(False):
         digests = {}
         for name in sorted(RUNS):
             digests.update(_digests_of(name))

@@ -1,10 +1,9 @@
-"""The perf-stats counters, footer, and BENCH_hotpath.json emitter."""
+"""The perf-stats counters and footers, and the BENCH ledger module."""
 
-import json
+import pytest
 
-from repro.bench.report import perf_stats_footer
-from repro.perf import hotpath
-from repro.perf.stats import PERF, PerfStats
+from repro.perf import ledger
+from repro.perf.stats import PerfStats
 
 
 def test_counters_and_hit_rate():
@@ -33,27 +32,43 @@ def test_footer_is_one_line():
     assert line.startswith("[perf:")
 
 
-def test_report_footer_accepts_snapshot():
-    line = perf_stats_footer({"seg_cache_hit": 1, "seg_cache_miss": 1})
-    assert "seg-cache 50% hit (1/2)" in line
-    # Without a snapshot it reads the global counters.
-    assert perf_stats_footer().startswith("[perf:")
-    assert isinstance(PERF.snapshot(), dict)
+def test_footers_keep_cli_order_and_drop_empty():
+    stats = PerfStats()
+    assert stats.footers() == [stats.footer()]
+    # Bumped in reverse, so the order below is the method's own.
+    for name in ("coll_calls", "backend_nic_chunks", "dtir_canon",
+                 "tune_lookup_hit", "rdma_retry", "shard_rounds"):
+        stats.bump(name)
+    lines = stats.footers("t.json@abc")
+    assert [line.split(":")[0] for line in lines] == [
+        "[perf", "[shard", "[faults", "[tune", "[dtype", "[backend", "[coll",
+    ]
+    assert lines[3].endswith("table t.json@abc]")
+    stats.counters["dtir_canon"] = 0
+    assert "[dtype" not in [line.split(":")[0] for line in stats.footers()]
 
 
-def test_hotpath_emitter_pins_before_and_tracks_after(tmp_path):
-    path = tmp_path / "BENCH_hotpath.json"
-    entry = hotpath.record_wallclock("figX", "quick", 2.0, path=path)
-    assert entry == {"before": 2.0, "after": 2.0, "speedup": 1.0}
-    entry = hotpath.record_wallclock("figX", "quick", 0.5, path=path)
-    assert entry["before"] == 2.0  # pinned baseline never overwritten
-    assert entry["after"] == 0.5
-    assert entry["speedup"] == 4.0
-    data = json.loads(path.read_text())
-    assert data["experiments"]["figX:quick"]["speedup"] == 4.0
+def test_load_missing_file_is_empty(tmp_path, monkeypatch):
+    monkeypatch.setattr(ledger, "DIR", tmp_path)
+    assert ledger.load("sim") == {"schema": 1, "experiments": {}}
 
 
-def test_load_missing_file_is_empty(tmp_path):
-    assert hotpath.load(tmp_path / "nope.json") == {
-        "schema": 1, "experiments": {},
-    }
+def test_record_refuses_an_unparsable_ledger(tmp_path, monkeypatch):
+    # A merge left conflict markers in the file: recording must fail
+    # loudly, not read it as empty and overwrite every pinned entry.
+    monkeypatch.setattr(ledger, "DIR", tmp_path)
+    path = tmp_path / "BENCH_sim.json"
+    text = (
+        '<<<<<<< HEAD\n{\n "experiments": {\n  "coll:blockx4:s4096": '
+        '{"after": 1.0, "before": 2.0, "speedup": 2.0}\n },\n'
+        ' "schema": 1\n}\n=======\n>>>>>>> other\n'
+    )
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        ledger.record("sim", "coll:blockx4:s65536", 4.0, 1.0)
+    assert path.read_text() == text
+    with ledger.recording(False):
+        assert ledger.record("sim", "coll:blockx4:s65536", 4.0, 1.0) == {
+            "before": 4.0, "after": 1.0, "speedup": 4.0,
+        }
+    assert path.read_text() == text

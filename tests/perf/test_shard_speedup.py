@@ -17,13 +17,13 @@ import time
 import pytest
 
 from repro.apps.stencil2d import StencilConfig, run_stencil
-from repro.perf.hotpath import load, shard_file
+from repro.perf.ledger import load
 
 pytestmark = pytest.mark.perf
 
 
 def _entries():
-    data = load(shard_file())
+    data = load("shard")
     experiments = data.get("experiments", {})
     if not experiments:
         pytest.skip("no entries recorded in BENCH_shard.json")
