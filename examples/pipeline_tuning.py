@@ -27,13 +27,10 @@ def main():
     # Each point is a single search-engine trial, exactly what the grid
     # search below evaluates many of.
     message = 4 * MiB
-    default = Candidate.default()
     points = []
     for chunk_kib in (8, 16, 32, 64, 128, 256, 512, 1024):
         chunk = chunk_kib * KiB
-        cand = Candidate(chunk, default.pipeline_threshold,
-                         default.tbuf_chunks)
-        latency = trial_latency(message, cand, iterations=2)
+        latency = trial_latency(message, Candidate(chunk), iterations=2)
         points.append({"size": chunk, "latency": latency})
 
     print(series_table(

@@ -17,4 +17,4 @@ echo "== pytest (smoke tier: -m 'not slow') =="
 python -m pytest -x -q -m "not slow"
 
 echo "== benchmarks (quick scale) =="
-python -m repro.bench all --scale quick --jobs "${JOBS:-2}" --no-record
+python -W error::UserWarning -m repro.bench all --scale quick --jobs "${JOBS:-2}" --no-record

@@ -420,12 +420,10 @@ def ablation_chunk_size(scale: str = "full", verify: bool = False) -> dict:
     message = 4 * MiB if scale == "full" else 1 * MiB
     chunks = [8 * KiB, 16 * KiB, 32 * KiB, 64 * KiB, 128 * KiB,
               256 * KiB, 512 * KiB, 1 * MiB]
-    default = Candidate.default()
     points = []
     for chunk in chunks:
-        cand = Candidate(chunk, default.pipeline_threshold,
-                         default.tbuf_chunks)
-        t = trial_latency(message, cand, iterations=2, verify=verify)
+        t = trial_latency(message, Candidate(chunk), iterations=2,
+                          verify=verify)
         points.append({"size": chunk, "latency": t})
     best = min(points, key=lambda p: p["latency"])
     result = {"message_bytes": message, "points": points,
@@ -774,7 +772,7 @@ def dtype_zoo(scale: str = "full", shards: int = 1) -> dict:
 
     def packed_digest(dt):
         """Functionally pack one element through the compiled plan."""
-        plan = dt.plan_for(1, chunk, "device", "host")
+        plan = dt.plan_for(1, chunk)
         hi = int(dt.segments.span()[1])
         arena = Arena(max(hi, 1) + 4096, "device", name="zoo")
         src = arena.alloc(max(hi, 1))
@@ -792,7 +790,7 @@ def dtype_zoo(scale: str = "full", shards: int = 1) -> dict:
         entries = set()
         for nm, fn in members:
             dt = fn().commit()
-            plan = dt.plan_for(count, chunk, "device", "host")
+            plan = dt.plan_for(count, chunk)
             costs = plan.costs_for(hw)
             fingerprint[f"{fam}/{nm}"] = (
                 packed_digest(dt),
@@ -803,8 +801,7 @@ def dtype_zoo(scale: str = "full", shards: int = 1) -> dict:
             entries.add(id(dt._entry()))
             # A second *fresh* instance of the same construction must
             # replay the very same compiled plan.
-            if fn().commit().plan_for(count, chunk, "device", "host") \
-                    is not plan:
+            if fn().commit().plan_for(count, chunk) is not plan:
                 raise RuntimeError(
                     f"zoo: two fresh {fam}/{nm} instances compiled "
                     f"distinct plans -- entry plan cache not shared"
@@ -1235,9 +1232,9 @@ def coll_datatype_aware(scale: str = "full", verify: bool = True) -> dict:
         ttable = TuningTable(cluster_config_hash(HardwareConfig()))
         entry = TuningEntry(
             chunk_bytes=default.chunk_bytes,
-            pipeline_threshold=default.pipeline_threshold,
+            pipeline_threshold=default.chunk_bytes,
             tbuf_chunks=default.tbuf_chunks,
-            use_plans=default.use_plans,
+            use_plans=True,
             backend="gpu",
         )
         for sig in sigs:

@@ -17,7 +17,7 @@ from .backends import (
 )
 from .config import GpuNcConfig, RecoveryConfig
 from .detect import buffer_location, is_device_ptr, is_host_ptr
-from .gpu_pack import gpu_pack_chunk, gpu_pack_cost, gpu_unpack_chunk
+from .gpu_pack import gpu_pack_cost
 from .pipeline import GpuNcEngine, LayoutPlan
 from .staging import TbufPool
 
@@ -38,7 +38,5 @@ __all__ = [
     "is_device_ptr",
     "is_host_ptr",
     "buffer_location",
-    "gpu_pack_chunk",
-    "gpu_unpack_chunk",
     "gpu_pack_cost",
 ]

@@ -16,12 +16,16 @@ message size. This module makes the path a first-class, tunable choice:
     engine code they were carved out of. The engine delegates with
     ``yield from``, so a backend adds *no* events of its own and the
     default path stays schedule-identical to the pre-backend engine.
+    Every backend moves one :class:`~repro.core.plan.ChunkPlan` of the
+    transfer's compiled plan: it takes its cost from the chunk's
+    segments (or the plan's stage durations) and moves the bytes with
+    the chunk's one gather or scatter.
 
 ``GpuPipelineBackend``
     The paper's design: GPU pack kernel into a device tbuf, contiguous
-    D2H into the vbuf (plan-replay fuses the two copies when compiled
-    plans are on). Degrades to the host backend when the tbuf pool
-    times out, exactly as before.
+    D2H into the vbuf, replayed from the plan with the two copies fused
+    into one gather. Degrades to the host backend when the tbuf pool
+    times out.
 
 ``HostStagedBackend``
     The pre-offload MVAPICH2 behaviour: a strided PCIe 2-D copy (one
@@ -49,11 +53,11 @@ table identity -- is unchanged by their introduction.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict
 
 from ..hw.config import CopyKind
-from ..mpi.pack import pack_range_bytes, unpack_range_from
 from ..perf.stats import PERF
+from .gpu_pack import gpu_pack_cost
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..mpi.datatype import Datatype, SegmentList
@@ -71,6 +75,8 @@ __all__ = [
     "NIC_MAX_DESCRIPTORS",
     "GUIDELINE_TOLERANCE",
     "nic_offload_cost",
+    "strided_pcie_cost",
+    "strided_pcie_op",
     "modeled_chunk_cost",
     "guideline_backend",
 ]
@@ -113,37 +119,75 @@ def nic_offload_cost(cfg, segs: "SegmentList") -> float:
     )
 
 
+def strided_pcie_cost(cfg, segs: "SegmentList") -> float:
+    """Cost of moving an arbitrary segment list across PCIe directly.
+
+    Uniform layouts use the exact 2-D law; irregular ones approximate the
+    per-row DMA behaviour with the average spacing as the pitch.
+    """
+    uniform = segs.uniform()
+    if uniform is not None:
+        width, height, pitch = uniform
+        return cfg.memcpy2d_time(CopyKind.D2H, width, height, pitch, width)
+    nbytes = segs.total_bytes
+    if segs.count <= 1:
+        return cfg.memcpy_time(CopyKind.D2H, nbytes)
+    lo, hi = segs.span()
+    pitch_est = (hi - lo) // max(segs.count - 1, 1)
+    return (
+        cfg.pcie_copy_overhead
+        + segs.count * (cfg.pcie_row_cost_nc2c + pitch_est * cfg.pcie_row_pitch_surcharge)
+        + nbytes / cfg.pcie_bandwidth
+    )
+
+
+def strided_pcie_op(endpoint, stream, kind, user_buf, cp, staging, label):
+    """Enqueue chunk ``cp`` straight across PCIe, no offload ("nc2c").
+
+    D2H gathers the chunk's segments of ``user_buf`` into ``staging``;
+    H2D scatters ``staging`` into them. Returns the completion event.
+    """
+    if kind is CopyKind.D2H:
+        def apply():
+            cp.gather_into(user_buf, staging.view())
+    else:
+        def apply():
+            cp.scatter_from(staging.view(), user_buf)
+    return stream.enqueue(
+        endpoint.cuda.gpu.engine_for(kind),
+        strided_pcie_cost(endpoint.cfg, cp.segs), apply, label=label,
+    )
+
+
 class TransferBackend:
     """One way of moving a strided chunk between device memory and a vbuf.
 
     Subclasses implement the two generator methods; the engine invokes
     them with ``yield from`` inside its per-chunk simulation processes,
     so everything a backend yields is scheduled exactly as if it were
-    written inline in the engine (which, for the gpu and host backends,
-    it originally was).
+    written inline in the engine. Every backend receives the chunk as a
+    :class:`~repro.core.plan.ChunkPlan` of the transfer's compiled plan,
+    plus that plan's per-chunk stage durations (``costs``, from
+    :meth:`~repro.core.plan.TransferPlan.costs_for`).
     """
 
     #: Table/config identifier ("gpu", "host", "nic").
     name: str = "abstract"
-    #: Whether the engine should compile transfer plans for this backend
-    #: (only the GPU pipeline replays them).
-    wants_plans: bool = False
 
-    def send_chunk(self, engine, endpoint, res, buf, dtype, count,
-                   lo, hi, i, tplan, costs):
-        """Move packed bytes ``[lo, hi)`` of the send buffer into a vbuf.
+    def send_chunk(self, engine, endpoint, res, buf, cp, costs):
+        """Move chunk ``cp`` of the send buffer into a vbuf.
 
         A generator: yields simulation events, returns the acquired send
         vbuf (still held -- the caller RDMA-writes and releases it).
         """
         raise NotImplementedError
 
-    def drain_chunk(self, engine, state, res, req, lo, hi, i, vbuf,
-                    rplan, rcosts):
-        """Drain recv vbuf chunk ``i`` into the posted receive buffer.
+    def drain_chunk(self, engine, state, res, req, cp, vbuf, costs):
+        """Drain recv vbuf chunk ``cp`` into the posted receive buffer.
 
         A generator: yields simulation events and must call
-        ``state.release_staging(i)`` once the vbuf's bytes are consumed.
+        ``state.release_staging(cp.index)`` once the vbuf's bytes are
+        consumed.
         """
         raise NotImplementedError
 
@@ -152,136 +196,89 @@ class HostStagedBackend(TransferBackend):
     """Strided PCIe 2-D copies straight between user buffer and vbuf."""
 
     name = "host"
-    wants_plans = False
 
-    def send_chunk(self, engine, endpoint, res, buf, dtype, count,
-                   lo, hi, i, tplan, costs):
+    def send_chunk(self, engine, endpoint, res, buf, cp, costs):
         from ..mpi import protocol as _proto
 
         vbuf = yield from _proto.acquire_vbuf(endpoint, endpoint.send_vbufs)
-        yield engine._strided_pcie_chunk(
-            endpoint, res.d2h, CopyKind.D2H, buf, dtype, count,
-            lo, hi, vbuf, i,
+        yield strided_pcie_op(
+            endpoint, res.d2h, CopyKind.D2H, buf, cp, vbuf,
+            f"pcie-strided[{cp.index}]",
         )
         return vbuf
 
-    def drain_chunk(self, engine, state, res, req, lo, hi, i, vbuf,
-                    rplan, rcosts):
-        endpoint = state.endpoint
-        yield engine._strided_pcie_chunk(
-            endpoint, res.h2d, CopyKind.H2D, req.buf, req.datatype,
-            req.count, lo, hi, vbuf, i,
+    def drain_chunk(self, engine, state, res, req, cp, vbuf, costs):
+        yield strided_pcie_op(
+            state.endpoint, res.h2d, CopyKind.H2D, req.buf, cp, vbuf,
+            f"pcie-strided[{cp.index}]",
         )
-        state.release_staging(i)
+        state.release_staging(cp.index)
 
 
 class GpuPipelineBackend(TransferBackend):
     """The paper's 5-stage pipeline: GPU pack -> tbuf -> contiguous D2H.
 
-    Carries the engine's original strided-chunk bodies verbatim,
-    including plan replay and the recovery-layer degradation to the host
-    backend when the tbuf pool times out.
+    Replays the chunk's plan: the tbuf is the device-side flow-control
+    token (acquired and released at the pipeline's stage boundaries),
+    while the bytes move once, gathered straight into the vbuf at D2H
+    completion (scattered straight out of it at H2D completion on the
+    receiver). Degrades to the host backend when the recovery layer
+    times out on the tbuf pool.
     """
 
     name = "gpu"
-    wants_plans = True
 
-    def send_chunk(self, engine, endpoint, res, buf, dtype, count,
-                   lo, hi, i, tplan, costs):
+    def send_chunk(self, engine, endpoint, res, buf, cp, costs):
         from ..mpi import protocol as _proto
-        from .gpu_pack import gpu_pack_chunk
 
-        n = hi - lo
         tbuf = yield from engine._acquire_tbuf(endpoint, res)
         if tbuf is None:
             # The recovery layer degraded this chunk to the host-style
             # path when the tbuf pool timed out: strided PCIe 2-D copy
             # straight into the vbuf ("D2H nc2c", one DMA per row).
             vbuf = yield from BACKENDS["host"].send_chunk(
-                engine, endpoint, res, buf, dtype, count, lo, hi, i,
-                tplan, costs,
+                engine, endpoint, res, buf, cp, costs
             )
-        elif tplan is not None:
-            # Plan replay. The tbuf is still the device-side flow
-            # control token (same acquire/release points, so the
-            # schedule is unchanged), but the gather lands straight
-            # in the vbuf at D2H completion instead of staging
-            # through device memory twice.
-            cp = tplan.chunks[i]
-            yield res.pack.enqueue(
-                endpoint.cuda.gpu.exec_engine, costs["pack"][i], None,
-                label=cp.pack_label,
-            )
-            vbuf = yield from _proto.acquire_vbuf(
-                endpoint, endpoint.send_vbufs
-            )
-            yield res.d2h.enqueue(
-                endpoint.cuda.gpu.engine_for(CopyKind.D2H),
-                costs["d2h"][i],
-                lambda cp=cp, vbuf=vbuf: cp.gather_into(buf, vbuf.view()),
-                label=cp.d2h_label,
-            )
-            res.tbufs.release(tbuf)
-        else:
-            # The paper's design: pack on the GPU, contiguous D2H.
-            yield gpu_pack_chunk(
-                endpoint.cuda, buf, dtype, count, lo, hi, tbuf, res.pack
-            )
-            vbuf = yield from _proto.acquire_vbuf(
-                endpoint, endpoint.send_vbufs
-            )
-            yield endpoint.cuda.memcpy_async(
-                vbuf.sub(0, n), tbuf.sub(0, n),
-                stream=res.d2h, label=f"d2h[{i}]",
-            )
-            res.tbufs.release(tbuf)
+            return vbuf
+        i = cp.index
+        yield res.pack.enqueue(
+            endpoint.cuda.gpu.exec_engine, costs["pack"][i], None,
+            label=cp.pack_label,
+        )
+        vbuf = yield from _proto.acquire_vbuf(endpoint, endpoint.send_vbufs)
+        yield res.d2h.enqueue(
+            endpoint.cuda.gpu.engine_for(CopyKind.D2H), costs["d2h"][i],
+            lambda: cp.gather_into(buf, vbuf.view()),
+            label=cp.d2h_label,
+        )
+        res.tbufs.release(tbuf)
         return vbuf
 
-    def drain_chunk(self, engine, state, res, req, lo, hi, i, vbuf,
-                    rplan, rcosts):
-        from .gpu_pack import gpu_unpack_chunk
-
+    def drain_chunk(self, engine, state, res, req, cp, vbuf, costs):
         endpoint = state.endpoint
-        n = hi - lo
         tbuf = yield from engine._acquire_tbuf(endpoint, res)
         if tbuf is None:
             # Recovery-layer degradation: scatter straight out of the
             # vbuf over PCIe.
             yield from BACKENDS["host"].drain_chunk(
-                engine, state, res, req, lo, hi, i, vbuf, rplan, rcosts
+                engine, state, res, req, cp, vbuf, costs
             )
-        elif rplan is not None:
-            # Plan replay: the scatter into the user buffer is fused
-            # into the H2D completion -- it must run before
-            # release_staging recycles the vbuf. The unpack op then
-            # charges pure device time with no byte movement left to
-            # do.
-            cp = rplan.chunks[i]
-            yield res.h2d.enqueue(
-                endpoint.cuda.gpu.engine_for(CopyKind.H2D),
-                rcosts["h2d"][i],
-                lambda cp=cp, vbuf=vbuf: cp.scatter_from(vbuf.view(), req.buf),
-                label=cp.h2d_label,
-            )
-            state.release_staging(i)
-            yield res.unpack.enqueue(
-                endpoint.cuda.gpu.exec_engine, rcosts["pack"][i], None,
-                label=cp.unpack_label,
-            )
-            res.tbufs.release(tbuf)
-        else:
-            yield endpoint.cuda.memcpy_async(
-                tbuf.sub(0, n), vbuf.sub(0, n),
-                stream=res.h2d, label=f"h2d[{i}]",
-            )
-            # The vbuf is drained as soon as the H2D completes; the
-            # unpack then runs entirely inside the device.
-            state.release_staging(i)
-            yield gpu_unpack_chunk(
-                endpoint.cuda, tbuf, req.datatype, req.count, lo, hi,
-                req.buf, res.unpack,
-            )
-            res.tbufs.release(tbuf)
+            return
+        # The scatter into the user buffer is fused into the H2D
+        # completion -- it must run before release_staging recycles the
+        # vbuf. The unpack op then charges pure device time.
+        i = cp.index
+        yield res.h2d.enqueue(
+            endpoint.cuda.gpu.engine_for(CopyKind.H2D), costs["h2d"][i],
+            lambda: cp.scatter_from(vbuf.view(), req.buf),
+            label=cp.h2d_label,
+        )
+        state.release_staging(i)
+        yield res.unpack.enqueue(
+            endpoint.cuda.gpu.exec_engine, costs["pack"][i], None,
+            label=cp.unpack_label,
+        )
+        res.tbufs.release(tbuf)
 
 
 class NicOffloadBackend(TransferBackend):
@@ -294,42 +291,30 @@ class NicOffloadBackend(TransferBackend):
     """
 
     name = "nic"
-    wants_plans = False
 
-    def send_chunk(self, engine, endpoint, res, buf, dtype, count,
-                   lo, hi, i, tplan, costs):
+    def send_chunk(self, engine, endpoint, res, buf, cp, costs):
         from ..mpi import protocol as _proto
 
-        segs = dtype.segments_for_range(count, lo, hi)
-        PERF.bump("nic_descriptors", segs.count)
+        PERF.bump("nic_descriptors", cp.segs.count)
         vbuf = yield from _proto.acquire_vbuf(endpoint, endpoint.send_vbufs)
-
-        def apply():
-            data = pack_range_bytes(buf, dtype, count, lo, hi)
-            vbuf.view()[: data.nbytes] = data
-
         yield res.d2h.enqueue(
             endpoint.cuda.gpu.engine_for(CopyKind.D2H),
-            nic_offload_cost(endpoint.cfg, segs),
-            apply, label=f"nic-gather[{i}]",
+            nic_offload_cost(endpoint.cfg, cp.segs),
+            lambda: cp.gather_into(buf, vbuf.view()),
+            label=f"nic-gather[{cp.index}]",
         )
         return vbuf
 
-    def drain_chunk(self, engine, state, res, req, lo, hi, i, vbuf,
-                    rplan, rcosts):
+    def drain_chunk(self, engine, state, res, req, cp, vbuf, costs):
         endpoint = state.endpoint
-        segs = req.datatype.segments_for_range(req.count, lo, hi)
-        PERF.bump("nic_descriptors", segs.count)
-
-        def apply():
-            unpack_range_from(vbuf, req.datatype, req.count, req.buf, lo, hi)
-
+        PERF.bump("nic_descriptors", cp.segs.count)
         yield res.h2d.enqueue(
             endpoint.cuda.gpu.engine_for(CopyKind.H2D),
-            nic_offload_cost(endpoint.cfg, segs),
-            apply, label=f"nic-scatter[{i}]",
+            nic_offload_cost(endpoint.cfg, cp.segs),
+            lambda: cp.scatter_from(vbuf.view(), req.buf),
+            label=f"nic-scatter[{cp.index}]",
         )
-        state.release_staging(i)
+        state.release_staging(cp.index)
 
 
 #: Singleton registry, keyed by backend name. Backends are stateless:
@@ -352,18 +337,12 @@ def modeled_chunk_cost(name: str, cfg, dtype: "Datatype", count: int,
     """
     segs = dtype.segments_for_range(count, lo, hi)
     if name == "host":
-        from .pipeline import strided_pcie_cost
-
         return strided_pcie_cost(cfg, segs)
     if name == "nic":
         return nic_offload_cost(cfg, segs)
     if name == "gpu":
-        from types import SimpleNamespace
-
-        from .gpu_pack import gpu_pack_cost
-
-        pack = gpu_pack_cost(SimpleNamespace(cfg=cfg), dtype, count, lo, hi)
-        return pack + cfg.memcpy_time(CopyKind.D2H, segs.total_bytes)
+        return (gpu_pack_cost(cfg, segs)
+                + cfg.memcpy_time(CopyKind.D2H, segs.total_bytes))
     raise ValueError(f"unknown backend {name!r} (expected {BACKEND_NAMES})")
 
 

@@ -3,12 +3,13 @@
 The paper exposes the pipeline block size as a library parameter tuned once
 per cluster by the administrator (64 KB was optimal on their testbed; our
 chunk-size ablation benchmark reproduces that sweep). Everything else here
-is pool sizing and the ablation switches used by the benchmarks.
+is pool sizing, the backend choice and the offload ablation switch used by
+the benchmarks. Every strided device chunk moves through a compiled
+:class:`~repro.core.plan.TransferPlan`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields, replace
 
 __all__ = ["GpuNcConfig", "RecoveryConfig"]
@@ -32,21 +33,12 @@ class GpuNcConfig:
 
     #: Pipeline chunk ("block") size in bytes. The paper's tuned value.
     chunk_bytes: int = 64 * 1024
-    #: Messages at most this large go as a single chunk (no pipelining).
-    pipeline_threshold: int = 64 * 1024
     #: Device staging (tbuf) chunks available per endpoint.
     tbuf_chunks: int = 64
     #: When False, datatype processing is NOT offloaded: strided data is
     #: pulled straight over PCIe with per-row DMA (the "D2H nc2c" scheme),
     #: isolating the offload contribution in ablations.
     use_gpu_offload: bool = True
-    #: When True (default), strided offloaded transfers replay compiled
-    #: :class:`~repro.core.plan.TransferPlan` chunk tables instead of
-    #: recomputing per-chunk state. Wall-clock only: simulated timestamps,
-    #: event order and transferred bytes are identical either way (the
-    #: trace-equality tests pin this), so the switch exists for those
-    #: tests and for debugging.
-    use_plans: bool = True
     #: Which transfer backend moves strided chunks: ``"auto"`` (default)
     #: follows the tuning table when one is attached and otherwise uses
     #: the GPU-pack pipeline (exactly the historical engine); ``"gpu"``,
@@ -64,24 +56,12 @@ class GpuNcConfig:
     def __post_init__(self) -> None:
         if self.chunk_bytes <= 0:
             raise ValueError("chunk_bytes must be positive")
-        if self.pipeline_threshold < 0:
-            raise ValueError("pipeline_threshold must be non-negative")
         if self.tbuf_chunks < 1:
             raise ValueError("tbuf_chunks must be >= 1")
         if self.backend not in ("auto", "gpu", "host", "nic"):
             raise ValueError(
                 f"backend must be one of 'auto', 'gpu', 'host', 'nic'; "
                 f"got {self.backend!r}"
-            )
-        if self.pipeline_threshold > self.chunk_bytes:
-            # Legal (messages under the threshold go unpipelined as one
-            # chunk regardless), but almost always a mistuned config: the
-            # threshold is meant as the "too small to pipeline" floor.
-            warnings.warn(
-                f"pipeline_threshold ({self.pipeline_threshold}) exceeds "
-                f"chunk_bytes ({self.chunk_bytes}); messages between the "
-                "two will be chunked below the no-pipeline floor",
-                stacklevel=3,
             )
 
     def with_overrides(self, **kwargs) -> "GpuNcConfig":

@@ -1,97 +1,37 @@
-"""Datatype pack/unpack offloaded to the GPU (Section IV-A).
+"""Device time of a datatype pack/unpack offloaded to the GPU (Section IV-A).
 
-The sender-side primitive flattens a packed-byte range of a (possibly
-non-contiguous) device buffer into a contiguous device staging chunk; the
-receiver-side primitive scatters a staged chunk back into the destination
-layout. Both run on the GPU's execution engine through a CUDA stream:
+The one pack-cost formula of the simulator. A pack flattens a segment list
+of a (possibly non-contiguous) device buffer into a contiguous device
+chunk; an unpack scatters it back, at the same cost:
 
-* when the byte range is a **uniform** strided pattern -- the vector
+* when the segments form a **uniform** strided pattern -- the vector
   datatypes the paper evaluates -- the operation is exactly one
   ``cudaMemcpy2DAsync`` device-to-device copy and is charged that cost;
 * otherwise it is a general gather/scatter **pack kernel**, charged the
   per-segment device kernel cost.
 
-Functionally the bytes really move, so the whole pipeline is testable
-end to end.
+Compiled transfer plans (:meth:`repro.core.plan.TransferPlan.costs_for`),
+the chooser's cost model (:func:`repro.core.backends.modeled_chunk_cost`)
+and ``Comm.Pack``/``Unpack`` all charge this function.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from ..hw.config import CopyKind
-from ..mpi.datatype import Datatype
-from ..mpi.pack import pack_range_bytes, unpack_range_from
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..cuda.runtime import CudaContext
-    from ..cuda.stream import Stream
-    from ..hw.memory import BufferPtr
-    from ..sim import Event
+    from ..hw.config import HardwareConfig
+    from ..mpi.datatype import SegmentList
 
-__all__ = ["gpu_pack_chunk", "gpu_unpack_chunk", "gpu_pack_cost"]
+__all__ = ["gpu_pack_cost"]
 
 
-def gpu_pack_cost(
-    cuda: "CudaContext", dtype: Datatype, count: int, lo: int, hi: int
-) -> float:
-    """Device time to pack/unpack packed-byte range ``[lo, hi)``."""
-    cfg = cuda.cfg
-    segs = dtype.segments_for_range(count, lo, hi)
+def gpu_pack_cost(cfg: "HardwareConfig", segs: "SegmentList") -> float:
+    """Device time to pack or unpack the bytes ``segs`` covers."""
     uniform = segs.uniform()
     if uniform is not None:
         width, height, pitch = uniform
         return cfg.memcpy2d_time(CopyKind.D2D, width, height, pitch, width)
     return cfg.device_gather_time(segs.count, segs.total_bytes)
-
-
-def gpu_pack_chunk(
-    cuda: "CudaContext",
-    src: "BufferPtr",
-    dtype: Datatype,
-    count: int,
-    lo: int,
-    hi: int,
-    tbuf: "BufferPtr",
-    stream: "Stream",
-) -> "Event":
-    """Enqueue a pack of packed bytes ``[lo, hi)`` of ``src`` into ``tbuf``.
-
-    Returns the completion event of the device operation.
-    """
-    if hi - lo > tbuf.nbytes:
-        raise ValueError(f"chunk of {hi - lo} bytes exceeds tbuf of {tbuf.nbytes}")
-    duration = gpu_pack_cost(cuda, dtype, count, lo, hi)
-
-    def apply():
-        data = pack_range_bytes(src, dtype, count, lo, hi)
-        tbuf.view()[: data.nbytes] = data
-
-    return stream.enqueue(
-        cuda.gpu.exec_engine, duration, apply, label=f"gpu-pack[{lo}:{hi}]"
-    )
-
-
-def gpu_unpack_chunk(
-    cuda: "CudaContext",
-    tbuf: "BufferPtr",
-    dtype: Datatype,
-    count: int,
-    lo: int,
-    hi: int,
-    dst: "BufferPtr",
-    stream: "Stream",
-) -> "Event":
-    """Enqueue a scatter of staged packed bytes ``[lo, hi)`` into ``dst``."""
-    if hi - lo > tbuf.nbytes:
-        raise ValueError(f"chunk of {hi - lo} bytes exceeds tbuf of {tbuf.nbytes}")
-    duration = gpu_pack_cost(cuda, dtype, count, lo, hi)
-
-    def apply():
-        unpack_range_from(tbuf, dtype, count, dst, lo, hi)
-
-    return stream.enqueue(
-        cuda.gpu.exec_engine, duration, apply, label=f"gpu-unpack[{lo}:{hi}]"
-    )

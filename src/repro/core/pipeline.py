@@ -13,7 +13,9 @@ pipelined at chunk (64 KB) granularity:
 
 Each chunk flows through the five stages independently (one simulated
 process per chunk); FIFO streams and the hardware engine resources provide
-exactly the overlap structure of Figure 3. Contiguous device buffers skip
+exactly the overlap structure of Figure 3. Every strided chunk replays the
+transfer's compiled :class:`~repro.core.plan.TransferPlan` through the
+selected :mod:`~repro.core.backends` mover. Contiguous device buffers skip
 the pack/unpack stages and reduce to the three-stage pipeline of the
 earlier MVAPICH2-GPU work the paper builds on.
 
@@ -34,20 +36,15 @@ import numpy as np
 from ..hw.config import CopyKind
 from ..mpi import protocol as _proto
 from ..perf.stats import PERF
-from ..mpi.datatype import Datatype, SegmentList
-from ..mpi.pack import pack_range_bytes, unpack_range_from
+from ..mpi.datatype import Datatype
 from ..mpi.request import Request
 from ..mpi.status import MpiError, Status
-from ..sim import Event
-from .backends import BACKENDS
+from .backends import BACKENDS, strided_pcie_op
 from .config import GpuNcConfig
-from .gpu_pack import gpu_unpack_chunk
 from .staging import TbufPool
 
 if TYPE_CHECKING:  # pragma: no cover
     from .backends import TransferBackend
-    from ..cuda.runtime import CudaContext
-    from ..cuda.stream import Stream
     from ..hw.memory import BufferPtr
     from ..mpi.endpoint import Endpoint
     from ..mpi.matching import Envelope, PostedRecv
@@ -224,17 +221,12 @@ class GpuNcEngine:
         )
         backend = self._backend_for(choice)
         res = self.resources(endpoint)
-        # Compiled replay path: strided offloaded sends walk a cached
-        # TransferPlan -- precomputed chunk ranges, slices, labels, costs --
-        # and fuse the pack + stage byte movement into one gather into the
-        # vbuf. Identical schedule, half the functional copies. Only the
-        # GPU-pack backend replays plans.
+        # Every strided chunk, whatever its backend, replays the cached
+        # TransferPlan of this transfer shape: precomputed chunk ranges,
+        # slices, labels and stage durations.
         tplan = costs = None
-        if (
-            self.config.use_plans and plan.kind == "strided"
-            and self.config.use_gpu_offload and backend.wants_plans
-        ):
-            tplan = dtype.plan_for(count, chunk, buf.space, "wire")
+        if plan.kind == "strided":
+            tplan = dtype.plan_for(count, chunk)
             costs = tplan.costs_for(endpoint.cuda.cfg)
         ssn = endpoint.new_ssn()
         state = _proto.SendState(endpoint=endpoint, ssn=ssn, dst=envelope.dst)
@@ -279,8 +271,7 @@ class GpuNcEngine:
                 # pre-backend engine.
                 PERF.bump(f"backend_{backend.name}_chunks")
                 vbuf = yield from backend.send_chunk(
-                    self, endpoint, res, buf, dtype, count, lo, hi, i,
-                    tplan, costs,
+                    self, endpoint, res, buf, tplan.chunks[i], costs
                 )
             rb = yield from _proto.await_grant(state, i)
             if state.chunk_bytes != chunk:
@@ -336,23 +327,6 @@ class GpuNcEngine:
         )
         return None
 
-    def _strided_pcie_chunk(
-        self, endpoint, stream, kind, user_buf, dtype, count, lo, hi, staging, i
-    ) -> Event:
-        """No-offload fallback: move a strided chunk across PCIe directly."""
-        cfg = endpoint.cfg
-        segs = dtype.segments_for_range(count, lo, hi)
-        duration = strided_pcie_cost(cfg, segs)
-        if kind is CopyKind.D2H:
-            def apply():
-                data = pack_range_bytes(user_buf, dtype, count, lo, hi)
-                staging.view()[: data.nbytes] = data
-        else:
-            def apply():
-                unpack_range_from(staging, dtype, count, user_buf, lo, hi)
-        engine = endpoint.cuda.gpu.engine_for(kind)
-        return stream.enqueue(engine, duration, apply, label=f"pcie-strided[{i}]")
-
     # ------------------------------------------------------------------------
     # Receiver side
     # ------------------------------------------------------------------------
@@ -388,16 +362,12 @@ class GpuNcEngine:
             )
         backend = self._backend_for(choice)
         # Compiled replay (mirror of the send side). A posted receive may
-        # be larger than the incoming message; plans describe whole
-        # datatype instances, so partial-size messages keep the ad-hoc
-        # path.
+        # be larger than the incoming message: the plan then covers the
+        # ``total`` bytes that arrive, which fill the receive type map
+        # from its start.
         rplan = rcosts = None
-        if (
-            self.config.use_plans and plan.kind == "strided"
-            and self.config.use_gpu_offload and backend.wants_plans
-            and total == req.datatype.size * req.count
-        ):
-            rplan = req.datatype.plan_for(req.count, chunk, "wire", req.buf.space)
+        if plan.kind == "strided":
+            rplan = req.datatype.plan_for(req.count, chunk, total)
             rcosts = rplan.costs_for(endpoint.cuda.cfg)
         state = _proto.make_recv_state(
             endpoint, posted, rts, chunk, staged=True,
@@ -415,28 +385,27 @@ class GpuNcEngine:
         req._complete(state.status)
 
     def _drain_chunk(
-        self, state, i: int, plan: LayoutPlan, res, rplan=None, rcosts=None,
-        backend: "TransferBackend" = None,
+        self, state, i: int, plan: LayoutPlan, res, rplan, rcosts,
+        backend: "TransferBackend",
     ) -> None:
         """FIN arrived for chunk ``i``: run H2D (+ unpack) and retire it."""
         endpoint = state.endpoint
         req = state.posted.request
 
         def proc():
-            lo, hi = state.chunk_range(i)
-            n = hi - lo
             vbuf = state.staging[i]
             if plan.kind == "contig":
+                lo, hi = state.chunk_range(i)
+                n = hi - lo
                 yield endpoint.cuda.memcpy_async(
                     req.buf.sub(plan.base_offset + lo, n), vbuf.sub(0, n),
                     stream=res.h2d, label=f"h2d[{i}]",
                 )
                 state.release_staging(i)
             else:
-                drain = backend if backend is not None else self._backend_for(None)
-                PERF.bump(f"backend_{drain.name}_chunks")
-                yield from drain.drain_chunk(
-                    self, state, res, req, lo, hi, i, vbuf, rplan, rcosts
+                PERF.bump(f"backend_{backend.name}_chunks")
+                yield from backend.drain_chunk(
+                    self, state, res, req, rplan.chunks[i], vbuf, rcosts
                 )
             state.finish_chunk()
 
@@ -465,52 +434,44 @@ class GpuNcEngine:
         tmp.view()[:] = data
         chunk = self.config.chunk_bytes
         try:
-            for lo in range(0, total, chunk):
-                hi = min(lo + chunk, total)
-                n = hi - lo
-                if plan.kind == "contig":
+            if plan.kind == "contig":
+                for lo in range(0, total, chunk):
+                    n = min(chunk, total - lo)
                     yield endpoint.cuda.memcpy_async(
                         req.buf.sub(plan.base_offset + lo, n), tmp.sub(lo, n),
                         stream=res.h2d, label="eager-h2d",
                     )
-                elif self.config.use_gpu_offload:
-                    tbuf = yield res.tbufs.acquire()
-                    yield endpoint.cuda.memcpy_async(
-                        tbuf.sub(0, n), tmp.sub(lo, n),
-                        stream=res.h2d, label="eager-h2d",
-                    )
-                    yield gpu_unpack_chunk(
-                        endpoint.cuda, tbuf, req.datatype, req.count, lo, hi,
-                        req.buf, res.unpack,
-                    )
-                    res.tbufs.release(tbuf)
-                else:
-                    yield self._strided_pcie_chunk(
-                        endpoint, res.h2d, CopyKind.H2D, req.buf, req.datatype,
-                        req.count, lo, hi, tmp.sub(lo, n), 0,
-                    )
+            else:
+                # The payload may be shorter than the posted receive: the
+                # prefix plan covers the bytes that arrived.
+                tplan = req.datatype.plan_for(req.count, chunk, total)
+                costs = tplan.costs_for(endpoint.cuda.cfg)
+                for cp in tplan.chunks:
+                    staged = tmp.sub(cp.lo, cp.nbytes)
+                    if self.config.use_gpu_offload:
+                        # H2D into the device tbuf, then the GPU unpack;
+                        # the scatter into the user buffer is fused into
+                        # the H2D completion, as on the rendezvous drain.
+                        tbuf = yield res.tbufs.acquire()
+                        yield res.h2d.enqueue(
+                            endpoint.cuda.gpu.engine_for(CopyKind.H2D),
+                            costs["h2d"][cp.index],
+                            lambda cp=cp, staged=staged: cp.scatter_from(
+                                staged.view(), req.buf),
+                            label="eager-h2d:h2d",
+                        )
+                        yield res.unpack.enqueue(
+                            endpoint.cuda.gpu.exec_engine,
+                            costs["pack"][cp.index], None,
+                            label=cp.unpack_label,
+                        )
+                        res.tbufs.release(tbuf)
+                    else:
+                        yield strided_pcie_op(
+                            endpoint, res.h2d, CopyKind.H2D, req.buf, cp,
+                            staged, "pcie-strided[0]",
+                        )
         finally:
             endpoint.node.free_host(tmp)
         req._complete(status)
 
-
-def strided_pcie_cost(cfg, segs: SegmentList) -> float:
-    """Cost of moving an arbitrary segment list across PCIe directly.
-
-    Uniform layouts use the exact 2-D law; irregular ones approximate the
-    per-row DMA behaviour with the average spacing as the pitch.
-    """
-    uniform = segs.uniform()
-    if uniform is not None:
-        width, height, pitch = uniform
-        return cfg.memcpy2d_time(CopyKind.D2H, width, height, pitch, width)
-    nbytes = segs.total_bytes
-    if segs.count <= 1:
-        return cfg.memcpy_time(CopyKind.D2H, nbytes)
-    lo, hi = segs.span()
-    pitch_est = (hi - lo) // max(segs.count - 1, 1)
-    return (
-        cfg.pcie_copy_overhead
-        + segs.count * (cfg.pcie_row_cost_nc2c + pitch_est * cfg.pcie_row_pitch_surcharge)
-        + nbytes / cfg.pcie_bandwidth
-    )

@@ -1,37 +1,41 @@
-"""Compiled transfer plans: replay data for the 5-stage pipeline.
+"""Compiled transfer plans: the one way a strided device chunk moves.
 
-Every pipelined device transfer walks the same per-chunk structure: byte
-range, segment slice, stage labels and stage durations. Legacy code
-recomputed all of that -- plus a staging-hop copy through the device tbuf --
-for every chunk of every message. A :class:`TransferPlan` compiles the
-structure **once** per ``(datatype version, count, chunk size, src kind,
-dst kind)`` and is cached in the datatype's canonical registry entry (see
+Every strided device transfer -- rendezvous send or receive, eager
+delivery into device memory, whatever its backend -- walks the same
+per-chunk structure: byte range, segment slice, stage labels and stage
+durations. A :class:`TransferPlan` compiles that structure **once** per
+``(datatype version, count, chunk size, byte length)`` and is cached in
+the datatype's canonical registry entry (see
 :meth:`~repro.mpi.datatype.Datatype.plan_for`), so a steady stream of
-same-shaped messages replays flat, preresolved chunk records.
+same-shaped messages replays flat, preresolved chunk records. The byte
+length defaults to the whole footprint ``size * count``; a shorter one
+compiles a *prefix* plan for a partial-size receive, whose bytes fill the
+receive type map from its start as MPI requires.
 
-Replay preserves the simulated schedule bit-for-bit: the plan carries the
-exact labels and durations the legacy path would have produced, and the
-pipeline still enqueues the same operations on the same engines. Only the
-*functional* byte movement is restructured: the pack-to-tbuf and
-tbuf-to-vbuf (resp. vbuf-to-tbuf and unpack-from-tbuf) hops are fused into
-one gather into the wire staging buffer (resp. one scatter out of it), so
-each chunk's data moves once instead of twice. The copies run through the
-word kernels of :mod:`repro.mpi.pack`; compiling a plan builds each
-irregular chunk's word index up front, so replay only copies. The tbuf is
-still acquired and released -- it remains the pipeline's device-side
-flow-control token -- but its bytes are no longer written.
+The GPU pipeline charges the plan's stage durations (:meth:`costs_for`)
+and fuses each chunk's functional movement: the pack-to-tbuf and
+tbuf-to-vbuf (resp. vbuf-to-tbuf and unpack-from-tbuf) hops are one
+gather into the wire staging buffer (resp. one scatter out of it), so
+each chunk's data moves once instead of twice. The tbuf is still acquired
+and released -- it remains the pipeline's device-side flow-control token
+-- but its bytes are never written. The host and NIC backends take their
+cost from the chunk's segments and move its bytes with the same gather
+and scatter. The copies run through the word kernels of
+:mod:`repro.mpi.pack`; compiling a plan builds each irregular chunk's word
+index up front, so replay only copies.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..hw.config import CopyKind
 from ..mpi.datatype import SegmentList
 from ..mpi.pack import gather_into, scatter_from
+from .gpu_pack import gpu_pack_cost
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..hw.config import HardwareConfig
@@ -44,9 +48,8 @@ __all__ = ["ChunkPlan", "TransferPlan"]
 class ChunkPlan:
     """Precompiled state of one pipeline chunk.
 
-    Labels are stored fully suffixed (``d2h[3]:d2h`` etc.) so replay
-    produces byte-identical trace records to the legacy
-    ``memcpy_async``/``gpu_pack_chunk`` calls it replaces.
+    Labels are stored fully suffixed (``d2h[3]:d2h`` etc.), exactly as
+    the trace records them.
     """
 
     __slots__ = (
@@ -82,23 +85,22 @@ class ChunkPlan:
 
 
 class TransferPlan:
-    """The compiled form of one pipelined transfer shape.
+    """The compiled form of one transfer shape.
 
     Immutable once compiled; safe to share across every message with the
-    same ``(datatype version, count, chunk_bytes, src kind, dst kind)``
-    signature. Stage *durations* are not baked in -- datatype objects (and
-    therefore plans) are shared across worlds with different hardware
+    same ``(datatype version, count, chunk_bytes, total)`` signature.
+    Stage *durations* are not baked in -- datatype objects (and therefore
+    plans) are shared across worlds with different hardware
     configurations -- but are memoized per config in :meth:`costs_for`.
     """
 
     __slots__ = (
         "type_id", "version", "count", "chunk_bytes", "total", "nchunks",
-        "kind", "base_offset", "src_kind", "dst_kind", "chunks",
-        "_cost_cache",
+        "kind", "base_offset", "chunks", "_cost_cache",
     )
 
     def __init__(self, type_id, version, count, chunk_bytes, total, nchunks,
-                 kind, base_offset, src_kind, dst_kind, chunks):
+                 kind, base_offset, chunks):
         self.type_id = type_id
         self.version = version
         self.count = count
@@ -108,8 +110,6 @@ class TransferPlan:
         #: "contig" (pack/unpack stages skipped) or "strided".
         self.kind = kind
         self.base_offset = base_offset
-        self.src_kind = src_kind
-        self.dst_kind = dst_kind
         self.chunks: Tuple[ChunkPlan, ...] = chunks
         self._cost_cache: Dict["HardwareConfig", dict] = {}
 
@@ -119,14 +119,20 @@ class TransferPlan:
         dtype: "Datatype",
         count: int,
         chunk_bytes: int,
-        src_kind: str,
-        dst_kind: str,
+        nbytes: Optional[int] = None,
     ) -> "TransferPlan":
-        """Compile the chunk table for ``count`` elements of ``dtype``."""
+        """Compile the chunk table for the first ``nbytes`` packed bytes of
+        ``count`` elements of ``dtype`` (all of them by default)."""
         if chunk_bytes <= 0:
             raise ValueError("chunk_bytes must be positive")
+        full = dtype.size * count
+        total = full if nbytes is None else nbytes
+        if not 0 <= total <= full:
+            raise ValueError(
+                f"plan of {total} bytes outside the {full}-byte footprint of "
+                f"{count} x {dtype.name}"
+            )
         segs = dtype.segments_for_count(count)
-        total = dtype.size * count
         kind = "contig" if segs.count <= 1 else "strided"
         base = int(segs.offsets[0]) if segs.count else 0
         nchunks = max(1, math.ceil(total / chunk_bytes)) if total else 1
@@ -142,44 +148,32 @@ class TransferPlan:
             chunks.append(ChunkPlan(i, lo, hi, csegs))
         return cls(
             dtype.type_id, dtype.version, count, chunk_bytes, total, nchunks,
-            kind, base, src_kind, dst_kind, tuple(chunks),
+            kind, base, tuple(chunks),
         )
 
     def costs_for(self, cfg: "HardwareConfig") -> dict:
         """Per-chunk stage durations under ``cfg``.
 
         Returns ``{"pack": [...], "d2h": [...], "h2d": [...]}`` lists
-        indexed by chunk. The pack entry uses exactly the formula of
-        :func:`repro.core.gpu_pack.gpu_pack_cost` (uniform layouts are one
-        ``cudaMemcpy2D``; irregular ones a gather kernel), so replayed
-        operations are charged to the tick what ad-hoc enqueues would be.
+        indexed by chunk. The pack entry is
+        :func:`~repro.core.gpu_pack.gpu_pack_cost` of the chunk's
+        segments; the copy entries are contiguous PCIe copies of its bytes.
         """
         costs = self._cost_cache.get(cfg)
         if costs is not None:
             return costs
-        pack: List[float] = []
-        d2h: List[float] = []
-        h2d: List[float] = []
-        for cp in self.chunks:
-            uniform = cp.segs.uniform()
-            if uniform is not None:
-                width, height, pitch = uniform
-                pack.append(
-                    cfg.memcpy2d_time(CopyKind.D2D, width, height, pitch, width)
-                )
-            else:
-                pack.append(
-                    cfg.device_gather_time(cp.segs.count, cp.segs.total_bytes)
-                )
-            d2h.append(cfg.memcpy_time(CopyKind.D2H, cp.nbytes))
-            h2d.append(cfg.memcpy_time(CopyKind.H2D, cp.nbytes))
-        costs = {"pack": pack, "d2h": d2h, "h2d": h2d}
+        costs = {
+            "pack": [gpu_pack_cost(cfg, cp.segs) for cp in self.chunks],
+            "d2h": [cfg.memcpy_time(CopyKind.D2H, cp.nbytes)
+                    for cp in self.chunks],
+            "h2d": [cfg.memcpy_time(CopyKind.H2D, cp.nbytes)
+                    for cp in self.chunks],
+        }
         self._cost_cache[cfg] = costs
         return costs
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<TransferPlan type{self.type_id}v{self.version} x{self.count} "
-            f"{self.kind} {self.total}B/{self.nchunks}ch "
-            f"{self.src_kind}->{self.dst_kind}>"
+            f"{self.kind} {self.total}B/{self.nchunks}ch>"
         )

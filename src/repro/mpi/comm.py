@@ -376,7 +376,8 @@ class Comm:
         if inbuf.space == "device":
             from ..core.gpu_pack import gpu_pack_cost
 
-            cost = gpu_pack_cost(self.endpoint.cuda, datatype, count, 0, nbytes)
+            segs = datatype.segments_for_count(count)
+            cost = gpu_pack_cost(self.endpoint.cuda.cfg, segs)
             done = self.endpoint.cuda.default_stream.enqueue(
                 self.endpoint.cuda.gpu.exec_engine, cost,
                 (lambda: outbuf.view()[position : position + nbytes]
@@ -416,7 +417,8 @@ class Comm:
         if outbuf.space == "device":
             from ..core.gpu_pack import gpu_pack_cost
 
-            cost = gpu_pack_cost(self.endpoint.cuda, datatype, count, 0, nbytes)
+            segs = datatype.segments_for_count(count)
+            cost = gpu_pack_cost(self.endpoint.cuda.cfg, segs)
             done = self.endpoint.cuda.default_stream.enqueue(
                 self.endpoint.cuda.gpu.exec_engine, cost,
                 (lambda: unpack_from(

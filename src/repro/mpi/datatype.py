@@ -730,23 +730,24 @@ class Datatype:
         ext = self.extent if count > 1 else 0
         return self._entry().slice_for(full, count, ext, lo, hi, self.type_id)
 
-    def plan_for(
-        self, count: int, chunk_bytes: int, src_kind: str, dst_kind: str
-    ):
+    def plan_for(self, count: int, chunk_bytes: int,
+                 nbytes: Optional[int] = None):
         """The compiled :class:`~repro.core.plan.TransferPlan` for a
-        pipelined transfer of ``count`` elements at ``chunk_bytes``
-        granularity between the given buffer kinds.
+        transfer of the first ``nbytes`` packed bytes (default: all
+        ``size * count``) of ``count`` elements at ``chunk_bytes``
+        granularity.
 
         Plans are cached in the canonical entry keyed on ``(version,
-        count, extent, chunk_bytes, src_kind, dst_kind)`` -- the full
-        signature of a transfer shape -- so a message stream with a stable
-        shape compiles once and replays forever, and equivalent types
-        share the plan. Wall-clock only: a cached plan is bit-identical to
-        a fresh compilation.
+        count, extent, chunk_bytes, nbytes)`` -- the full signature of a
+        transfer shape -- so a message stream with a stable shape compiles
+        once and replays forever, and equivalent types share the plan.
+        Wall-clock only: a cached plan is bit-identical to a fresh
+        compilation.
         """
         ext = self.extent if count > 1 else 0
-        return self._entry().plan_for(self, count, ext, chunk_bytes,
-                                      src_kind, dst_kind)
+        if nbytes is None:
+            nbytes = self.size * count
+        return self._entry().plan_for(self, count, ext, chunk_bytes, nbytes)
 
     def invalidate_segment_cache(self) -> None:
         """Unbind the canonical entry and bump :attr:`version`.

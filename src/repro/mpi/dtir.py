@@ -459,7 +459,7 @@ class CanonicalEntry:
         return segs
 
     def plan_for(self, dtype, count: int, extent: int, chunk_bytes: int,
-                 src_kind: str, dst_kind: str):
+                 nbytes: int):
         """The shared compiled TransferPlan for one transfer shape.
 
         The caller's ``version`` participates in the key so the
@@ -468,7 +468,7 @@ class CanonicalEntry:
         never-invalidated instances (version 0, the steady state) keep
         sharing one plan per shape.
         """
-        key = (dtype.version, count, extent, chunk_bytes, src_kind, dst_kind)
+        key = (dtype.version, count, extent, chunk_bytes, nbytes)
         hit = self.plan_cache.get(key)
         if hit is not None:
             self.plan_cache.move_to_end(key)
@@ -479,8 +479,7 @@ class CanonicalEntry:
         PERF.bump("plan_cache_miss")
         from ..core.plan import TransferPlan
 
-        plan = TransferPlan.compile(dtype, count, chunk_bytes,
-                                    src_kind, dst_kind)
+        plan = TransferPlan.compile(dtype, count, chunk_bytes, nbytes)
         self.plan_cache[key] = (plan, dtype.type_id)
         if len(self.plan_cache) > self.PLAN_CAP:
             self.plan_cache.popitem(last=False)

@@ -120,9 +120,6 @@ Tuning counters (:mod:`repro.tune`; all zero unless a table is attached)
     runs can see the traffic the table never saw.
 ``tune_trial``
     Simulated trials evaluated by the offline search engine.
-``tune_trial_rejected``
-    Degenerate (size, candidate) trials the search refused to run (the
-    candidate's pipeline could never engage for that size).
 ``tune_backend_guard``
     Backend candidates excluded by the Hunold/Träff guideline guard (a
     modeled cost above the default path's tolerance band).
@@ -294,7 +291,7 @@ class PerfStats:
     TUNE_COUNTERS = (
         "tune_lookup_hit", "tune_lookup_miss", "tune_lru_hit",
         "tune_nearest_bucket", "tune_chunk_clamped", "tune_contig_bypass",
-        "tune_trial", "tune_trial_rejected", "tune_backend_guard",
+        "tune_trial", "tune_backend_guard",
     )
 
     #: Counters that appear in the backend footer (order matters).
@@ -323,8 +320,6 @@ class PerfStats:
             parts.append(f"{c['tune_contig_bypass']} contig bypassed")
         if c["tune_trial"]:
             parts.append(f"{c['tune_trial']} search trials")
-        if c["tune_trial_rejected"]:
-            parts.append(f"{c['tune_trial_rejected']} trials rejected")
         if provenance:
             parts.append(f"table {provenance}")
         return "[tune: " + ", ".join(parts) + "]"

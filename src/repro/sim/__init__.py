@@ -13,7 +13,6 @@ from .events import (
     AnyOf,
     Condition,
     Event,
-    Interrupt,
     SimulationError,
     Timeout,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "Condition",
     "AllOf",
     "AnyOf",
-    "Interrupt",
     "SimulationError",
     "Process",
     "ProcessGenerator",

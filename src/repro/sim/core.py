@@ -87,7 +87,6 @@ class Environment:
         self._queue: List[Tuple[float, int, Event]] = []
         self._imm: "deque[Tuple[float, int, Event]]" = deque()
         self._eid = 0
-        self._active_process: Optional[Process] = None
         #: Free list of recyclable processed Timeouts (see
         #: :class:`repro.sim.events.Timeout`). Pooling changes wall-clock
         #: only, never event order or timestamps.
@@ -114,10 +113,6 @@ class Environment:
     def last_event_time(self) -> float:
         """Time of the last processed event (``<= now``; see ``_last_event``)."""
         return self._last_event
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
 
     # -- event factories --------------------------------------------------------
     def event(self, label: str = "") -> Event:

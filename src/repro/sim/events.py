@@ -29,7 +29,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "SimulationError",
-    "Interrupt",
 ]
 
 #: Sentinel for an event that has not been scheduled yet.
@@ -55,18 +54,6 @@ TIMEOUT_POOL_CAP = 1024
 
 class SimulationError(RuntimeError):
     """Raised for structural errors in the simulation (double trigger, ...)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`repro.sim.process.Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:

@@ -52,15 +52,12 @@ def _print_table(table: TuningTable) -> None:
             sig_key, format_size(int(bucket)),
             entry.backend,
             format_size(entry.chunk_bytes),
-            format_size(entry.pipeline_threshold),
-            str(entry.tbuf_chunks),
-            "yes" if entry.use_plans else "no",
             _format_us(entry.latency), _format_us(entry.default_latency),
             f"{gain:.2f}x",
         ])
     print(render(
-        ["Layout", "Bucket", "Backend", "Chunk", "Threshold", "Tbufs",
-         "Plans", "tuned (us)", "default (us)", "gain"],
+        ["Layout", "Bucket", "Backend", "Chunk", "tuned (us)",
+         "default (us)", "gain"],
         rows,
         title=f"Tuning table {table.provenance()} "
         f"({len(table)} entries, workload {table.meta.get('workload', '?')})",

@@ -1,9 +1,9 @@
 """Deterministic offline search over :class:`GpuNcConfig` knobs.
 
 The tuner the paper's "administrator tuned 64 KB once per cluster" implies
-but never describes: sweep the pipeline knobs -- ``chunk_bytes``,
-``pipeline_threshold``, ``tbuf_chunks`` and the transfer ``backend`` --
-over simulated Figure-5-style transfers and persist the winner per
+but never describes: sweep the two knobs the engine applies per transfer
+-- ``chunk_bytes`` and the transfer ``backend`` -- over simulated
+Figure-5-style transfers and persist the winner per
 ``(layout signature, message-size bucket)`` into a
 :class:`~repro.tune.table.TuningTable`.
 
@@ -22,8 +22,8 @@ Determinism is the design center, not an afterthought:
   -- the same scheme as :mod:`repro.bench.parallel`;
 * trials fan across a process pool but results are consumed in submission
   order, so ``jobs=N`` output is byte-for-byte the serial output;
-* ties in the rank break toward the *default* knob values (then toward
-  smaller knobs), never toward dict order or float noise.
+* ties in the rank break toward the *default* chunk size and backend
+  (then toward smaller knobs), never toward dict order or float noise.
 
 Same seed + same cluster config therefore yields a byte-identical table
 JSON, across runs, across ``jobs`` and across ``shards`` (the sharded
@@ -32,7 +32,6 @@ engine is trace-bit-identical by construction).
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import product
@@ -46,8 +45,7 @@ from ..perf.stats import PERF
 from .signature import size_bucket
 from .table import TuningEntry, TuningTable, cluster_config_hash
 
-__all__ = ["Candidate", "SearchSpace", "pipeline_engages", "run_search",
-           "trial_latency"]
+__all__ = ["Candidate", "SearchSpace", "run_search", "trial_latency"]
 
 
 def _fnv(text: str) -> int:
@@ -67,42 +65,14 @@ class Candidate:
     """One point of the knob grid (hashable, picklable, ordered)."""
 
     chunk_bytes: int
-    pipeline_threshold: int
-    tbuf_chunks: int
     backend: str = "gpu"
 
     def to_config(self) -> GpuNcConfig:
-        # The threshold is passed through *unclamped*: SearchSpace
-        # normalizes candidates at construction, so a denormalized
-        # candidate (threshold above the chunk size, i.e. a config whose
-        # pipeline never engages for the bucket being tuned) trips the
-        # existing GpuNcConfig validation warning instead of being
-        # silently repaired out of sight of the search.
-        return GpuNcConfig(
-            chunk_bytes=self.chunk_bytes,
-            pipeline_threshold=self.pipeline_threshold,
-            tbuf_chunks=self.tbuf_chunks,
-            backend=self.backend,
-        )
+        return GpuNcConfig(chunk_bytes=self.chunk_bytes, backend=self.backend)
 
     @classmethod
     def default(cls) -> "Candidate":
-        cfg = GpuNcConfig()
-        return cls(cfg.chunk_bytes,
-                   min(cfg.pipeline_threshold, cfg.chunk_bytes),
-                   cfg.tbuf_chunks, "gpu")
-
-
-def pipeline_engages(size: int, cand: Candidate) -> bool:
-    """Whether ``cand`` is self-consistent for a ``size``-byte message.
-
-    A candidate is degenerate for the bucket being tuned when the size is
-    *above* its no-pipeline threshold (so the config claims to pipeline)
-    yet its chunk covers the whole message (so the pipeline never
-    actually engages). Such trials measure a config that cannot mean what
-    its knobs say; ``run_search`` rejects them (``tune_trial_rejected``).
-    """
-    return size <= cand.pipeline_threshold or cand.chunk_bytes < size
+        return cls(GpuNcConfig().chunk_bytes, "gpu")
 
 
 @dataclass(frozen=True)
@@ -112,29 +82,17 @@ class SearchSpace:
     chunk_bytes: Tuple[int, ...] = (
         8 * KiB, 16 * KiB, 32 * KiB, 64 * KiB, 128 * KiB, 256 * KiB,
     )
-    pipeline_threshold: Tuple[int, ...] = (64 * KiB,)
-    tbuf_chunks: Tuple[int, ...] = (32, 64)
     backend: Tuple[str, ...] = ("gpu",)
 
     @classmethod
     def smoke(cls) -> "SearchSpace":
         """Tiny 2-chunk-value space for the CI ``tune-smoke`` job."""
-        return cls(chunk_bytes=(16 * KiB, 64 * KiB), tbuf_chunks=(64,))
+        return cls(chunk_bytes=(16 * KiB, 64 * KiB))
 
     def candidates(self) -> List[Candidate]:
-        """The sorted, normalized grid with the default force-included.
-
-        Normalization clamps each candidate's threshold to its chunk size
-        (set-dedup collapses the collisions), so the grid never carries a
-        config whose pipeline cannot engage above its own threshold --
-        the degenerate shape ``pipeline_engages`` rejects per size.
-        """
+        """The sorted grid with the default force-included."""
         grid = {
-            Candidate(c, min(p, c), t, b)
-            for c, p, t, b in product(
-                self.chunk_bytes, self.pipeline_threshold,
-                self.tbuf_chunks, self.backend,
-            )
+            Candidate(c, b) for c, b in product(self.chunk_bytes, self.backend)
         }
         grid.add(Candidate.default())
         return sorted(grid)
@@ -144,15 +102,14 @@ def _rank(cand: Candidate, latency: float,
           default: Candidate) -> tuple:
     """Total order on trial outcomes: latency, then closeness to default.
 
-    Ties (common: sub-threshold knobs are simulated-time invariant)
-    resolve toward the default knob values, then toward the smaller
-    candidate, never toward float noise or iteration order.
+    Ties (common: every chunk size at or above the message size moves it
+    as one chunk) resolve toward the default chunk size and backend, then
+    toward the smaller candidate, never toward float noise or iteration
+    order.
     """
     return (
         latency,
         abs(_l2(cand.chunk_bytes) - _l2(default.chunk_bytes)),
-        abs(_l2(cand.tbuf_chunks) - _l2(default.tbuf_chunks)),
-        abs(_l2(cand.pipeline_threshold) - _l2(default.pipeline_threshold)),
         cand.backend != default.backend,
         cand,
     )
@@ -228,33 +185,11 @@ def run_search(
     candidates = space.candidates()
     hw = cfg if cfg is not None else HardwareConfig.fermi_qdr()
 
-    # -- reject degenerate (size, candidate) pairs -------------------------
-    # A candidate whose pipeline cannot engage for the size being tuned
-    # (size above its threshold but a single chunk covers the message)
-    # measures a self-contradictory config; it is dropped from that
-    # size's trials. The default always stays so default_latency exists.
-    eligible: Dict[int, List[Candidate]] = {}
-    for size in message_sizes:
-        keep = []
-        for cand in candidates:
-            if cand == default or pipeline_engages(size, cand):
-                keep.append(cand)
-            else:
-                PERF.bump("tune_trial_rejected")
-                warnings.warn(
-                    f"tuning trial rejected: candidate {cand} cannot "
-                    f"pipeline a {size}-byte message (threshold "
-                    f"{cand.pipeline_threshold} < size <= chunk "
-                    f"{cand.chunk_bytes})",
-                    stacklevel=2,
-                )
-        eligible[size] = keep
-
     rung0 = 1
     # -- rung 0: every (size, candidate) at the cheap budget ---------------
     specs = [
         (size, cand, cfg, rung0, verify, shards, elem_bytes)
-        for size in message_sizes for cand in eligible[size]
+        for size in message_sizes for cand in candidates
     ]
     lat0 = _run_trials(specs, jobs)
     by_size: Dict[int, List[Tuple[Candidate, float]]] = {
@@ -334,11 +269,11 @@ def run_search(
         table.set(
             vec.layout_signature(1),
             size_bucket(size),
+            # The engine applies only chunk_bytes and backend; the other
+            # three knobs keep the values every committed table holds.
             TuningEntry(
                 chunk_bytes=winner.chunk_bytes,
-                pipeline_threshold=min(winner.pipeline_threshold,
-                                       winner.chunk_bytes),
-                tbuf_chunks=winner.tbuf_chunks,
+                pipeline_threshold=winner.chunk_bytes, tbuf_chunks=64,
                 use_plans=True,
                 latency=win_latency,
                 default_latency=default_latency,

@@ -92,7 +92,13 @@ def table_path(cluster_hash: str) -> Path:
 
 @dataclass(frozen=True)
 class TuningEntry:
-    """Tuned knob values for one (layout, size-bucket) key."""
+    """Tuned knob values for one (layout, size-bucket) key.
+
+    The engine applies ``chunk_bytes`` and ``backend``
+    (:func:`tuned_transfer_choice`). ``pipeline_threshold``,
+    ``tbuf_chunks`` and ``use_plans`` name knobs the engine no longer
+    has; they stay so that every persisted table keeps loading.
+    """
 
     chunk_bytes: int
     pipeline_threshold: int
@@ -117,15 +123,6 @@ class TuningEntry:
             raise TuningTableError(
                 f"unknown tuned backend {self.backend!r} "
                 f"(expected one of {KNOWN_BACKENDS})"
-            )
-        if self.pipeline_threshold > self.chunk_bytes:
-            # A threshold above the chunk size means the pipeline never
-            # engages for the bucket this entry was tuned for -- the
-            # search must normalize candidates before persisting them.
-            raise TuningTableError(
-                f"tuned pipeline_threshold {self.pipeline_threshold} exceeds "
-                f"chunk_bytes {self.chunk_bytes}; the pipeline would never "
-                "engage for this bucket"
             )
 
 

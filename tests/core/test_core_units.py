@@ -34,7 +34,7 @@ class TestConfig:
         "kwargs",
         [
             {"chunk_bytes": 0},
-            {"pipeline_threshold": -1},
+            {"backend": "fpga"},
             {"tbuf_chunks": 0},
         ],
     )
@@ -43,21 +43,16 @@ class TestConfig:
             GpuNcConfig(**kwargs)
 
     def test_with_overrides(self):
-        with pytest.warns(UserWarning, match="pipeline_threshold"):
-            cfg = GpuNcConfig().with_overrides(chunk_bytes=4096)
+        cfg = GpuNcConfig().with_overrides(chunk_bytes=4096)
         assert cfg.chunk_bytes == 4096
 
-    def test_threshold_above_chunk_warns(self):
-        with pytest.warns(UserWarning, match="exceeds chunk_bytes"):
-            GpuNcConfig(chunk_bytes=8 * 1024, pipeline_threshold=64 * 1024)
-
-    def test_threshold_at_or_below_chunk_is_silent(self):
+    def test_every_chunk_size_is_silent(self):
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            GpuNcConfig(chunk_bytes=64 * 1024, pipeline_threshold=64 * 1024)
-            GpuNcConfig(chunk_bytes=128 * 1024, pipeline_threshold=64 * 1024)
+            for kib in (4, 8, 64, 128, 1024):
+                GpuNcConfig(chunk_bytes=kib * 1024)
 
     def test_with_overrides_unknown_key(self):
         with pytest.raises(ValueError, match="unknown GpuNcConfig option"):
@@ -110,21 +105,21 @@ class TestLayoutPlan:
 class TestGpuPackCost:
     def test_uniform_uses_2d_copy_law(self, ctx):
         t = Datatype.vector(1024, 1, 2, FLOAT)
-        cost = gpu_pack_cost(ctx, t, 1, 0, t.size)
+        cost = gpu_pack_cost(ctx.cfg, t.segments)
         expect = ctx.cfg.memcpy2d_time(CopyKind.D2D, 4, 1024, 8, 4)
         assert cost == pytest.approx(expect)
 
     def test_irregular_uses_gather_law(self, ctx):
         t = Datatype.indexed([1, 2, 1], [0, 3, 9], FLOAT)
-        cost = gpu_pack_cost(ctx, t, 1, 0, t.size)
         segs = t.segments
+        cost = gpu_pack_cost(ctx.cfg, segs)
         expect = ctx.cfg.device_gather_time(segs.count, segs.total_bytes)
         assert cost == pytest.approx(expect)
 
     def test_subrange_cheaper_than_whole(self, ctx):
         t = Datatype.vector(4096, 1, 2, FLOAT)
-        whole = gpu_pack_cost(ctx, t, 1, 0, t.size)
-        half = gpu_pack_cost(ctx, t, 1, 0, t.size // 2)
+        whole = gpu_pack_cost(ctx.cfg, t.segments_for_range(1, 0, t.size))
+        half = gpu_pack_cost(ctx.cfg, t.segments_for_range(1, 0, t.size // 2))
         assert half < whole
 
 

@@ -1,4 +1,4 @@
-"""Compiled transfer plans: replay must be byte- and trace-identical.
+"""Compiled transfer plans: the one path every strided device chunk takes.
 
 Three layers of guarantee:
 
@@ -6,12 +6,15 @@ Three layers of guarantee:
   exactly the bytes of the reference chunked pack path
   (``pack_range_bytes``/``unpack_range_from``) for random datatypes and
   random chunk sizes;
-* end-to-end -- a pipelined MPI transfer delivers identical bytes with
-  plans on and off, for every src/dst host/device combination;
-* trace equality -- the Figure 3 pipelined transfer produces the *same
-  simulated schedule* (every traced interval, and the final clock) with
-  plans + event pooling enabled as with both disabled. The optimizations
-  are wall-clock only.
+* end-to-end -- a pipelined MPI transfer writes exactly the bytes of the
+  slice-loop oracle of ``tests/mpi/test_pack.py`` for every src/dst
+  host/device combination, and so do a partial-size strided receive into
+  device memory (on every backend) and an eager host-to-device strided
+  receive (offload on and off), each replaying a prefix plan;
+* recovery neutrality -- arming the recovery layer on a clean fabric
+  moves no traced interval and not the final clock.
+
+The Figure 3 schedule itself is pinned by the golden trace digests.
 """
 
 import numpy as np
@@ -21,12 +24,14 @@ from hypothesis import strategies as st
 
 from repro.core import GpuNcConfig
 from repro.core.plan import TransferPlan
-from repro.hw import Cluster
+from repro.hw import Cluster, KiB
 from repro.hw.memory import Arena
-from repro.mpi import BYTE, FLOAT, Datatype, MpiWorld
+from repro.mpi import BYTE, FLOAT, Datatype, MpiWorld, dtir
 from repro.mpi.datatype import DatatypeError
 from repro.mpi.pack import pack_bytes, pack_range_bytes, unpack_range_from
+from repro.perf.stats import PERF
 from repro.sim import Environment
+from tests.mpi.test_pack import slice_gather, slice_scatter
 
 
 # -- plan primitives vs the reference chunked pack path -------------------------
@@ -85,7 +90,7 @@ def test_plan_gather_scatter_matches_reference(dtype, count, data):
     """Every chunk's fused gather/scatter equals the legacy two-hop path."""
     total = dtype.size * count
     chunk_bytes = data.draw(st.integers(1, max(1, total)), label="chunk_bytes")
-    plan = TransferPlan.compile(dtype, count, chunk_bytes, "device", "host")
+    plan = TransferPlan.compile(dtype, count, chunk_bytes)
     assert plan.total == total
     assert plan.nchunks == len(plan.chunks)
     assert plan.chunks[-1].hi == total
@@ -124,7 +129,7 @@ def _short_buffer_replay():
     """A chunk of an 80-float column replayed against a 64-byte buffer,
     with a 64-byte neighbour allocated right after it."""
     col = Datatype.vector(80, 1, 4, FLOAT).commit()
-    (chunk,) = TransferPlan.compile(col, 1, col.size, "device", "host").chunks
+    (chunk,) = TransferPlan.compile(col, 1, col.size).chunks
     arena = Arena(4096, "device", "plan-short")
     buf = arena.alloc(64)
     neighbour = arena.alloc(64)
@@ -147,27 +152,61 @@ def test_plan_scatter_rejects_a_buffer_shorter_than_its_layout():
 
 def test_plan_cache_reuses_compiled_plans():
     vec = Datatype.hvector(64, 4, 8, BYTE).commit()
-    p1 = vec.plan_for(2, 128, "device", "wire")
-    p2 = vec.plan_for(2, 128, "device", "wire")
+    p1 = vec.plan_for(2, 128)
+    p2 = vec.plan_for(2, 128)
     assert p1 is p2
+    # The default byte length is the whole footprint, so it shares the key.
+    assert vec.plan_for(2, 128, vec.size * 2) is p1
     # A different chunk size is a different plan (the _chunking fix keys
     # the cache on the granted chunk size).
-    p3 = vec.plan_for(2, 64, "device", "wire")
+    p3 = vec.plan_for(2, 64)
     assert p3 is not p1 and p3.nchunks == 2 * p1.nchunks
     vec.invalidate_segment_cache()
-    assert vec.plan_for(2, 128, "device", "wire") is not p1
+    assert vec.plan_for(2, 128) is not p1
 
 
-# -- end-to-end byte identity, plans on vs off ----------------------------------
+def test_prefix_plan_covers_the_first_bytes():
+    """A shorter byte length compiles the full plan's leading chunks and
+    cuts the last one at the length."""
+    vec = Datatype.hvector(100, 12, 20, BYTE).commit()
+    full = vec.plan_for(3, 1000)
+    part = vec.plan_for(3, 1000, 2501)
+    assert part is not full
+    assert (part.total, part.nchunks, part.kind) == (2501, 3, "strided")
+    assert [(cp.lo, cp.hi) for cp in part.chunks] == [
+        (0, 1000), (1000, 2000), (2000, 2501)]
+    for cp, whole in zip(part.chunks[:2], full.chunks):
+        assert np.array_equal(cp.segs.offsets, whole.segs.offsets)
+        assert np.array_equal(cp.segs.lengths, whole.segs.lengths)
+    last = part.chunks[-1]
+    assert last.segs.total_bytes == 501
+    assert last.unpack_label == "gpu-unpack[2000:2501]"
+    for bad in (-1, vec.size * 3 + 1):
+        with pytest.raises(ValueError):
+            TransferPlan.compile(vec, 3, 1000, bad)
+
+
+def _cached(dtype, count, chunk_bytes, nbytes) -> bool:
+    """Whether the plan of this shape is already in the plan cache."""
+    hits = PERF.counters["plan_cache_hit"]
+    dtype.plan_for(count, chunk_bytes, nbytes)
+    return PERF.counters["plan_cache_hit"] == hits + 1
+
+
+# -- end-to-end bytes against the slice-loop oracle ------------------------------
 
 ROWS = 1 << 13  # 32 KiB packed / 64 KiB span: rendezvous + pipelined
+VEC_RUNS = [(r * 8, 4) for r in range(ROWS)]
 
 
-def _transfer(use_plans: bool, src_dev: bool, dst_dev: bool) -> np.ndarray:
+@pytest.mark.parametrize("src_dev", [False, True])
+@pytest.mark.parametrize("dst_dev", [False, True])
+def test_transfer_bytes_match_slice_oracle(src_dev, dst_dev):
     vec = Datatype.hvector(ROWS, 4, 8, BYTE).commit()
     span = ROWS * 8
     rng = np.random.default_rng(20110926)
     payload = rng.integers(0, 256, span, dtype=np.uint8)
+    background = rng.integers(0, 256, span, dtype=np.uint8)
 
     def program(ctx):
         dev = src_dev if ctx.rank == 0 else dst_dev
@@ -176,24 +215,111 @@ def _transfer(use_plans: bool, src_dev: bool, dst_dev: bool) -> np.ndarray:
             buf.view()[:] = payload
             yield from ctx.comm.Send(buf, 1, vec, dest=1)
         else:
+            buf.view()[:] = background
             yield from ctx.comm.Recv(buf, 1, vec, source=0)
-            return pack_bytes(buf, vec, 1)
+            return buf.view().copy()
 
-    world = MpiWorld(Cluster(2), gpu_config=GpuNcConfig(use_plans=use_plans))
-    return world.run(program)[1]
-
-
-@pytest.mark.parametrize("src_dev", [False, True])
-@pytest.mark.parametrize("dst_dev", [False, True])
-def test_transfer_bytes_identical_plans_on_off(src_dev, dst_dev):
-    with_plans = _transfer(True, src_dev, dst_dev)
-    without = _transfer(False, src_dev, dst_dev)
-    assert np.array_equal(with_plans, without)
+    got = MpiWorld(Cluster(2)).run(program)[1]
+    expected = background.copy()
+    slice_scatter(expected, VEC_RUNS,
+                  slice_gather(payload, VEC_RUNS, 0, ROWS * 4), 0)
+    assert np.array_equal(got, expected)
 
 
-# -- Figure 3 trace equality: optimizations are wall-clock only -----------------
+def test_device_pair_compiles_one_plan():
+    """Sender and receiver of a device-to-device transfer replay the same
+    plan: the cache key holds no buffer kinds."""
+    dtir.reset_registry()
+    vec = Datatype.hvector(ROWS, 4, 8, BYTE).commit()
 
-def _fig3_trace(use_plans: bool, recovery=None):
+    def program(ctx):
+        buf = ctx.cuda.malloc(ROWS * 8)
+        if ctx.rank == 0:
+            yield from ctx.comm.Send(buf, 1, vec, dest=1)
+        else:
+            yield from ctx.comm.Recv(buf, 1, vec, source=0)
+
+    misses = PERF.counters["plan_cache_miss"]
+    hits = PERF.counters["plan_cache_hit"]
+    MpiWorld(Cluster(2)).run(program)
+    assert PERF.counters["plan_cache_miss"] == misses + 1
+    assert PERF.counters["plan_cache_hit"] == hits + 1
+
+
+#: Receive type of the partial-size tests: 3000-byte elements of 250
+#: 12-byte blocks at a 20-byte stride.
+PART_TYPE = (250, 12, 20)
+
+
+def _part_runs(rtype, count):
+    nrows, block, stride = PART_TYPE
+    return [(k * rtype.extent + r * stride, block)
+            for k in range(count) for r in range(nrows)]
+
+
+def _receive_into_device(rtype, count, total, src_dev, gpu_config):
+    """Send ``total`` contiguous bytes into ``count`` x ``rtype`` of
+    device memory; returns (payload, receive buffer before, after)."""
+    span = rtype.span_for_count(count)
+    rng = np.random.default_rng(total)
+    payload = rng.integers(0, 256, total, dtype=np.uint8)
+    background = rng.integers(0, 256, span, dtype=np.uint8)
+
+    def program(ctx):
+        if ctx.rank == 0:
+            buf = (ctx.cuda.malloc(total) if src_dev
+                   else ctx.node.malloc_host(total))
+            buf.view()[:] = payload
+            yield from ctx.comm.Send(buf, total, BYTE, dest=1)
+        else:
+            buf = ctx.cuda.malloc(span)
+            buf.view()[:] = background
+            status = yield from ctx.comm.Recv(buf, count, rtype, source=0)
+            assert status.count_bytes == total
+            return buf.view().copy()
+
+    got = MpiWorld(Cluster(2), gpu_config=gpu_config).run(program)[1]
+    return payload, background, got
+
+
+@pytest.mark.parametrize("backend", ["gpu", "host", "nic"])
+def test_partial_strided_device_receive_matches_slice_oracle(backend):
+    """A rendezvous message shorter than the posted receive fills the
+    receive type map from its start and leaves every later byte alone."""
+    rtype = Datatype.hvector(*PART_TYPE, BYTE).commit()
+    count, chunk = 64, 64 * KiB
+    total = 50 * rtype.size + 7  # mid-element, mid-block
+    assert total // chunk >= 2 and total % chunk  # 3 chunks, mid-chunk
+    payload, background, got = _receive_into_device(
+        rtype, count, total, src_dev=True,
+        gpu_config=GpuNcConfig(backend=backend),
+    )
+    expected = background.copy()
+    slice_scatter(expected, _part_runs(rtype, count), payload, 0)
+    assert np.array_equal(got, expected)
+    assert _cached(rtype, count, chunk, total)
+
+
+@pytest.mark.parametrize("offload", [True, False])
+def test_eager_strided_device_receive_matches_slice_oracle(offload):
+    """Eager host-to-device delivery into a strided device receive, in
+    three chunks, the last one ending mid-element."""
+    rtype = Datatype.hvector(*PART_TYPE, BYTE).commit()
+    count, chunk = 3, 2 * KiB
+    total = 2 * rtype.size + 7
+    payload, background, got = _receive_into_device(
+        rtype, count, total, src_dev=False,
+        gpu_config=GpuNcConfig(chunk_bytes=chunk, use_gpu_offload=offload),
+    )
+    expected = background.copy()
+    slice_scatter(expected, _part_runs(rtype, count), payload, 0)
+    assert np.array_equal(got, expected)
+    assert _cached(rtype, count, chunk, total)
+
+
+# -- recovery layer armed but fault-free: schedule must be untouched -------------
+
+def _fig3_trace(recovery=None):
     """One pipelined strided transfer; returns (intervals, final clock)."""
     rows = 1 << 14
     vec = Datatype.hvector(rows, 4, 8, BYTE).commit()
@@ -209,28 +335,11 @@ def _fig3_trace(use_plans: bool, recovery=None):
             yield from ctx.comm.Recv(buf, 1, vec, source=0)
             return pack_bytes(buf, vec, 1)
 
-    world = MpiWorld(cluster, gpu_config=GpuNcConfig(use_plans=use_plans),
-                     recovery=recovery)
+    world = MpiWorld(cluster, recovery=recovery)
     delivered = world.run(program)[1]
     assert np.all(delivered == 7)
     return cluster.tracer.intervals, env.now
 
-
-def test_fig3_trace_identical_with_and_without_optimizations():
-    """Plan replay changes nothing the simulation observes.
-
-    Every traced interval (start, end, engine, label) and the final
-    simulated clock must be identical whether compiled plans are on
-    (the default) or off.
-    """
-    fast_ivs, fast_now = _fig3_trace(use_plans=True)
-    ref_ivs, ref_now = _fig3_trace(use_plans=False)
-    assert fast_now == ref_now
-    assert len(fast_ivs) == len(ref_ivs)
-    assert fast_ivs == ref_ivs
-
-
-# -- recovery layer armed but fault-free: schedule must be untouched -------------
 
 def test_fig3_trace_identical_with_recovery_armed():
     """Arming the retry/watchdog layer on a clean fabric is schedule-neutral.
@@ -242,10 +351,8 @@ def test_fig3_trace_identical_with_recovery_armed():
     """
     from repro.core.config import RecoveryConfig
 
-    armed_ivs, armed_now = _fig3_trace(
-        use_plans=True, recovery=RecoveryConfig()
-    )
-    ref_ivs, ref_now = _fig3_trace(use_plans=True)
+    armed_ivs, armed_now = _fig3_trace(recovery=RecoveryConfig())
+    ref_ivs, ref_now = _fig3_trace()
     assert armed_now == ref_now
     assert armed_ivs == ref_ivs
 

@@ -173,7 +173,7 @@ def test_equivalent_constructions_share_signature_and_plan():
     for _, build in equivalent_grid_builders():
         dt = build().commit()
         sigs.add(dt.layout_signature(1).key())
-        plans.append(dt.plan_for(1, 4096, "device", "host"))
+        plans.append(dt.plan_for(1, 4096))
     assert sigs == {"uniform:w16:p64"}
     assert all(p is plans[0] for p in plans)
 
@@ -181,11 +181,11 @@ def test_equivalent_constructions_share_signature_and_plan():
 def test_fresh_instances_share_one_plan_object():
     a = Datatype.vector(ROWS, 4, 16, FLOAT).commit()
     b = Datatype.vector(ROWS, 4, 16, FLOAT).commit()
-    pa = a.plan_for(3, 4096, "device", "host")
-    pb = b.plan_for(3, 4096, "device", "host")
+    pa = a.plan_for(3, 4096)
+    pb = b.plan_for(3, 4096)
     assert pa is pb
     c = Datatype.hvector(ROWS, 1, 64, Datatype.contiguous(4, FLOAT)).commit()
-    assert c.plan_for(3, 4096, "device", "host") is pa
+    assert c.plan_for(3, 4096) is pa
 
 
 def test_collision_and_reuse_counters():

@@ -167,15 +167,15 @@ def test_dup_and_resized_start_unbound():
 def test_invalidation_bumps_version_and_forces_a_fresh_plan():
     vec = Datatype.hvector(64, 2, 8, BYTE).commit()
     entry = vec._entry()
-    plan = vec.plan_for(2, 64, "device", "host")
-    assert vec.plan_for(2, 64, "device", "host") is plan
+    plan = vec.plan_for(2, 64)
+    assert vec.plan_for(2, 64) is plan
     v0 = vec.version
     before = PERF.counters["cache_invalidation"]
     vec.invalidate_segment_cache()
     assert vec._canon_entry is None
     assert vec.version == v0 + 1
     assert PERF.counters["cache_invalidation"] == before + 1
-    assert vec.plan_for(2, 64, "device", "host") is not plan
+    assert vec.plan_for(2, 64) is not plan
     # The registry is untouched: the type re-binds the same entry.
     assert vec._entry() is entry
     assert_seglists_equal(vec.segments_for_count(2), fresh_segments(vec, 2))
@@ -213,8 +213,8 @@ def test_hit_miss_counters_move():
     assert PERF.counters["slice_cache_miss"] == sm0 + 1
     assert PERF.counters["slice_cache_hit"] == s0 + 1
     p0, pm0 = PERF.counters["plan_cache_hit"], PERF.counters["plan_cache_miss"]
-    vec.plan_for(5, 64, "device", "host")
-    vec.plan_for(5, 64, "device", "host")
+    vec.plan_for(5, 64)
+    vec.plan_for(5, 64)
     assert PERF.counters["plan_cache_miss"] == pm0 + 1
     assert PERF.counters["plan_cache_hit"] == p0 + 1
 
@@ -241,7 +241,7 @@ def test_mismatched_registry_key_gets_a_private_entry(monkeypatch):
     assert_seglists_equal(intruder.segments_for_count(count), full)
     assert_seglists_equal(intruder.segments_for_range(count, 1, 7),
                           full.slice_bytes(1, 7))
-    plan = intruder.plan_for(count, chunk, "device", "host")
+    plan = intruder.plan_for(count, chunk)
     assert plan.total == full.total_bytes
     for cp in plan.chunks:
         assert_seglists_equal(cp.segs, full.slice_bytes(cp.lo, cp.hi))

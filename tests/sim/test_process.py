@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError
+from repro.sim import Environment, SimulationError
 
 
 @pytest.fixture
@@ -131,64 +131,6 @@ class TestBasicProcesses:
         env.process(failer())
         p = env.process(waiter())
         assert env.run(p) == "caught:expected"
-
-    def test_active_process_tracking(self, env):
-        seen = []
-
-        def proc():
-            seen.append(env.active_process)
-            yield env.timeout(1.0)
-            seen.append(env.active_process)
-
-        p = env.process(proc())
-        env.run()
-        assert seen == [p, p]
-        assert env.active_process is None
-
-
-class TestInterrupts:
-    def test_interrupt_wakes_waiting_process(self, env):
-        def sleeper():
-            try:
-                yield env.timeout(100.0)
-            except Interrupt as i:
-                return ("interrupted", i.cause, env.now)
-
-        p = env.process(sleeper())
-
-        def interrupter():
-            yield env.timeout(2.0)
-            p.interrupt("wake up")
-
-        env.process(interrupter())
-        assert env.run(p) == ("interrupted", "wake up", 2.0)
-
-    def test_interrupt_finished_process_raises(self, env):
-        def quick():
-            yield env.timeout(1.0)
-
-        p = env.process(quick())
-        env.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
-    def test_process_survives_interrupt_and_continues(self, env):
-        def sleeper():
-            try:
-                yield env.timeout(100.0)
-            except Interrupt:
-                pass
-            yield env.timeout(1.0)
-            return env.now
-
-        p = env.process(sleeper())
-
-        def interrupter():
-            yield env.timeout(5.0)
-            p.interrupt()
-
-        env.process(interrupter())
-        assert env.run(p) == 6.0
 
 
 class TestRunControl:

@@ -1,6 +1,7 @@
 """Search determinism, runtime integration and tuning-safety properties."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,17 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.vector_latency import mv2_gpu_nc_latency
-from repro.hw import Cluster, KiB, MiB
+from repro.hw import Cluster, HardwareConfig, KiB, MiB
 from repro.mpi import BYTE, Datatype, MpiWorld
 from repro.mpi.pack import pack_bytes
 from repro.perf.stats import PERF
 from repro.tune import LayoutSignature, TuningEntry, TuningTable, TuningTableError
-from repro.tune.search import (
-    Candidate,
-    SearchSpace,
-    pipeline_engages,
-    run_search,
-)
+from repro.tune.search import SearchSpace, run_search
+from repro.tune.table import cluster_config_hash
 
 SIG = LayoutSignature("uniform", width=4, pitch=8)
 SMOKE = SearchSpace.smoke()
@@ -60,7 +57,7 @@ class TestSearchDeterminism:
     def test_default_always_evaluated(self):
         # Even a space excluding the default chunk carries an
         # apples-to-apples default_latency per entry.
-        space = SearchSpace(chunk_bytes=(16 * KiB,), tbuf_chunks=(64,))
+        space = SearchSpace(chunk_bytes=(16 * KiB,))
         table = run_search(message_sizes=[64 * KiB], space=space,
                            iterations=2)
         (entry,) = table.entries.values()
@@ -161,53 +158,19 @@ class TestRuntimeIntegration:
             MpiWorld(Cluster(2), tuning=True)
 
 
-class TestDegenerateTrials:
-    """Threshold/chunk coupling: degenerate candidates are normalized at
-    grid construction and rejected (loudly) per size, never silently
-    measured as configs that cannot mean what their knobs say."""
-
-    def test_candidates_normalize_threshold(self):
-        space = SearchSpace(chunk_bytes=(8 * KiB, 64 * KiB),
-                            pipeline_threshold=(256 * KiB,),
-                            tbuf_chunks=(64,))
-        for cand in space.candidates():
-            assert cand.pipeline_threshold <= cand.chunk_bytes
-
-    def test_pipeline_engages(self):
-        cand = Candidate(64 * KiB, 16 * KiB, 64)
-        assert pipeline_engages(8 * KiB, cand)      # under the floor
-        assert pipeline_engages(256 * KiB, cand)    # multiple chunks
-        assert not pipeline_engages(32 * KiB, cand)  # one chunk, no floor
-
-    def test_degenerate_trials_rejected(self):
-        # A 128 KiB message against a 256 KiB chunk with a 64 KiB floor:
-        # the config claims to pipeline but never can. The trial is
-        # dropped with a warning and the rejection counter fires; the
-        # default still produces the bucket's entry.
-        space = SearchSpace(chunk_bytes=(256 * KiB,), tbuf_chunks=(64,))
-        before = PERF.snapshot().get("tune_trial_rejected", 0)
-        with pytest.warns(UserWarning, match="tuning trial rejected"):
-            table = run_search(message_sizes=[128 * KiB], space=space,
-                               iterations=1)
-        assert PERF.snapshot().get("tune_trial_rejected", 0) > before
-        (entry,) = table.entries.values()
-        assert entry.chunk_bytes == 64 * KiB  # the default survived
-
-    def test_entry_rejects_inverted_threshold(self):
-        with pytest.raises(TuningTableError, match="pipeline_threshold"):
-            TuningEntry(chunk_bytes=16 * KiB, pipeline_threshold=64 * KiB,
-                        tbuf_chunks=64, use_plans=True)
-
-    def test_denormalized_config_warns(self):
-        # Candidate.to_config passes the threshold through unclamped, so
-        # a hand-built degenerate candidate trips the GpuNcConfig
-        # validation warning instead of being silently repaired.
-        with pytest.warns(UserWarning, match="pipeline_threshold"):
-            Candidate(16 * KiB, 64 * KiB, 64).to_config()
+class TestCommittedTable:
+    def test_default_search_reproduces_the_committed_entries(self):
+        """A change that moves a tuned winner or its latency fails here,
+        not only in a hand-run ``python -m repro.tune search``."""
+        cluster = cluster_config_hash(HardwareConfig.fermi_qdr())
+        root = Path(__file__).resolve().parents[2]
+        committed = json.loads(
+            (root / "tuning" / f"{cluster}.json").read_text())["entries"]
+        assert run_search().to_json()["entries"] == committed
 
 
 class TestBackendAxis:
-    SPACE = SearchSpace(chunk_bytes=(64 * KiB,), tbuf_chunks=(64,),
+    SPACE = SearchSpace(chunk_bytes=(64 * KiB,),
                         backend=("gpu", "host", "nic"))
 
     def test_wide_workload_picks_nic(self):
