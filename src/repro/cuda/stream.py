@@ -174,15 +174,20 @@ class CudaEvent:
         self._completed_at: Optional[float] = None
 
     def record(self, stream: Stream) -> None:
-        self._marker = stream.completion_event()
+        """``cudaEventRecord``: capture ``stream``'s tail, replacing any
+        earlier capture (whose pending completion no longer counts)."""
+        marker = self._marker = stream.completion_event()
         self._record_time = self.env.now
-        if self._marker.processed:
+        if marker.processed:
             self._completed_at = self.env.now
         else:
             self._completed_at = None
-            self._marker.callbacks.append(
-                lambda _e: setattr(self, "_completed_at", self.env.now)
-            )
+
+            def completed(_event):
+                if self._marker is marker:
+                    self._completed_at = self.env.now
+
+            marker.callbacks.append(completed)
 
     @property
     def completion_time(self) -> float:

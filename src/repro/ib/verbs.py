@@ -12,6 +12,10 @@ The model keeps the properties the paper's protocol relies on:
   connection semantics): all traffic serializes through the sender's TX
   engine and experiences the same wire latency.
 
+Each control send and RDMA write runs as a small callback op (see
+:mod:`repro.sim.process`): a pooled kick timeout, the TX engine request,
+the wire-time timeout, then local completion and the remote delivery.
+
 Every remote-side effect -- an inbox deposit or an RDMA payload landing --
 is scheduled as a *wire-delivery event* (:meth:`Environment.schedule_wire`)
 keyed by ``(arrival time, source node, per-source sequence)``. The key is
@@ -27,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from ..sim import Environment, Event, Store, Tracer, wire_key
+from ..sim import Environment, Event, Store, Tracer, wait, wire_key
+from ..sim.events import RECYCLABLE_CALLBACKS
 from ..hw.config import HardwareConfig
 from ..hw.memory import BufferPtr
 from .faults import CancelToken, RdmaError
@@ -84,11 +89,10 @@ class HCA:
         self.tx = Resource(env, capacity=1, name=f"{self.name}.tx")
         #: Control messages land here; MPI progress engines block on get().
         self.inbox: Store = Store(env, name=f"{self.name}.inbox")
-        #: dst node id -> (event label, process name); building two
-        #: f-strings per control message is measurable on the hot path.
-        self._ctl_labels: Dict[int, tuple] = {}
+        #: dst node id -> completion event label; building an f-string
+        #: per control message is measurable on the hot path.
+        self._ctl_labels: Dict[int, str] = {}
         self._loopback_label = f"ctl-loopback:{self.name}"
-        self._loopback_pname = f"ctl-loopback {self.name}"
         #: Monotonic count of wire emissions by this node; combined with
         #: the node id it keys every remote delivery (see module docstring).
         self._wire_seq = 0
@@ -151,75 +155,8 @@ class HCA:
                 f"RDMA size mismatch: local {src.nbytes} vs remote {dst.nbytes}"
             )
         done = self.env.event(label=f"rdma:{self.name}->{dst.node_id}")
-        self.env.process(
-            self._rdma_proc(src, dst, done, token),
-            name=f"rdma {self.name}->{dst.node_id}",
-        )
+        _RdmaOp(self, src, dst, done, token)
         return done
-
-    def _rdma_proc(
-        self,
-        src: BufferPtr,
-        dst: RemoteBuffer,
-        done: Event,
-        token: Optional[CancelToken] = None,
-    ):
-        cfg = self.cfg
-        inj = self.fabric.injector
-        act = (
-            inj.on_rdma(self.node.node_id, dst.node_id, src.nbytes)
-            if inj is not None else None
-        )
-        with self.tx.request() as req:
-            yield req
-            start = self.env.now
-            wire = cfg.net_post_overhead + src.nbytes / cfg.net_bandwidth
-            if act is not None and act.stall:
-                # Fault: the TX engine wedges before streaming the payload.
-                yield self.env.timeout(act.stall)
-            yield self.env.timeout(wire)
-            if self.tracer.enabled:
-                self.tracer.record(
-                    start, self.env.now, f"{self.name}.tx", "rdma_write",
-                    bytes=src.nbytes, dst=dst.node_id,
-                )
-        if token is not None and token.cancelled:
-            # Abandoned by the retry layer while stalled in TX: never
-            # completes and never touches remote memory.
-            return
-        if act is not None and act.fail:
-            done.fail(RdmaError(
-                f"rdma_write {self.name}->{dst.node_id} "
-                f"({src.nbytes} bytes) completed in error"
-            ))
-            return
-        # Local completion: the HCA has read the source buffer, the caller
-        # may reuse it. The payload snapshot taken here is what lands
-        # remotely one wire latency later.
-        data = src.view().copy() if self.env.functional else None
-        done.succeed()
-        arrival = self.env.now + self._latency(dst.node_id)
-        key = self._next_wire_key()
-        if not self.fabric.is_local(dst.node_id):
-            # Cross-shard: the snapshot ships through the bridge and the
-            # owning shard injects the same keyed delivery at the arrival
-            # instant. A post-completion token cancel is unreachable (the
-            # retry layer only cancels attempts that never completed), so
-            # the in-flight check below has no cross-shard counterpart.
-            if data is not None:
-                self.fabric.bridge.send_rdma(
-                    dst.node_id, dst.offset, data, arrival, key,
-                )
-            return
-        target_node = self.fabric.nodes[dst.node_id]
-
-        def land(_event):
-            if token is not None and token.cancelled:
-                return
-            if data is not None:
-                BufferPtr(target_node.memory, dst.offset, dst.nbytes).view()[:] = data
-
-        self.env.schedule_wire(arrival, key, land, label="wire-rdma")
 
     def send_control(self, dst_node: int, payload: Any, size_bytes: int = 64) -> Event:
         """Send a small control message; returns the local completion event.
@@ -230,86 +167,228 @@ class HCA:
         if dst_node == self.node.node_id:
             # Loopback: skip the wire, deliver through host memory latency.
             done = self.env.event(label=self._loopback_label)
-            self.env.process(
-                self._loopback_proc(payload, size_bytes, done),
-                name=self._loopback_pname,
-            )
+            _LoopbackOp(self, payload, size_bytes, done)
             return done
-        labels = self._ctl_labels.get(dst_node)
-        if labels is None:
-            labels = (f"ctl:{self.name}->{dst_node}", f"ctl {self.name}->{dst_node}")
-            self._ctl_labels[dst_node] = labels
-        done = self.env.event(label=labels[0])
-        self.env.process(
-            self._control_proc(dst_node, payload, size_bytes, done),
-            name=labels[1],
-        )
+        label = self._ctl_labels.get(dst_node)
+        if label is None:
+            label = self._ctl_labels[dst_node] = f"ctl:{self.name}->{dst_node}"
+        done = self.env.event(label=label)
+        _ControlOp(self, dst_node, payload, size_bytes, done)
         return done
 
-    def _loopback_proc(self, payload: Any, size: int, done: Event):
-        # Self-sends bypass the fabric (and fault injection) but still pay
-        # the control-path CPU overhead plus a host-memory copy of the
-        # message body.
-        cfg = self.cfg
-        yield self.env.timeout(
-            cfg.net_control_overhead + size / cfg.host_memcpy_bandwidth
-        )
-        msg = ControlMessage(self.node.node_id, self.node.node_id, payload)
-        yield self.inbox.put(msg)
-        done.succeed()
 
-    def _control_proc(self, dst_node: int, payload: Any, size: int, done: Event):
-        cfg = self.cfg
-        inj = self.fabric.injector
-        act = (
-            inj.on_control(self.node.node_id, dst_node, payload)
-            if inj is not None else None
-        )
-        with self.tx.request() as req:
-            yield req
-            start = self.env.now
-            wire = (
-                cfg.net_post_overhead
-                + cfg.net_control_overhead
-                + size / cfg.net_bandwidth
+class _RdmaOp:
+    """One RDMA write: TX engine, optional stall, wire time, remote landing.
+
+    A callback op (see :mod:`repro.sim.process`): the kick consults the
+    fault injector and requests the TX engine, one timeout covers the wire
+    time (two when stalled), and the last callback completes the write.
+    """
+
+    __slots__ = ("hca", "src", "dst", "done", "token", "act", "req", "start",
+                 "data")
+
+    def __init__(self, hca, src, dst, done, token):
+        self.hca = hca
+        self.src = src
+        self.dst = dst
+        self.done = done
+        self.token = token
+        self.act = None
+        hca.env.timeout(0.0).callbacks.append(self._on_kick)
+
+    def _on_kick(self, _event) -> None:
+        hca = self.hca
+        inj = hca.fabric.injector
+        if inj is not None:
+            self.act = inj.on_rdma(hca.node.node_id, self.dst.node_id,
+                                   self.src.nbytes)
+        req = self.req = hca.tx.request()
+        req.callbacks.append(self._on_tx)
+
+    def _on_tx(self, _event) -> None:
+        env = self.hca.env
+        self.start = env.now
+        act = self.act
+        if act is not None and act.stall:
+            # Fault: the TX engine wedges before streaming the payload.
+            env.timeout(act.stall).callbacks.append(self._on_stalled)
+        else:
+            self._on_stalled(None)
+
+    def _on_stalled(self, _event) -> None:
+        cfg = self.hca.cfg
+        wire = cfg.net_post_overhead + self.src.nbytes / cfg.net_bandwidth
+        self.hca.env.timeout(wire).callbacks.append(self._on_sent)
+
+    def _on_sent(self, _event) -> None:
+        hca = self.hca
+        env = hca.env
+        src, dst = self.src, self.dst
+        if hca.tracer.enabled:
+            hca.tracer.record(
+                self.start, env.now, hca.tx.name, "rdma_write",
+                bytes=src.nbytes, dst=dst.node_id,
             )
-            yield self.env.timeout(wire)
-            if self.tracer.enabled:
-                self.tracer.record(
-                    start, self.env.now, f"{self.name}.tx", "control",
-                    dst=dst_node,
+        hca.tx.release(self.req)
+        token = self.token
+        if token is not None and token.cancelled:
+            # Abandoned by the retry layer while stalled in TX: never
+            # completes and never touches remote memory.
+            return
+        if self.act is not None and self.act.fail:
+            self.done.fail(RdmaError(
+                f"rdma_write {hca.name}->{dst.node_id} "
+                f"({src.nbytes} bytes) completed in error"
+            ))
+            return
+        # Local completion: the HCA has read the source buffer, the caller
+        # may reuse it. The payload snapshot taken here is what lands
+        # remotely one wire latency later.
+        data = self.data = src.view().copy() if env.functional else None
+        self.done.succeed()
+        arrival = env.now + hca._latency(dst.node_id)
+        key = hca._next_wire_key()
+        if not hca.fabric.is_local(dst.node_id):
+            # Cross-shard: the snapshot ships through the bridge and the
+            # owning shard injects the same keyed delivery at the arrival
+            # instant. A post-completion token cancel is unreachable (the
+            # retry layer only cancels attempts that never completed), so
+            # the in-flight check in _land has no cross-shard counterpart.
+            if data is not None:
+                hca.fabric.bridge.send_rdma(
+                    dst.node_id, dst.offset, data, arrival, key,
                 )
+            return
+        env.schedule_wire(arrival, key, self._land, label="wire-rdma")
+
+    def _land(self, _event) -> None:
+        if self.token is not None and self.token.cancelled:
+            return
+        if self.data is not None:
+            dst = self.dst
+            memory = self.hca.fabric.nodes[dst.node_id].memory
+            BufferPtr(memory, dst.offset, dst.nbytes).view()[:] = self.data
+
+
+class _ControlOp:
+    """One control send: TX engine, wire time, remote inbox deposit.
+
+    A callback op (see :mod:`repro.sim.process`): the kick consults the
+    fault injector and requests the TX engine, one timeout covers the wire
+    time, and the last callback completes the send and schedules delivery.
+    """
+
+    __slots__ = ("hca", "dst", "payload", "size", "done", "act", "req",
+                 "start")
+
+    def __init__(self, hca, dst, payload, size, done):
+        self.hca = hca
+        self.dst = dst
+        self.payload = payload
+        self.size = size
+        self.done = done
+        self.act = None
+        hca.env.timeout(0.0).callbacks.append(self._on_kick)
+
+    def _on_kick(self, _event) -> None:
+        hca = self.hca
+        inj = hca.fabric.injector
+        if inj is not None:
+            self.act = inj.on_control(hca.node.node_id, self.dst, self.payload)
+        req = self.req = hca.tx.request()
+        req.callbacks.append(self._on_tx)
+
+    def _on_tx(self, _event) -> None:
+        hca = self.hca
+        cfg = hca.cfg
+        self.start = hca.env.now
+        wire = (
+            cfg.net_post_overhead
+            + cfg.net_control_overhead
+            + self.size / cfg.net_bandwidth
+        )
+        hca.env.timeout(wire).callbacks.append(self._on_sent)
+
+    def _on_sent(self, _event) -> None:
+        hca = self.hca
+        env = hca.env
+        dst_node = self.dst
+        if hca.tracer.enabled:
+            hca.tracer.record(
+                self.start, env.now, hca.tx.name, "control", dst=dst_node,
+            )
+        hca.tx.release(self.req)
         # Local completion does not imply delivery: a dropped message still
         # completes at the sender, exactly like a real unacked control path.
-        done.succeed()
+        self.done.succeed()
+        act = self.act
         if act is not None and act.drop:
             return
-        delay = self._latency(dst_node) + (act.delay if act is not None else 0.0)
-        arrival = self.env.now + delay
-        key = self._next_wire_key()
+        delay = hca._latency(dst_node) + (act.delay if act is not None else 0.0)
+        arrival = env.now + delay
+        key = hca._next_wire_key()
         duplicate = act is not None and act.duplicate
         # An injected duplicate trails the original by one control overhead.
-        dup_arrival = arrival + cfg.net_control_overhead
-        dup_key = self._next_wire_key() if duplicate else None
-        if not self.fabric.is_local(dst_node):
+        dup_arrival = arrival + hca.cfg.net_control_overhead
+        dup_key = hca._next_wire_key() if duplicate else None
+        if not hca.fabric.is_local(dst_node):
             # Cross-shard: enqueue the delivery (and any injected
             # duplicate) on the bridge at send time; the owning shard
             # injects it with the identical key at the same arrival
             # instant the local path below uses.
-            self.fabric.bridge.send_ctl(
-                self.node.node_id, dst_node, payload, arrival, key,
+            src_node = hca.node.node_id
+            hca.fabric.bridge.send_ctl(
+                src_node, dst_node, self.payload, arrival, key,
             )
             if duplicate:
-                self.fabric.bridge.send_ctl(
-                    self.node.node_id, dst_node, payload, dup_arrival, dup_key,
+                hca.fabric.bridge.send_ctl(
+                    src_node, dst_node, self.payload, dup_arrival, dup_key,
                 )
             return
-        inbox = self.fabric.hcas[dst_node].inbox
-        src_node = self.node.node_id
-
-        def land(_event):
-            inbox.put_nowait(ControlMessage(src_node, dst_node, payload))
-
-        self.env.schedule_wire(arrival, key, land, label="wire-ctl")
+        env.schedule_wire(arrival, key, self._land, label="wire-ctl")
         if duplicate:
-            self.env.schedule_wire(dup_arrival, dup_key, land, label="wire-ctl")
+            env.schedule_wire(dup_arrival, dup_key, self._land, label="wire-ctl")
+
+    def _land(self, _event) -> None:
+        hca = self.hca
+        hca.fabric.hcas[self.dst].inbox.put_nowait(
+            ControlMessage(hca.node.node_id, self.dst, self.payload)
+        )
+
+
+class _LoopbackOp:
+    """One self-send: no fabric and no fault injection, but the control-path
+    CPU overhead plus a host-memory copy of the message body."""
+
+    __slots__ = ("hca", "payload", "size", "done")
+
+    def __init__(self, hca, payload, size, done):
+        self.hca = hca
+        self.payload = payload
+        self.size = size
+        self.done = done
+        hca.env.timeout(0.0).callbacks.append(self._on_kick)
+
+    def _on_kick(self, _event) -> None:
+        cfg = self.hca.cfg
+        self.hca.env.timeout(
+            cfg.net_control_overhead + self.size / cfg.host_memcpy_bandwidth
+        ).callbacks.append(self._on_copied)
+
+    def _on_copied(self, _event) -> None:
+        node_id = self.hca.node.node_id
+        put = self.hca.inbox.put(ControlMessage(node_id, node_id, self.payload))
+        wait(put, self._on_put)
+
+    def _on_put(self, _event) -> None:
+        self.done.succeed()
+
+
+# Every timeout an HCA op creates has the op's own callback as its only
+# waiter, and no op keeps the timeout: each is recyclable on return.
+RECYCLABLE_CALLBACKS.update((
+    _RdmaOp._on_kick, _RdmaOp._on_stalled, _RdmaOp._on_sent,
+    _ControlOp._on_kick, _ControlOp._on_sent,
+    _LoopbackOp._on_kick, _LoopbackOp._on_copied,
+))

@@ -36,7 +36,8 @@ import numpy as np
 from ..hw.memory import BufferPtr
 from ..ib.faults import CancelToken, RdmaError
 from ..perf.stats import PERF
-from ..sim import Event, Store
+from ..sim import Event, Store, drive, wait
+from ..sim.events import RECYCLABLE_CALLBACKS
 from .datatype import Datatype
 from .endpoint import Endpoint
 from .matching import ArrivedMessage, Envelope, PostedRecv
@@ -136,7 +137,8 @@ class SendState:
     """Sender-side rendezvous transaction.
 
     Landing-zone grants arrive incrementally (windowed CTS messages);
-    :func:`await_grant` suspends a per-chunk sender until its grant exists.
+    :func:`await_grant` suspends a host-path sender until its grant
+    exists; a GPU chunk op waits on ``grant_event`` the same way.
     """
 
     endpoint: Endpoint
@@ -511,10 +513,11 @@ def rdma_write_safe(endpoint: Endpoint, src, rb):
     while True:
         token = CancelToken()
         done = endpoint.hca.rdma_write(src, rb, token=token)
-        ok = True
         try:
             yield env.any_of([done, env.timeout(rec.rdma_timeout)])
-            ok = done.processed
+            # A completion triggered in the timeout's instant counts, even
+            # though the race resumed on the timeout.
+            ok = done.triggered and done.ok
         except RdmaError:
             ok = False
         if ok:
@@ -572,7 +575,9 @@ def acquire_vbuf(endpoint: Endpoint, pool):
 
     Vbufs are needed by *both* the GPU-offload and the host paths, so
     unlike tbufs there is nothing to degrade to -- instead a starved pool
-    turns from a silent hang into a bounded, diagnosable failure.
+    turns from a silent hang into a bounded, diagnosable failure. (A
+    generator: callback ops drive it inline when recovery is armed and
+    call ``pool.acquire()`` directly otherwise.)
     """
     rec = endpoint.recovery
     if rec is None:
@@ -583,7 +588,9 @@ def acquire_vbuf(endpoint: Endpoint, pool):
     while True:
         get = pool.acquire()
         yield env.any_of([get, env.timeout(rec.staging_timeout * (attempt + 1))])
-        if get.processed:
+        # A triggered get already holds its vbuf, even when the timeout
+        # fired first in the same instant; cancelling it would leak it.
+        if get.triggered:
             return get.value
         pool.cancel(get)
         attempt += 1
@@ -848,43 +855,78 @@ def make_recv_state(
     return state
 
 
-def staged_granter(endpoint: Endpoint, state: RecvState):
-    """Grant staging vbufs to the sender in windows (a generator).
+class GrantOp:
+    """Grants staging vbufs to the sender in windows (a callback op).
 
     Grants ``rendezvous_window`` chunks up front, then one more per drained
     chunk, so a message of any size flows through a bounded vbuf pool.
+    Like every callback op (see :mod:`repro.sim.process`) it starts with
+    one pooled kick timeout, then advances on each vbuf acquisition, each
+    CTS post and each drained-chunk token.
     """
-    src = state.rts.envelope.src
-    window = min(state.nchunks, endpoint.cfg.rendezvous_window,
-                 max(1, endpoint.recv_vbufs.count // 2))
 
-    def grant_batch(count):
-        start = state.next_grant
-        grants = []
-        while count > 0 and state.next_grant < state.nchunks:
-            i = state.next_grant
-            lo, hi = state.chunk_range(i)
-            vbuf = yield from acquire_vbuf(endpoint, endpoint.recv_vbufs)
-            state.staging[i] = vbuf
-            grants.append(endpoint.hca.register(vbuf.sub(0, hi - lo)))
-            state.next_grant += 1
-            count -= 1
-        if grants:
-            yield endpoint.post_control(
-                src,
+    __slots__ = ("endpoint", "state", "left", "start", "grants")
+
+    def __init__(self, endpoint: Endpoint, state: RecvState):
+        self.endpoint = endpoint
+        self.state = state
+        endpoint.env.timeout(0.0).callbacks.append(self._on_kick)
+
+    def _on_kick(self, _event) -> None:
+        endpoint = self.endpoint
+        self._batch(min(self.state.nchunks, endpoint.cfg.rendezvous_window,
+                        max(1, endpoint.recv_vbufs.count // 2)))
+
+    def _batch(self, count: int) -> None:
+        self.left = count
+        self.start = self.state.next_grant
+        self.grants = []
+        self._grant_next()
+
+    def _grant_next(self) -> None:
+        endpoint = self.endpoint
+        state = self.state
+        if self.left > 0 and state.next_grant < state.nchunks:
+            pool = endpoint.recv_vbufs
+            if endpoint.recovery is None:
+                wait(pool.acquire(), self._granted)
+            else:
+                drive(acquire_vbuf(endpoint, pool), self._granted)
+        elif self.grants:
+            wait(endpoint.post_control(
+                state.rts.envelope.src,
                 {
                     "type": "cts",
                     "ssn": state.rts.ssn,
-                    "start": start,
-                    "chunks": grants,
+                    "start": self.start,
+                    "chunks": self.grants,
                     "chunk_bytes": state.chunk_bytes,
                 },
-            )
+            ), self._posted)
+        else:
+            self._posted(None)
 
-    yield from grant_batch(window)
-    while state.next_grant < state.nchunks:
-        yield state.drained.get()
-        yield from grant_batch(1)
+    def _granted(self, event) -> None:
+        state = self.state
+        i = state.next_grant
+        lo, hi = state.chunk_range(i)
+        vbuf = state.staging[i] = event._value
+        self.grants.append(self.endpoint.hca.register(vbuf.sub(0, hi - lo)))
+        state.next_grant += 1
+        self.left -= 1
+        self._grant_next()
+
+    def _posted(self, _event) -> None:
+        state = self.state
+        if state.next_grant < state.nchunks:
+            wait(state.drained.get(), self._drained)
+
+    def _drained(self, _event) -> None:
+        self._batch(1)
+
+
+# The kick is the only timeout a granter creates itself.
+RECYCLABLE_CALLBACKS.add(GrantOp._on_kick)
 
 
 def _rdv_recv_host(endpoint: Endpoint, posted: PostedRecv, rts: RtsInfo):
@@ -927,10 +969,7 @@ def _rdv_recv_host(endpoint: Endpoint, posted: PostedRecv, rts: RtsInfo):
             endpoint, posted, rts, chunk_bytes, staged=True,
             on_fin=_host_fin_sink,
         )
-        endpoint.env.process(
-            staged_granter(endpoint, state),
-            name=f"granter:rank{endpoint.rank}",
-        )
+        GrantOp(endpoint, state)
 
     yield state.done
     retire_recv_state(endpoint, rts.ssn)

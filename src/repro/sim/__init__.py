@@ -1,10 +1,10 @@
 """Minimal deterministic discrete-event simulation kernel.
 
-A from-scratch SimPy-like engine: generator-based processes, an event heap
-with FIFO tie-breaking (fully deterministic runs), capacity resources, object
-stores and interval tracing. Everything else in :mod:`repro` -- the GPU, the
-PCIe bus, the InfiniBand fabric, the MPI library -- is built on these
-primitives.
+A from-scratch SimPy-like engine: generator-based processes and callback
+ops, an event heap with FIFO tie-breaking (fully deterministic runs),
+capacity resources, object stores and interval tracing. Everything else in
+:mod:`repro` -- the GPU, the PCIe bus, the InfiniBand fabric, the MPI
+library -- is built on these primitives.
 """
 
 from .core import WIRE_KEY_BASE, EmptySchedule, Environment, wire_key
@@ -16,7 +16,7 @@ from .events import (
     SimulationError,
     Timeout,
 )
-from .process import Process, ProcessGenerator
+from .process import Process, ProcessGenerator, drive, wait
 from .resources import Request, Resource, Store, StoreGet, StorePut
 from .trace import FaultRecord, Interval, Tracer, union_duration
 
@@ -33,6 +33,8 @@ __all__ = [
     "SimulationError",
     "Process",
     "ProcessGenerator",
+    "drive",
+    "wait",
     "Resource",
     "Request",
     "Store",

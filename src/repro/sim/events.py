@@ -42,10 +42,12 @@ PROCESSED = object()
 #: drop every reference to their event before returning. A processed
 #: :class:`Timeout` whose only callback is one of these can be recycled into
 #: the environment's free-list pool (see :meth:`Timeout._process`) -- nothing
-#: can observe the object afterwards. Registered by :mod:`repro.sim.process`
-#: (the process driver) and :mod:`repro.cuda.stream` (stream-op advance);
-#: everything else (conditions, stream tails, user-held events) keeps fresh
-#: allocations.
+#: can observe the object afterwards. Registered beside each callback: the
+#: process and inline-generator drivers (:mod:`repro.sim.process`) and every
+#: callback op's timeout steps -- stream ops (:mod:`repro.cuda.stream`),
+#: HCA ops (:mod:`repro.ib.verbs`), chunk ops (:mod:`repro.core.pipeline`)
+#: and the grant op (:mod:`repro.mpi.protocol`). Everything else
+#: (conditions, stream tails, user-held events) keeps fresh allocations.
 RECYCLABLE_CALLBACKS: set = set()
 
 #: Upper bound on pooled Timeout objects per environment.

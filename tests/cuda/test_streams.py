@@ -149,6 +149,20 @@ class TestCudaEvent:
         ev.record(ctx.stream())
         assert ev.recorded
 
+    def test_rerecord_replaces_the_first_capture(self, ctx):
+        # The first capture completes later than the second; only the
+        # second may set the completion time.
+        env = ctx.env
+        slow, fast = ctx.stream(), ctx.stream()
+        slow.enqueue(ctx.gpu.pcie.d2h, 10.0)
+        fast.enqueue(ctx.gpu.exec_engine, 5.0)
+        ev = ctx.event()
+        ev.record(slow)
+        ev.record(fast)
+        env.run()
+        assert ev.query()
+        assert ev.completion_time == 5.0
+
 
 class TestEventTiming:
     def test_elapsed_time_measures_stream_work(self, ctx):

@@ -13,6 +13,8 @@ Four guarantees:
   record sequence and final clock on every run.
 * **Degradation** -- starved device staging falls back to the host-style
   strided path (counted, traced) and still delivers correct bytes.
+* **Deadlines** -- a grant or completion that lands in the same instant
+  as its recovery timeout, after the timeout fired, counts as a success.
 """
 
 import numpy as np
@@ -23,7 +25,9 @@ from repro.core.config import RecoveryConfig
 from repro.hw import Cluster
 from repro.ib import FaultPlan, FaultSpec, RdmaError
 from repro.mpi import BYTE, Datatype, MpiWorld
+from repro.mpi.endpoint import VbufPool
 from repro.mpi.pack import pack_bytes
+from repro.mpi.protocol import acquire_vbuf
 from repro.mpi.status import MpiError
 from repro.perf.stats import PERF
 
@@ -216,3 +220,63 @@ class TestFaultSpecValidation:
         )
         cluster = Cluster(2, faults=plan)
         assert cluster.fabric.injector is None
+
+
+class TestRecoveryWaitDeadline:
+    """The holder releases exactly ``staging_timeout`` after the waiter
+    started, so the timeout fires first and the grant lands later in the
+    same instant. The grant already holds the item: the wait succeeds."""
+
+    T = RecoveryConfig().staging_timeout
+
+    def _race(self, world, acquire, pool):
+        env = world.env
+        held = pool.acquire().value
+        got = []
+
+        def waiter():
+            item = yield from acquire()
+            got.append((env.now, item))
+
+        def holder():
+            yield env.timeout(self.T)
+            pool.release(held)
+
+        env.process(waiter())
+        env.process(holder())
+        env.run()
+        return got
+
+    def test_vbuf_granted_at_the_deadline_is_taken(self):
+        world = MpiWorld(Cluster(2), recovery=RecoveryConfig())
+        ep = world.endpoints[0]
+        pool = VbufPool(world.env, ep.node, 64, 1)
+        got = self._race(world, lambda: acquire_vbuf(ep, pool), pool)
+        assert got and got[0][0] == self.T
+        pool.release(got[0][1])
+        assert pool.available == pool.count == 1
+
+    def test_tbuf_granted_at_the_deadline_does_not_degrade(self):
+        world = MpiWorld(Cluster(2), recovery=RecoveryConfig(),
+                         gpu_config=GpuNcConfig(tbuf_chunks=1))
+        ep = world.endpoints[0]
+        engine = world.gpu_engine
+        res = engine.resources(ep)
+        before = PERF.snapshot()
+        got = self._race(world, lambda: engine._acquire_tbuf(ep, res),
+                         res.tbufs)
+        assert PERF.snapshot().get("degrade_to_host", 0) == before.get(
+            "degrade_to_host", 0)
+        assert got and got[0][0] == self.T and got[0][1] is not None
+        res.tbufs.release(got[0][1])
+        assert res.tbufs.available == res.tbufs.count == 1
+
+    def test_rdma_completing_at_the_deadline_is_not_retried(self):
+        # One 16 KiB chunk on an idle TX engine: the completion lands at
+        # exactly rdma_timeout after the post.
+        cfg = Cluster(2).cfg
+        wire = cfg.net_post_overhead + (1 << 14) / cfg.net_bandwidth
+        res = _strided_transfer(None, rows=1 << 12,
+                                recovery=RecoveryConfig(rdma_timeout=wire))
+        assert res["verified"]
+        assert res["delta"]["rdma_retry"] == 0

@@ -2,10 +2,11 @@
 
 Wall-clock guards depend on the host; these counts do not. Each count is
 the difference between a two-operation and a one-operation run of the
-same program, so world setup cancels out, and each must stay at or below
-its pinned ceiling. A structural regression -- an extra process per
-chunk, a second timeout per control message -- fails here with no noise.
-A change that lowers a count lowers its ceiling with it.
+same program, so world setup cancels out, and each must equal its pinned
+ceiling. A structural regression -- an extra process per chunk, a second
+timeout per control message -- fails here with no noise. So does a
+change that lowers a count without ratcheting its ceiling down with it:
+the failure names the value to pin.
 
 * ``events``: events scheduled (the environment's sequence counter);
 * ``processes``: :class:`~repro.sim.Process` instances started;
@@ -28,9 +29,9 @@ from repro.sim import Process
 #: Per-operation ceilings, pinned at the measured counts.
 CEILINGS = {
     # One Figure 5 4 MiB MV2-GPU-NC round trip.
-    "fig5-4m": {"events": 2539, "processes": 296, "timeouts": 973},
+    "fig5-4m": {"events": 2311, "processes": 4, "timeouts": 973},
     # One 4x4 Stencil2D-MV2-GPU-NC iteration, 64x4096 local, timing only.
-    "stencil2d-4x4": {"events": 2752, "processes": 432, "timeouts": 960},
+    "stencil2d-4x4": {"events": 2464, "processes": 96, "timeouts": 960},
 }
 
 
@@ -86,6 +87,11 @@ def test_work_per_operation_within_ceiling(name, monkeypatch):
         for k, v in per_op.items() if v > CEILINGS[name][k]
     }
     assert not over, f"{name}: per-operation work above its ceiling: {over}"
+    stale = {k: v for k, v in per_op.items() if v < CEILINGS[name][k]}
+    assert not stale, (
+        f"{name}: per-operation work fell below its ceiling; ratchet "
+        f"CEILINGS[{name!r}] down to {stale}"
+    )
 
 
 #: Memoized index bytes per payload byte, pinned at the measured figures.

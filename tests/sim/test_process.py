@@ -1,8 +1,8 @@
-"""Unit tests for process coroutines."""
+"""Unit tests for process coroutines and the callback-op helpers."""
 
 import pytest
 
-from repro.sim import Environment, SimulationError
+from repro.sim import Environment, SimulationError, drive, wait
 
 
 @pytest.fixture
@@ -163,3 +163,83 @@ class TestRunControl:
 
     def test_peek_empty(self, env):
         assert env.peek() == float("inf")
+
+
+class TestCallbackOpHelpers:
+    """``wait`` and ``drive`` schedule exactly what a process would."""
+
+    def test_wait_on_processed_event_continues_at_once(self, env):
+        ev = env.event()
+        ev.succeed("v")
+        env.run()
+        seen = []
+        wait(ev, lambda e: seen.append(e.value))
+        assert seen == ["v"]
+
+    def test_wait_on_triggered_event_continues_when_processed(self, env):
+        # A process yielding an already triggered event resumes only when
+        # it is processed, after events scheduled before it; so must wait.
+        log = []
+        first = env.event()
+        first.callbacks.append(lambda _e: log.append("first"))
+        first.succeed()
+        ev = env.event()
+        ev.succeed()
+        wait(ev, lambda _e: log.append("waiter"))
+        assert log == []
+        env.run()
+        assert log == ["first", "waiter"]
+
+    def test_drive_matches_yield_from_in_a_process(self, env):
+        def inner(tag, log):
+            got = yield env.timeout(1.0, value=tag)
+            log.append((got, env.now))
+            return tag * 2
+
+        via_process = []
+
+        def outer():
+            value = yield from inner("p", via_process)
+            via_process.append((value, env.now))
+
+        env.process(outer())
+        via_drive = []
+        drive(inner("d", via_drive),
+              lambda e: via_drive.append((e.value, env.now)))
+        env.run()
+        assert via_process == [("p", 1.0), ("pp", 1.0)]
+        assert via_drive == [("d", 1.0), ("dd", 1.0)]
+
+    def test_drive_returning_at_once_calls_back_synchronously(self, env):
+        def immediate():
+            return "now"
+            yield  # pragma: no cover
+
+        seen = []
+        drive(immediate(), lambda e: seen.append(e.value))
+        assert seen == ["now"]
+        assert env.peek() == float("inf")  # nothing was scheduled
+
+    def test_drive_throws_failures_into_the_generator(self, env):
+        failing = env.event()
+        failing.fail(RuntimeError("boom"))
+
+        def catcher():
+            try:
+                yield failing
+            except RuntimeError as exc:
+                return f"caught:{exc}"
+
+        seen = []
+        drive(catcher(), lambda e: seen.append(e.value))
+        env.run()
+        assert seen == ["caught:boom"]
+
+    def test_drive_propagates_uncaught_exceptions_out_of_run(self, env):
+        def raiser():
+            yield env.timeout(1.0)
+            raise ValueError("loud")
+
+        drive(raiser(), lambda e: None)
+        with pytest.raises(ValueError, match="loud"):
+            env.run()
