@@ -525,7 +525,7 @@ def ablation_offload(scale: str = "full", verify: bool = False) -> dict:
         with_offload = mv2_gpu_nc_latency(size, iterations=2, verify=verify)
         without = mv2_gpu_nc_latency(
             size, iterations=2, verify=verify,
-            gpu_config=GpuNcConfig(use_gpu_offload=False),
+            gpu_config=GpuNcConfig(backend="host"),
         )
         points.append({
             "size": size,
@@ -718,6 +718,8 @@ def dtype_zoo(scale: str = "full", shards: int = 1) -> dict:
     """
     import hashlib
 
+    from ..core.backends import contiguous_copy_cost
+    from ..core.gpu_pack import gpu_pack_cost
     from ..hw.memory import Arena
     from ..mpi import BYTE, FLOAT, Datatype
     from ..mpi import dtir
@@ -791,12 +793,13 @@ def dtype_zoo(scale: str = "full", shards: int = 1) -> dict:
         for nm, fn in members:
             dt = fn().commit()
             plan = dt.plan_for(count, chunk)
-            costs = plan.costs_for(hw)
+            copy = sum(plan.costs_for(hw, contiguous_copy_cost))
             fingerprint[f"{fam}/{nm}"] = (
                 packed_digest(dt),
                 dt.layout_signature(1).key(),
                 plan.nchunks,
-                tuple(sum(costs[k]) for k in ("pack", "d2h", "h2d")),
+                # pack, D2H and H2D stage sums; the two copies cost alike
+                (sum(plan.costs_for(hw, gpu_pack_cost)), copy, copy),
             )
             entries.add(id(dt._entry()))
             # A second *fresh* instance of the same construction must

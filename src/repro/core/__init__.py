@@ -7,10 +7,7 @@ five-stage pipeline (D2D pack -> D2H -> RDMA -> H2D -> D2D unpack).
 
 from .backends import (
     BACKENDS,
-    GpuPipelineBackend,
-    HostStagedBackend,
-    NicOffloadBackend,
-    TransferBackend,
+    Stages,
     guideline_backend,
     modeled_chunk_cost,
     nic_offload_cost,
@@ -18,19 +15,15 @@ from .backends import (
 from .config import GpuNcConfig, RecoveryConfig
 from .detect import buffer_location, is_device_ptr, is_host_ptr
 from .gpu_pack import gpu_pack_cost
-from .pipeline import GpuNcEngine, LayoutPlan
+from .pipeline import GpuNcEngine
 from .staging import TbufPool
 
 __all__ = [
     "GpuNcConfig",
     "RecoveryConfig",
     "GpuNcEngine",
-    "LayoutPlan",
     "TbufPool",
-    "TransferBackend",
-    "GpuPipelineBackend",
-    "HostStagedBackend",
-    "NicOffloadBackend",
+    "Stages",
     "BACKENDS",
     "guideline_backend",
     "modeled_chunk_cost",

@@ -1,49 +1,47 @@
-"""Transfer backends: the pluggable strided-chunk movers behind the engine.
+"""Transfer backends: how a device chunk crosses PCIe, as stage descriptions.
 
-The engine of :mod:`repro.core.pipeline` historically hard-coded two ways
-of moving a *strided* chunk between device memory and the host vbuf: the
-paper's 5-stage GPU-pack pipeline and the strided-PCIe host fallback.
-Di Girolamo et al. ("Network-Accelerated Non-Contiguous Memory
-Transfers") show a third design point -- the NIC gathers the segments
-itself via per-segment DMA descriptors, with no staging copies at all --
-and, more importantly, that *which* path wins depends on the layout and
-message size. This module makes the path a first-class, tunable choice:
+The engine of :mod:`repro.core.pipeline` is one chunk pipeline (Section
+IV): every device chunk, contiguous or strided, send or drain, walks the
+same stages on the same per-chunk op, replaying a
+:class:`~repro.core.plan.ChunkPlan` of the transfer's compiled plan.
+Non-contiguous data adds a GPU pack and unpack around the PCIe copies;
+contiguous data reduces to the three-stage MVAPICH2-GPU pipeline. Di
+Girolamo et al. ("Network-Accelerated Non-Contiguous Memory Transfers")
+show a third design point -- the NIC gathers the segments itself via
+per-segment DMA descriptors, with no staging copies at all -- that
+differs from the GPU pipeline only in how the copy stage is done, and
+that *which* path wins depends on the layout and message size.
 
-``TransferBackend``
-    The interface: a named pair of callback-style methods,
-    ``send_chunk`` (device buffer -> send vbuf) and ``drain_chunk``
-    (recv vbuf -> device buffer). Each issues its stages on the
-    engine's per-chunk op and calls the op back when the vbuf holds the
-    chunk or the chunk has landed. The op waits on exactly the events
-    the stages return, so a backend adds *no* events of its own and the
-    default path stays schedule-identical to the engine code it was
-    carved out of. Every backend moves one
-    :class:`~repro.core.plan.ChunkPlan` of the transfer's compiled
-    plan: it takes its cost from the chunk's segments (or the plan's
-    stage durations) and moves the bytes with the chunk's one gather or
-    scatter.
+So a backend is a :class:`Stages` description, not code: whether it
+packs (a GPU pack or unpack on the exec engine while a device staging
+buffer is held), one cost function for its PCIe copy stage, the copy's
+trace labels and its chunk counter. Every copy moves the chunk's bytes
+with the chunk's one gather or scatter.
 
-``GpuPipelineBackend``
+``gpu``
     The paper's design: GPU pack kernel into a device tbuf, contiguous
     D2H into the vbuf, replayed from the plan with the two copies fused
-    into one gather. Degrades to the host backend when the tbuf pool
-    times out.
+    into one gather. A chunk degrades to ``host`` when the armed
+    recovery layer times out on the tbuf pool.
 
-``HostStagedBackend``
+``host``
     The pre-offload MVAPICH2 behaviour: a strided PCIe 2-D copy (one
     DMA transaction per row) straight between the user buffer and the
     vbuf.
 
-``NicOffloadBackend``
+``nic``
     The HCA gathers/scatters the strided segments itself: one DMA
     descriptor per segment, rung through the descriptor ring in batches.
-    No pack kernel, no tbuf -- the chunk's segments land directly in the
-    vbuf (send) or the user buffer (drain), so the two device-side
-    pipeline stages disappear and the cost is descriptor processing plus
-    the raw PCIe byte time.
+    No pack kernel, no tbuf; the cost is descriptor processing plus the
+    raw PCIe byte time.
+
+:data:`CONTIGUOUS`
+    Not a choosable backend: the description every contiguous layout
+    walks, one contiguous copy and no pack stage.
 
 The module also carries the *modeled* per-chunk cost of each backend
-(:func:`modeled_chunk_cost`) and the Hunold/Träff guideline guard
+(:func:`modeled_chunk_cost`), which charges the same cost functions the
+chunk ops charge, and the Hunold/Träff guideline guard
 (:func:`guideline_backend`): a non-default backend may only be chosen
 when its modeled cost does not exceed the default path's by more than
 ``GUIDELINE_TOLERANCE`` -- "tuned >= default", asserted mechanically.
@@ -55,7 +53,7 @@ table identity -- is unchanged by their introduction.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from ..hw.config import CopyKind
 from ..perf.stats import PERF
@@ -65,20 +63,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..mpi.datatype import Datatype, SegmentList
 
 __all__ = [
-    "TransferBackend",
-    "GpuPipelineBackend",
-    "HostStagedBackend",
-    "NicOffloadBackend",
+    "Stages",
     "BACKENDS",
     "BACKEND_NAMES",
+    "CONTIGUOUS",
     "DEFAULT_BACKEND",
     "NIC_RING_OVERHEAD",
     "NIC_DESC_COST",
     "NIC_MAX_DESCRIPTORS",
     "GUIDELINE_TOLERANCE",
+    "contiguous_copy_cost",
     "nic_offload_cost",
     "strided_pcie_cost",
-    "strided_pcie_op",
     "modeled_chunk_cost",
     "guideline_backend",
 ]
@@ -143,251 +139,72 @@ def strided_pcie_cost(cfg, segs: "SegmentList") -> float:
     )
 
 
-def strided_pcie_op(endpoint, stream, kind, user_buf, cp, staging, label):
-    """Enqueue chunk ``cp`` straight across PCIe, no offload ("nc2c").
+def contiguous_copy_cost(cfg, segs: "SegmentList") -> float:
+    """Cost of one contiguous PCIe copy of the bytes ``segs`` covers.
 
-    D2H gathers the chunk's segments of ``user_buf`` into ``staging``;
-    H2D scatters ``staging`` into them. Returns the completion event.
+    The copy stage of the GPU pipeline (the bytes sit packed in the tbuf)
+    and of a contiguous layout. D2H and H2D copies cost the same.
     """
-    if kind is CopyKind.D2H:
-        def apply():
-            cp.gather_into(user_buf, staging.view())
-    else:
-        def apply():
-            cp.scatter_from(staging.view(), user_buf)
-    return stream.enqueue(
-        endpoint.cuda.gpu.engine_for(kind),
-        strided_pcie_cost(endpoint.cfg, cp.segs), apply, label=label,
-    )
+    return cfg.memcpy_time(CopyKind.D2H, segs.total_bytes)
 
 
-class TransferBackend:
-    """One way of moving a strided chunk between device memory and a vbuf.
+class Stages:
+    """A backend, described by the stages its chunks walk.
 
-    The engine's chunk ops (:mod:`repro.core.pipeline`) call
-    :meth:`send_chunk` or :meth:`drain_chunk` once per chunk; the backend
-    issues its stages for the op and calls the op back when it is done.
-    A stage is a ``step(op, event)`` function chained with
-    ``op.then(event, step)``; ``op.acquire_vbuf(step)`` and
-    ``op.acquire_tbuf(step)`` deliver the buffer as the event value, so
-    everything a backend waits on is scheduled exactly as if the engine
-    waited on it itself. Every backend receives the chunk as ``op.cp``, a
-    :class:`~repro.core.plan.ChunkPlan` of the transfer's compiled plan;
-    ``op.transfer`` carries the endpoint, the user buffer, the per-rank
-    streams and pools (``res``) and the plan's per-chunk stage durations
-    (``costs``, from :meth:`~repro.core.plan.TransferPlan.costs_for`), and
-    ``op.state`` is the transaction's SendState or RecvState.
+    The chunk ops of :mod:`repro.core.pipeline` walk these stages for
+    every device chunk:
+
+    * send: (tbuf, pack) -> vbuf -> copy -> (release tbuf) -> RDMA write;
+    * drain: (tbuf) -> copy -> release the vbuf -> (unpack, release tbuf).
+
+    The stages in parentheses exist only when the description ``packs``.
     """
 
-    #: Table/config identifier ("gpu", "host", "nic").
-    name: str = "abstract"
+    __slots__ = ("packs", "copy_cost", "labels", "counter", "segment_counter")
 
-    def __init__(self) -> None:
-        #: The PERF counter of the chunks this backend moves.
-        self.chunk_counter = f"backend_{self.name}_chunks"
+    def __init__(self, packs: bool, copy_cost: Callable[..., float],
+                 labels: Tuple[str, str, str], counter: Optional[str] = None,
+                 segment_counter: Optional[str] = None):
+        #: Whether a GPU kernel on the exec engine packs (send) or unpacks
+        #: (drain) the chunk while a device staging buffer (tbuf) is held.
+        self.packs = packs
+        #: ``copy_cost(cfg, segs)``: duration of the PCIe copy stage that
+        #: moves the chunk between device memory and its host vbuf.
+        self.copy_cost = copy_cost
+        #: Trace label of that copy: send and drain formats of the chunk
+        #: index, and the label of every eager-delivery copy.
+        self.labels = labels
+        #: PERF counter of the chunks moved, and of their segments.
+        self.counter = counter
+        self.segment_counter = segment_counter
 
-    def send_chunk(self, op) -> None:
-        """Move chunk ``op.cp`` of the send buffer into a send vbuf.
-
-        Ends by setting ``op.vbuf`` to the vbuf, still held, and calling
-        ``op.staged()`` once the vbuf holds the chunk; the op then
-        RDMA-writes and releases it.
-        """
-        raise NotImplementedError
-
-    def drain_chunk(self, op) -> None:
-        """Drain recv vbuf ``op.vbuf`` into the chunk of the posted buffer.
-
-        Releases the vbuf with ``op.state.release_staging(cp.index)`` once
-        its bytes are consumed and ends with ``op.drained()`` once the
-        chunk has landed.
-        """
-        raise NotImplementedError
-
-
-def _staged(op, _event) -> None:
-    op.staged()
+    def count(self, segs: "SegmentList") -> None:
+        """Count one chunk of ``segs`` moved under this description."""
+        if self.counter is not None:
+            PERF.bump(self.counter)
+        if self.segment_counter is not None:
+            PERF.bump(self.segment_counter, segs.count)
 
 
-def _consumed(op, _event) -> None:
-    """The one drain stage consumed the vbuf and landed the chunk."""
-    op.state.release_staging(op.cp.index)
-    op.drained()
-
-
-class HostStagedBackend(TransferBackend):
-    """Strided PCIe 2-D copies straight between user buffer and vbuf."""
-
-    name = "host"
-
-    def send_chunk(self, op) -> None:
-        op.acquire_vbuf(self._send_copy)
-
-    @staticmethod
-    def _send_copy(op, event) -> None:
-        t = op.transfer
-        cp = op.cp
-        op.vbuf = event._value
-        op.then(strided_pcie_op(
-            t.endpoint, t.res.d2h, CopyKind.D2H, t.buf, cp, op.vbuf,
-            f"pcie-strided[{cp.index}]",
-        ), _staged)
-
-    def drain_chunk(self, op) -> None:
-        t = op.transfer
-        cp = op.cp
-        op.then(strided_pcie_op(
-            t.endpoint, t.res.h2d, CopyKind.H2D, t.buf, cp, op.vbuf,
-            f"pcie-strided[{cp.index}]",
-        ), _consumed)
-
-
-class GpuPipelineBackend(TransferBackend):
-    """The paper's 5-stage pipeline: GPU pack -> tbuf -> contiguous D2H.
-
-    Replays the chunk's plan: the tbuf is the device-side flow-control
-    token (acquired and released at the pipeline's stage boundaries),
-    while the bytes move once, gathered straight into the vbuf at D2H
-    completion (scattered straight out of it at H2D completion on the
-    receiver). Degrades to the host backend when the recovery layer
-    times out on the tbuf pool.
-    """
-
-    name = "gpu"
-
-    def send_chunk(self, op) -> None:
-        op.acquire_tbuf(self._send_pack)
-
-    @staticmethod
-    def _send_pack(op, event) -> None:
-        tbuf = event._value
-        if tbuf is None:
-            # The recovery layer degraded this chunk to the host-style
-            # path when the tbuf pool timed out: strided PCIe 2-D copy
-            # straight into the vbuf ("D2H nc2c", one DMA per row).
-            BACKENDS["host"].send_chunk(op)
-            return
-        op.tbuf = tbuf
-        t = op.transfer
-        cp = op.cp
-        op.then(t.res.pack.enqueue(
-            t.endpoint.cuda.gpu.exec_engine, t.costs["pack"][cp.index], None,
-            label=cp.pack_label,
-        ), GpuPipelineBackend._send_packed)
-
-    @staticmethod
-    def _send_packed(op, _event) -> None:
-        op.acquire_vbuf(GpuPipelineBackend._send_copy)
-
-    @staticmethod
-    def _send_copy(op, event) -> None:
-        t = op.transfer
-        cp = op.cp
-        buf = t.buf
-        vbuf = op.vbuf = event._value
-        op.then(t.res.d2h.enqueue(
-            t.endpoint.cuda.gpu.engine_for(CopyKind.D2H),
-            t.costs["d2h"][cp.index],
-            lambda: cp.gather_into(buf, vbuf.view()),
-            label=cp.d2h_label,
-        ), GpuPipelineBackend._send_copied)
-
-    @staticmethod
-    def _send_copied(op, _event) -> None:
-        op.transfer.res.tbufs.release(op.tbuf)
-        op.staged()
-
-    def drain_chunk(self, op) -> None:
-        op.acquire_tbuf(self._drain_copy)
-
-    @staticmethod
-    def _drain_copy(op, event) -> None:
-        tbuf = event._value
-        if tbuf is None:
-            # Recovery-layer degradation: scatter straight out of the
-            # vbuf over PCIe.
-            BACKENDS["host"].drain_chunk(op)
-            return
-        op.tbuf = tbuf
-        t = op.transfer
-        cp = op.cp
-        buf = t.buf
-        vbuf = op.vbuf
-        # The scatter into the user buffer is fused into the H2D
-        # completion -- it must run before release_staging recycles the
-        # vbuf. The unpack op then charges pure device time.
-        op.then(t.res.h2d.enqueue(
-            t.endpoint.cuda.gpu.engine_for(CopyKind.H2D),
-            t.costs["h2d"][cp.index],
-            lambda: cp.scatter_from(vbuf.view(), buf),
-            label=cp.h2d_label,
-        ), GpuPipelineBackend._drain_unpack)
-
-    @staticmethod
-    def _drain_unpack(op, _event) -> None:
-        t = op.transfer
-        cp = op.cp
-        op.state.release_staging(cp.index)
-        op.then(t.res.unpack.enqueue(
-            t.endpoint.cuda.gpu.exec_engine, t.costs["pack"][cp.index], None,
-            label=cp.unpack_label,
-        ), GpuPipelineBackend._drain_unpacked)
-
-    @staticmethod
-    def _drain_unpacked(op, _event) -> None:
-        op.transfer.res.tbufs.release(op.tbuf)
-        op.drained()
-
-
-class NicOffloadBackend(TransferBackend):
-    """HCA-side gather/scatter via per-segment DMA descriptors.
-
-    No pack kernel, no tbuf: the D2H (send) / H2D (drain) engine charges
-    :func:`nic_offload_cost` for the chunk's segment list and the bytes
-    land directly in the vbuf / user buffer. Two pipeline stages per
-    side simply do not exist on this path.
-    """
-
-    name = "nic"
-
-    def send_chunk(self, op) -> None:
-        PERF.bump("nic_descriptors", op.cp.segs.count)
-        op.acquire_vbuf(self._send_copy)
-
-    @staticmethod
-    def _send_copy(op, event) -> None:
-        t = op.transfer
-        cp = op.cp
-        buf = t.buf
-        vbuf = op.vbuf = event._value
-        op.then(t.res.d2h.enqueue(
-            t.endpoint.cuda.gpu.engine_for(CopyKind.D2H),
-            nic_offload_cost(t.endpoint.cfg, cp.segs),
-            lambda: cp.gather_into(buf, vbuf.view()),
-            label=f"nic-gather[{cp.index}]",
-        ), _staged)
-
-    def drain_chunk(self, op) -> None:
-        t = op.transfer
-        cp = op.cp
-        buf = t.buf
-        vbuf = op.vbuf
-        PERF.bump("nic_descriptors", cp.segs.count)
-        op.then(t.res.h2d.enqueue(
-            t.endpoint.cuda.gpu.engine_for(CopyKind.H2D),
-            nic_offload_cost(t.endpoint.cfg, cp.segs),
-            lambda: cp.scatter_from(vbuf.view(), buf),
-            label=f"nic-scatter[{cp.index}]",
-        ), _consumed)
-
-
-#: Singleton registry, keyed by backend name. Backends are stateless:
-#: all per-transfer state flows through the method arguments.
-BACKENDS: Dict[str, TransferBackend] = {
-    b.name: b for b in (GpuPipelineBackend(), HostStagedBackend(),
-                        NicOffloadBackend())
+#: The choosable backends, keyed by their table/config name.
+BACKENDS: Dict[str, Stages] = {
+    "gpu": Stages(True, contiguous_copy_cost,
+                  ("d2h[%d]:d2h", "h2d[%d]:h2d", "eager-h2d:h2d"),
+                  "backend_gpu_chunks"),
+    "host": Stages(False, strided_pcie_cost,
+                   ("pcie-strided[%d]", "pcie-strided[%d]", "pcie-strided[0]"),
+                   "backend_host_chunks"),
+    "nic": Stages(False, nic_offload_cost,
+                  ("nic-gather[%d]", "nic-scatter[%d]", "nic-scatter[0]"),
+                  "backend_nic_chunks", "nic_descriptors"),
 }
 BACKEND_NAMES = tuple(sorted(BACKENDS))
+
+#: A contiguous layout: the three-stage pipeline of the earlier
+#: MVAPICH2-GPU design, one contiguous copy straight between the user
+#: buffer and the vbuf. Not a choosable backend, and not counted.
+CONTIGUOUS = Stages(False, contiguous_copy_cost,
+                    ("d2h[%d]:d2h", "h2d[%d]:h2d", "eager-h2d:h2d"))
 
 
 def modeled_chunk_cost(name: str, cfg, dtype: "Datatype", count: int,
@@ -396,18 +213,18 @@ def modeled_chunk_cost(name: str, cfg, dtype: "Datatype", count: int,
 
     The figure every chooser decision is audited against: it covers the
     chunk's path from device memory into the send vbuf (the stages that
-    differ between backends), not the wire or the receiver. Pure
-    function of the hardware config and the layout -- no simulation.
+    differ between backends), not the wire or the receiver. It charges
+    the cost functions the chunk ops charge: the pack, when the backend
+    packs, plus its copy. Pure function of the hardware config and the
+    layout -- no simulation.
     """
+    stages = BACKENDS.get(name)
+    if stages is None:
+        raise ValueError(f"unknown backend {name!r} (expected {BACKEND_NAMES})")
     segs = dtype.segments_for_range(count, lo, hi)
-    if name == "host":
-        return strided_pcie_cost(cfg, segs)
-    if name == "nic":
-        return nic_offload_cost(cfg, segs)
-    if name == "gpu":
-        return (gpu_pack_cost(cfg, segs)
-                + cfg.memcpy_time(CopyKind.D2H, segs.total_bytes))
-    raise ValueError(f"unknown backend {name!r} (expected {BACKEND_NAMES})")
+    if stages.packs:
+        return gpu_pack_cost(cfg, segs) + stages.copy_cost(cfg, segs)
+    return stages.copy_cost(cfg, segs)
 
 
 def guideline_backend(

@@ -3,14 +3,14 @@
 The paper exposes the pipeline block size as a library parameter tuned once
 per cluster by the administrator (64 KB was optimal on their testbed; our
 chunk-size ablation benchmark reproduces that sweep). Everything else here
-is pool sizing, the backend choice and the offload ablation switch used by
-the benchmarks. Every strided device chunk moves through a compiled
+is pool sizing and the backend choice used by the benchmarks and
+ablations. Every device chunk moves through a compiled
 :class:`~repro.core.plan.TransferPlan`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 __all__ = ["GpuNcConfig", "RecoveryConfig"]
 
@@ -35,23 +35,15 @@ class GpuNcConfig:
     chunk_bytes: int = 64 * 1024
     #: Device staging (tbuf) chunks available per endpoint.
     tbuf_chunks: int = 64
-    #: When False, datatype processing is NOT offloaded: strided data is
-    #: pulled straight over PCIe with per-row DMA (the "D2H nc2c" scheme),
-    #: isolating the offload contribution in ablations.
-    use_gpu_offload: bool = True
     #: Which transfer backend moves strided chunks: ``"auto"`` (default)
     #: follows the tuning table when one is attached and otherwise uses
     #: the GPU-pack pipeline (exactly the historical engine); ``"gpu"``,
     #: ``"host"`` and ``"nic"`` force one
-    #: :class:`~repro.core.backends.TransferBackend` for every strided
-    #: transfer (ablations and the conformance sweep).
+    #: :class:`~repro.core.backends.Stages` description for every strided
+    #: transfer (ablations and the conformance sweep). ``"host"`` is the
+    #: no-offload ablation: strided data is pulled straight over PCIe
+    #: with per-row DMA (the "D2H nc2c" scheme).
     backend: str = "auto"
-    #: Optional :class:`~repro.tune.table.TuningTable` consulted at RTS
-    #: time for a per-(layout, message-size) chunk preference; ``None``
-    #: (default) keeps the engine bit-identical to the untuned code.
-    #: ``MpiWorld(tuning=...)`` takes precedence over this field.
-    #: Excluded from equality/repr: the table is provenance, not a knob.
-    tuning_table: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.chunk_bytes <= 0:
@@ -103,8 +95,6 @@ class RecoveryConfig:
     #: the GPU-offload path to the host-style strided-PCIe path; also the
     #: base wait of the bounded vbuf-acquisition retry.
     staging_timeout: float = 200e-6
-    #: Master switch for the tbuf degradation ladder.
-    degrade_enabled: bool = True
 
     def __post_init__(self) -> None:
         for name in ("rdma_timeout", "backoff_base", "backoff_cap",

@@ -14,11 +14,13 @@ pipelined at chunk (64 KB) granularity:
 Each chunk flows through the five stages independently (one callback op
 per chunk on each side, see :mod:`repro.sim.process`); FIFO streams and
 the hardware engine resources provide exactly the overlap structure of
-Figure 3. Every strided chunk replays the
-transfer's compiled :class:`~repro.core.plan.TransferPlan` through the
-selected :mod:`~repro.core.backends` mover. Contiguous device buffers skip
-the pack/unpack stages and reduce to the three-stage pipeline of the
-earlier MVAPICH2-GPU work the paper builds on.
+Figure 3. Every device chunk, contiguous or strided, replays the
+transfer's compiled :class:`~repro.core.plan.TransferPlan` with one walk:
+the chunk op walks the stages of the transfer's
+:class:`~repro.core.backends.Stages` description with plain methods.
+Contiguous layouts walk :data:`~repro.core.backends.CONTIGUOUS`, which
+has no pack/unpack stages: the three-stage pipeline of the earlier
+MVAPICH2-GPU work the paper builds on.
 
 The engine plugs into :mod:`repro.mpi.protocol`'s rendezvous scaffolding:
 same RTS/CTS/FIN wire protocol, so any combination of host/device source
@@ -29,7 +31,7 @@ device->host).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
@@ -42,42 +44,20 @@ from ..mpi.request import Request
 from ..mpi.status import MpiError, Status
 from ..sim import drive, wait
 from ..sim.events import RECYCLABLE_CALLBACKS
-from .backends import BACKENDS, strided_pcie_op
+from .backends import BACKENDS, CONTIGUOUS, DEFAULT_BACKEND
 from .config import GpuNcConfig
+from .gpu_pack import gpu_pack_cost
+from .plan import layout_kind
 from .staging import TbufPool
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .backends import TransferBackend
+    from .backends import Stages
     from ..hw.memory import BufferPtr
     from ..mpi.endpoint import Endpoint
     from ..mpi.matching import Envelope, PostedRecv
     from ..mpi.world import MpiWorld
 
-__all__ = ["GpuNcEngine", "LayoutPlan"]
-
-
-@dataclass(frozen=True)
-class LayoutPlan:
-    """How ``count`` elements of a datatype map onto a buffer."""
-
-    #: "contig" (single run; staging copies go straight to/from the user
-    #: buffer) or "strided" (needs pack/unpack).
-    kind: str
-    #: Buffer offset of packed byte 0 (contig only).
-    base_offset: int
-    total_bytes: int
-
-    @classmethod
-    def of(cls, dtype: Datatype, count: int) -> "LayoutPlan":
-        segs = dtype.segments_for_count(count)
-        total = dtype.size * count
-        if segs.count <= 1:
-            base = int(segs.offsets[0]) if segs.count else 0
-            return cls("contig", base, total)
-        return cls("strided", 0, total)
-
-
-from types import SimpleNamespace
+__all__ = ["GpuNcEngine"]
 
 
 class _EndpointResources(SimpleNamespace):
@@ -161,21 +141,21 @@ class GpuNcEngine:
             memo=getattr(endpoint, "tune_memo", None), ctx=ctx,
         )
 
-    def _backend_for(self, choice) -> "TransferBackend":
-        """Resolve the strided-chunk backend for one transfer.
+    def _stages_for(self, kind: str, choice) -> "Stages":
+        """The stage description a transfer's chunks walk.
 
-        An explicit ``config.backend`` always wins (ablations, the
-        conformance sweep). ``"auto"`` follows the offload switch and
-        then the table's per-bucket choice; without either, the GPU-pack
+        A contiguous layout has no pack stage to choose. Otherwise an
+        explicit ``config.backend`` wins (ablations, the conformance
+        sweep), then the table's per-bucket choice, then the GPU-pack
         pipeline -- the engine's historical single path.
         """
+        if kind == "contig":
+            return CONTIGUOUS
         if self.config.backend != "auto":
             return BACKENDS[self.config.backend]
-        if not self.config.use_gpu_offload:
-            return BACKENDS["host"]
         if choice is not None and choice.backend in BACKENDS:
             return BACKENDS[choice.backend]
-        return BACKENDS["gpu"]
+        return BACKENDS[DEFAULT_BACKEND]
 
     # ------------------------------------------------------------------------
     # Sender side
@@ -207,12 +187,12 @@ class GpuNcEngine:
     def _send_proc(self, endpoint, envelope, buf, count, dtype, req):
         env = endpoint.env
         total = envelope.size_bytes
-        plan = LayoutPlan.of(dtype, count)
+        kind = layout_kind(dtype, count)
         # Contiguous sends deliberately bypass the table (no staging
         # geometry to tune); counted so tuned runs can see the traffic
         # the table never saw instead of it looking like lookup misses.
         choice = None
-        if plan.kind == "strided":
+        if kind == "strided":
             choice = self._transfer_choice(
                 endpoint, dtype, count, total,
                 ctx=getattr(req, "coll_ctx", None),
@@ -222,15 +202,10 @@ class GpuNcEngine:
         chunk, nchunks = self._chunking(
             total, granted=choice.chunk_bytes if choice is not None else None
         )
-        backend = self._backend_for(choice)
-        res = self.resources(endpoint)
-        # Every strided chunk, whatever its backend, replays the cached
-        # TransferPlan of this transfer shape: precomputed chunk ranges,
-        # slices, labels and stage durations.
-        tplan = costs = None
-        if plan.kind == "strided":
-            tplan = dtype.plan_for(count, chunk)
-            costs = tplan.costs_for(endpoint.cuda.cfg)
+        # Every chunk replays the cached TransferPlan of this transfer
+        # shape: precomputed chunk ranges, slices, labels and durations.
+        transfer = _Transfer(self, endpoint, buf, dtype.plan_for(count, chunk),
+                             self._stages_for(kind, choice))
         ssn = endpoint.new_ssn()
         state = _proto.SendState(endpoint=endpoint, ssn=ssn, dst=envelope.dst)
         endpoint.send_states[ssn] = state
@@ -253,8 +228,6 @@ class GpuNcEngine:
                 yield from _proto.await_cts(endpoint, state, rts_payload, rec)
             env.process(cts_monitor(), name=f"cts-monitor:{ssn}")
 
-        transfer = _Transfer(self, endpoint, res, buf, plan, backend, tplan,
-                             costs, chunk=chunk, total=total)
         ops = [_SendChunkOp(transfer, state, i) for i in range(nchunks)]
         yield env.all_of([op.done for op in ops])
         _proto.retire_send_state(endpoint, ssn)
@@ -267,11 +240,11 @@ class GpuNcEngine:
     def _acquire_tbuf(self, endpoint, res):
         """Acquire a device staging chunk or degrade (a generator).
 
-        Runs only with recovery armed and degradation enabled (a chunk op
-        otherwise takes the plain blocking acquire). A tbuf that cannot be
-        had within ``staging_timeout`` returns None: the chunk degrades
-        from the GPU-offload path to the host-style strided-PCIe path
-        instead of blocking the pipeline indefinitely.
+        Runs only with recovery armed (a chunk op otherwise takes the
+        plain blocking acquire). A tbuf that cannot be had within
+        ``staging_timeout`` returns None: the chunk degrades from the
+        GPU-offload path to the host-style strided-PCIe path instead of
+        blocking the pipeline indefinitely.
         """
         rec = endpoint.recovery
         env = endpoint.env
@@ -281,7 +254,6 @@ class GpuNcEngine:
             return get.value
         res.tbufs.cancel(get)
         PERF.bump("degrade_to_host")
-        endpoint.stats.degrades += 1
         endpoint.tracer.record_fault(
             env.now, "recovery:degrade", src=endpoint.node.node_id,
             rank=endpoint.rank,
@@ -309,29 +281,24 @@ class GpuNcEngine:
                 f"sender chunk {chunk} exceeds receiver vbuf "
                 f"{endpoint.recv_vbufs.buf_bytes}"
             )
-        res = self.resources(endpoint)
-        plan = LayoutPlan.of(req.datatype, req.count)
+        kind = layout_kind(req.datatype, req.count)
         # The receiver resolves its drain backend locally from its own
         # datatype and table (the RTS wire format is unchanged); the
         # chunk size stays whatever the sender dictated. Contiguous
         # receives never consult the table -- they have no strided drain.
         choice = None
-        if plan.kind == "strided":
+        if kind == "strided":
             choice = self._transfer_choice(
                 endpoint, req.datatype, req.count, total,
                 pool=endpoint.recv_vbufs, ctx=getattr(req, "coll_ctx", None),
             )
-        backend = self._backend_for(choice)
         # Compiled replay (mirror of the send side). A posted receive may
         # be larger than the incoming message: the plan then covers the
         # ``total`` bytes that arrive, which fill the receive type map
         # from its start.
-        rplan = rcosts = None
-        if plan.kind == "strided":
-            rplan = req.datatype.plan_for(req.count, chunk, total)
-            rcosts = rplan.costs_for(endpoint.cuda.cfg)
-        transfer = _Transfer(self, endpoint, res, req.buf, plan, backend,
-                             rplan, rcosts)
+        transfer = _Transfer(self, endpoint, req.buf,
+                             req.datatype.plan_for(req.count, chunk, total),
+                             self._stages_for(kind, choice))
         state = _proto.make_recv_state(
             endpoint, posted, rts, chunk, staged=True,
             on_fin=lambda state, i: _DrainChunkOp(transfer, state, i),
@@ -355,53 +322,40 @@ class GpuNcEngine:
 
     def _eager_device_proc(self, endpoint, req, data, status):
         res = self.resources(endpoint)
-        plan = LayoutPlan.of(req.datatype, req.count)
         total = data.nbytes
         if total == 0:
             req._complete(status)
             return
             yield  # pragma: no cover
+        # The payload may be shorter than the posted receive: the prefix
+        # plan covers the bytes that arrived. Chunks land one at a time,
+        # each copy taken from the transfer's stage description.
+        tplan = req.datatype.plan_for(req.count, self.config.chunk_bytes, total)
+        stages = self._stages_for(tplan.kind, None)
+        cfg = endpoint.cfg
+        copy = tplan.costs_for(cfg, stages.copy_cost)
+        pack = tplan.costs_for(cfg, gpu_pack_cost) if stages.packs else None
+        h2d = endpoint.cuda.gpu.engine_for(CopyKind.H2D)
         tmp = endpoint.node.malloc_host(total)
         tmp.view()[:] = data
-        chunk = self.config.chunk_bytes
         try:
-            if plan.kind == "contig":
-                for lo in range(0, total, chunk):
-                    n = min(chunk, total - lo)
-                    yield endpoint.cuda.memcpy_async(
-                        req.buf.sub(plan.base_offset + lo, n), tmp.sub(lo, n),
-                        stream=res.h2d, label="eager-h2d",
+            for cp in tplan.chunks:
+                staged = tmp.sub(cp.lo, cp.nbytes)
+                tbuf = (yield res.tbufs.acquire()) if stages.packs else None
+                # The scatter into the user buffer is fused into the H2D
+                # completion, as on the rendezvous drain.
+                yield res.h2d.enqueue(
+                    h2d, copy[cp.index],
+                    lambda cp=cp, staged=staged: cp.scatter_from(
+                        staged.view(), req.buf),
+                    label=stages.labels[2],
+                )
+                if tbuf is not None:
+                    yield res.unpack.enqueue(
+                        endpoint.cuda.gpu.exec_engine, pack[cp.index], None,
+                        label=cp.unpack_label,
                     )
-            else:
-                # The payload may be shorter than the posted receive: the
-                # prefix plan covers the bytes that arrived.
-                tplan = req.datatype.plan_for(req.count, chunk, total)
-                costs = tplan.costs_for(endpoint.cuda.cfg)
-                for cp in tplan.chunks:
-                    staged = tmp.sub(cp.lo, cp.nbytes)
-                    if self.config.use_gpu_offload:
-                        # H2D into the device tbuf, then the GPU unpack;
-                        # the scatter into the user buffer is fused into
-                        # the H2D completion, as on the rendezvous drain.
-                        tbuf = yield res.tbufs.acquire()
-                        yield res.h2d.enqueue(
-                            endpoint.cuda.gpu.engine_for(CopyKind.H2D),
-                            costs["h2d"][cp.index],
-                            lambda cp=cp, staged=staged: cp.scatter_from(
-                                staged.view(), req.buf),
-                            label="eager-h2d:h2d",
-                        )
-                        yield res.unpack.enqueue(
-                            endpoint.cuda.gpu.exec_engine,
-                            costs["pack"][cp.index], None,
-                            label=cp.unpack_label,
-                        )
-                        res.tbufs.release(tbuf)
-                    else:
-                        yield strided_pcie_op(
-                            endpoint, res.h2d, CopyKind.H2D, req.buf, cp,
-                            staged, "pcie-strided[0]",
-                        )
+                    res.tbufs.release(tbuf)
         finally:
             endpoint.node.free_host(tmp)
         req._complete(status)
@@ -414,39 +368,38 @@ class GpuNcEngine:
 class _Transfer:
     """One side of one pipelined message, shared by its chunk ops."""
 
-    __slots__ = ("engine", "endpoint", "res", "buf", "plan", "backend",
-                 "chunks", "costs", "rec", "chunk", "total")
+    __slots__ = ("engine", "endpoint", "res", "buf", "plan", "stages",
+                 "pack", "copy", "rec")
 
-    def __init__(self, engine, endpoint, res, buf, plan, backend, tplan,
-                 costs, chunk=0, total=0):
+    def __init__(self, engine, endpoint, buf, plan, stages):
         self.engine = engine
         self.endpoint = endpoint
-        self.res = res
+        self.res = engine.resources(endpoint)
         #: the user buffer: the send source or the receive destination
         self.buf = buf
+        #: the compiled TransferPlan every chunk op replays
         self.plan = plan
-        self.backend = backend
-        #: the compiled plan's ChunkPlans (None for contiguous layouts)
-        self.chunks = tplan.chunks if tplan is not None else None
-        self.costs = costs
+        #: the stage description every chunk op starts out walking
+        self.stages = stages
+        #: per-chunk pack durations (None without a pack stage) and copy
+        #: durations of ``stages``, memoized on the plan
+        cfg = endpoint.cfg
+        self.pack = plan.costs_for(cfg, gpu_pack_cost) if stages.packs else None
+        self.copy = plan.costs_for(cfg, stages.copy_cost)
         self.rec = endpoint.recovery
-        #: chunk size and message bytes (sender side)
-        self.chunk = chunk
-        self.total = total
 
 
 class _ChunkOp:
     """A callback op moving one chunk of a :class:`_Transfer`.
 
-    It schedules one pooled kick timeout when created and then advances
-    through callbacks on the events its stages wait on (see
-    :mod:`repro.sim.process`). Its stages, its own and its backend's, are
-    ``step(op, event)`` functions chained by :meth:`then`. A recovery
-    wait, armed, drives the recovery layer's generator inline; disarmed,
-    it is the plain acquire that generator wraps.
+    It schedules one pooled kick timeout when created and then walks the
+    stages of its description, each a plain method that continues on the
+    event its predecessor waits on (see :mod:`repro.sim.process`). A
+    recovery wait, armed, drives the recovery layer's generator inline;
+    disarmed, it is the plain acquire that generator wraps.
     """
 
-    __slots__ = ("transfer", "state", "i", "cp", "vbuf", "tbuf", "_step")
+    __slots__ = ("transfer", "state", "i", "cp", "stages", "vbuf", "tbuf")
 
     def __init__(self, transfer: _Transfer, state, i: int):
         self.transfer = transfer
@@ -455,38 +408,43 @@ class _ChunkOp:
         #: the transfer, and the cycle would outlive the message.
         self.state = state
         self.i = i
-        chunks = transfer.chunks
-        self.cp = chunks[i] if chunks is not None else None
+        self.cp = transfer.plan.chunks[i]
+        self.stages = transfer.stages
+        self.tbuf = None
         transfer.endpoint.env.timeout(0.0).callbacks.append(self._on_kick)
 
-    def then(self, event, step) -> None:
-        """Continue with ``step(self, event)`` once ``event`` is processed."""
-        self._step = step
-        wait(event, self._resume)
-
-    def then_drive(self, generator, step) -> None:
-        """Run ``generator`` inline, then ``step(self, result)``."""
-        self._step = step
-        drive(generator, self._resume)
-
-    def _resume(self, event) -> None:
-        self._step(self, event)
-
-    def acquire_tbuf(self, step) -> None:
-        """Get a device staging chunk; ``step`` sees it, or None when the
-        armed recovery layer degrades the chunk."""
+    def _acquire_tbuf(self, then) -> None:
+        """Get a device staging chunk; ``then`` sees it as the event value,
+        or None when the armed recovery layer degrades the chunk."""
         t = self.transfer
-        rec = t.rec
-        if rec is None or not rec.degrade_enabled:
-            self.then(t.res.tbufs.acquire(), step)
+        if t.rec is None:
+            wait(t.res.tbufs.acquire(), then)
         else:
-            self.then_drive(t.engine._acquire_tbuf(t.endpoint, t.res), step)
+            drive(t.engine._acquire_tbuf(t.endpoint, t.res), then)
+
+    def _hold_tbuf(self, event) -> bool:
+        """Keep the granted tbuf; False once the chunk has degraded to the
+        host description (strided PCIe copy, no tbuf)."""
+        tbuf = event._value
+        if tbuf is None:
+            self.stages = BACKENDS["host"]
+            return False
+        self.tbuf = tbuf
+        return True
+
+    def _copy_cost(self) -> float:
+        """The copy's duration: the transfer's memoized one, or the host
+        description's once the chunk degraded."""
+        t = self.transfer
+        if self.stages is t.stages:
+            return t.copy[self.i]
+        return self.stages.copy_cost(t.endpoint.cfg, self.cp.segs)
 
 
 class _SendChunkOp(_ChunkOp):
-    """One sender chunk: staged into a send vbuf (by the contiguous D2H
-    copy or the transfer's backend), RDMA-written once its grant is in,
-    then announced with a FIN. ``done`` completes it."""
+    """One sender chunk: (tbuf, pack) -> vbuf -> copy -> (release tbuf),
+    RDMA-written once its grant is in, then announced with a FIN.
+    ``done`` completes it."""
 
     __slots__ = ("done",)
 
@@ -495,50 +453,62 @@ class _SendChunkOp(_ChunkOp):
         _ChunkOp.__init__(self, transfer, state, i)
 
     def _on_kick(self, _event) -> None:
-        t = self.transfer
-        if self.cp is None:
-            self.acquire_vbuf(_SendChunkOp._copy_contig)
+        self.stages.count(self.cp.segs)
+        if self.stages.packs:
+            self._acquire_tbuf(self._pack)
         else:
-            PERF.bump(t.backend.chunk_counter)
-            t.backend.send_chunk(self)
+            self._acquire_vbuf()
 
-    def _copy_contig(self, event) -> None:
-        # Three-stage pipeline of the earlier MVAPICH2-GPU design: D2H
-        # straight from the user buffer.
+    def _pack(self, event) -> None:
+        if not self._hold_tbuf(event):
+            self._acquire_vbuf()
+            return
         t = self.transfer
-        vbuf = self.vbuf = event._value
-        lo = self.i * t.chunk
-        n = min(lo + t.chunk, t.total) - lo
-        self.then(t.endpoint.cuda.memcpy_async(
-            vbuf.sub(0, n), t.buf.sub(t.plan.base_offset + lo, n),
-            stream=t.res.d2h, label=f"d2h[{self.i}]",
-        ), _SendChunkOp.staged)
+        cp = self.cp
+        wait(t.res.pack.enqueue(
+            t.endpoint.cuda.gpu.exec_engine, t.pack[cp.index], None,
+            label=cp.pack_label,
+        ), self._acquire_vbuf)
 
-    def acquire_vbuf(self, step) -> None:
-        """Get a send vbuf; ``step`` sees it as the event value."""
+    def _acquire_vbuf(self, _event=None) -> None:
         t = self.transfer
         pool = t.endpoint.send_vbufs
         if t.rec is None:
-            self.then(pool.acquire(), step)
+            wait(pool.acquire(), self._copy)
         else:
-            self.then_drive(_proto.acquire_vbuf(t.endpoint, pool), step)
+            drive(_proto.acquire_vbuf(t.endpoint, pool), self._copy)
 
-    def staged(self, _event=None) -> None:
+    def _copy(self, event) -> None:
+        t = self.transfer
+        cp = self.cp
+        buf = t.buf
+        vbuf = self.vbuf = event._value
+        wait(t.res.d2h.enqueue(
+            t.endpoint.cuda.gpu.engine_for(CopyKind.D2H), self._copy_cost(),
+            lambda: cp.gather_into(buf, vbuf.view()),
+            label=self.stages.labels[0] % cp.index,
+        ), self._copied)
+
+    def _copied(self, _event) -> None:
+        if self.tbuf is not None:
+            self.transfer.res.tbufs.release(self.tbuf)
+        self._staged()
+
+    def _staged(self, _event=None) -> None:
         """``self.vbuf`` holds the chunk: RDMA-write it once granted."""
         t = self.transfer
         state = self.state
         i = self.i
         if len(state.grants) <= i:
-            wait(state.grant_event, self.staged)
+            wait(state.grant_event, self._staged)
             return
-        if state.chunk_bytes != t.chunk:
+        if state.chunk_bytes != t.plan.chunk_bytes:
             raise MpiError(
                 f"receiver granted {state.chunk_bytes}-byte chunks but "
-                f"the sender pipelined at {t.chunk}; configure matching "
-                "vbuf/chunk sizes on both worlds"
+                f"the sender pipelined at {t.plan.chunk_bytes}; configure "
+                "matching vbuf/chunk sizes on both worlds"
             )
-        lo = i * t.chunk
-        src = self.vbuf.sub(0, min(lo + t.chunk, t.total) - lo)
+        src = self.vbuf.sub(0, self.cp.nbytes)
         if t.rec is None:
             wait(t.endpoint.hca.rdma_write(src, state.grants[i]), self._written)
         else:
@@ -562,31 +532,53 @@ class _SendChunkOp(_ChunkOp):
 
 
 class _DrainChunkOp(_ChunkOp):
-    """FIN arrived for one receiver chunk: H2D (+ unpack) out of its
-    staging vbuf into the user buffer, then retire the chunk."""
+    """FIN arrived for one receiver chunk: (tbuf) -> copy out of its
+    staging vbuf -> release the vbuf -> (unpack, release tbuf), then
+    finish the chunk."""
 
     __slots__ = ()
 
     def _on_kick(self, _event) -> None:
-        t = self.transfer
-        i = self.i
-        vbuf = self.vbuf = self.state.staging[i]
-        if self.cp is None:
-            lo, hi = self.state.chunk_range(i)
-            n = hi - lo
-            self.then(t.endpoint.cuda.memcpy_async(
-                t.buf.sub(t.plan.base_offset + lo, n), vbuf.sub(0, n),
-                stream=t.res.h2d, label=f"h2d[{i}]",
-            ), _DrainChunkOp._retire)
+        self.vbuf = self.state.staging[self.i]
+        self.stages.count(self.cp.segs)
+        if self.stages.packs:
+            self._acquire_tbuf(self._on_tbuf)
         else:
-            PERF.bump(t.backend.chunk_counter)
-            t.backend.drain_chunk(self)
+            self._copy()
 
-    def _retire(self, _event) -> None:
-        self.state.retire_chunk(self.i)
+    def _on_tbuf(self, event) -> None:
+        self._hold_tbuf(event)
+        self._copy()
 
-    def drained(self) -> None:
-        """The chunk has landed (its vbuf is already released)."""
+    def _copy(self) -> None:
+        t = self.transfer
+        cp = self.cp
+        buf = t.buf
+        vbuf = self.vbuf
+        # The scatter into the user buffer is fused into the H2D
+        # completion -- it must run before release_staging recycles the
+        # vbuf. An unpack then charges pure device time.
+        wait(t.res.h2d.enqueue(
+            t.endpoint.cuda.gpu.engine_for(CopyKind.H2D), self._copy_cost(),
+            lambda: cp.scatter_from(vbuf.view(), buf),
+            label=self.stages.labels[1] % cp.index,
+        ), self._copied)
+
+    def _copied(self, _event) -> None:
+        state = self.state
+        state.release_staging(self.i)
+        if self.tbuf is None:
+            state.finish_chunk()
+            return
+        t = self.transfer
+        cp = self.cp
+        wait(t.res.unpack.enqueue(
+            t.endpoint.cuda.gpu.exec_engine, t.pack[cp.index], None,
+            label=cp.unpack_label,
+        ), self._unpacked)
+
+    def _unpacked(self, _event) -> None:
+        self.transfer.res.tbufs.release(self.tbuf)
         self.state.finish_chunk()
 
 

@@ -1,60 +1,64 @@
-"""Compiled transfer plans: the one way a strided device chunk moves.
+"""Compiled transfer plans: the one way a device chunk moves.
 
-Every strided device transfer -- rendezvous send or receive, eager
-delivery into device memory, whatever its backend -- walks the same
-per-chunk structure: byte range, segment slice, stage labels and stage
-durations. A :class:`TransferPlan` compiles that structure **once** per
-``(datatype version, count, chunk size, byte length)`` and is cached in
-the datatype's canonical registry entry (see
+Every device transfer -- rendezvous send or receive, eager delivery into
+device memory, contiguous or strided, whatever its backend -- walks the
+same per-chunk structure: byte range, segment slice and stage labels. A
+:class:`TransferPlan` compiles that structure **once** per ``(datatype
+version, count, chunk size, byte length)`` and is cached in the
+datatype's canonical registry entry (see
 :meth:`~repro.mpi.datatype.Datatype.plan_for`), so a steady stream of
 same-shaped messages replays flat, preresolved chunk records. The byte
 length defaults to the whole footprint ``size * count``; a shorter one
 compiles a *prefix* plan for a partial-size receive, whose bytes fill the
 receive type map from its start as MPI requires.
 
-The GPU pipeline charges the plan's stage durations (:meth:`costs_for`)
-and fuses each chunk's functional movement: the pack-to-tbuf and
-tbuf-to-vbuf (resp. vbuf-to-tbuf and unpack-from-tbuf) hops are one
-gather into the wire staging buffer (resp. one scatter out of it), so
-each chunk's data moves once instead of twice. The tbuf is still acquired
-and released -- it remains the pipeline's device-side flow-control token
--- but its bytes are never written. The host and NIC backends take their
-cost from the chunk's segments and move its bytes with the same gather
-and scatter. The copies run through the word kernels of
-:mod:`repro.mpi.pack`; compiling a plan builds each irregular chunk's word
-index up front, so replay only copies.
+Stage durations are per-chunk functions of the segments under a hardware
+config -- the GPU pack cost and each backend's copy cost -- memoized on
+the plan by :meth:`TransferPlan.costs_for`. Each chunk's functional
+movement is fused: the pack-to-tbuf and tbuf-to-vbuf (resp. vbuf-to-tbuf
+and unpack-from-tbuf) hops of the GPU pipeline are one gather into the
+wire staging buffer (resp. one scatter out of it), so each chunk's data
+moves once instead of twice. The tbuf is still acquired and released --
+it remains the pipeline's device-side flow-control token -- but its bytes
+are never written. Every other backend, and a contiguous layout, moves
+its bytes with the same gather and scatter. The copies run through the
+word kernels of :mod:`repro.mpi.pack`; compiling a plan builds each
+irregular chunk's word index up front, so replay only copies.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..hw.config import CopyKind
 from ..mpi.datatype import SegmentList
 from ..mpi.pack import gather_into, scatter_from
-from .gpu_pack import gpu_pack_cost
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..hw.config import HardwareConfig
     from ..hw.memory import BufferPtr
     from ..mpi.datatype import Datatype
 
-__all__ = ["ChunkPlan", "TransferPlan"]
+__all__ = ["ChunkPlan", "TransferPlan", "layout_kind"]
+
+
+def layout_kind(dtype: "Datatype", count: int) -> str:
+    """``"contig"`` when ``count`` elements of ``dtype`` are at most one
+    run of bytes (no pack stage), else ``"strided"``."""
+    return "contig" if dtype.segments_for_count(count).count <= 1 else "strided"
 
 
 class ChunkPlan:
     """Precompiled state of one pipeline chunk.
 
-    Labels are stored fully suffixed (``d2h[3]:d2h`` etc.), exactly as
-    the trace records them.
+    The pack and unpack labels are stored exactly as the trace records
+    them.
     """
 
     __slots__ = (
-        "index", "lo", "hi", "nbytes", "segs",
-        "pack_label", "unpack_label", "d2h_label", "h2d_label",
+        "index", "lo", "hi", "nbytes", "segs", "pack_label", "unpack_label",
     )
 
     def __init__(self, index: int, lo: int, hi: int, segs: SegmentList):
@@ -65,8 +69,6 @@ class ChunkPlan:
         self.segs = segs
         self.pack_label = f"gpu-pack[{lo}:{hi}]"
         self.unpack_label = f"gpu-unpack[{lo}:{hi}]"
-        self.d2h_label = f"d2h[{index}]:d2h"
-        self.h2d_label = f"h2d[{index}]:h2d"
 
     def gather_into(self, src: "BufferPtr", dst_view: np.ndarray) -> None:
         """Gather this chunk's segments of ``src`` into ``dst_view[:n]``.
@@ -96,20 +98,20 @@ class TransferPlan:
 
     __slots__ = (
         "type_id", "version", "count", "chunk_bytes", "total", "nchunks",
-        "kind", "base_offset", "chunks", "_cost_cache",
+        "kind", "chunks", "_cost_cache",
     )
 
     def __init__(self, type_id, version, count, chunk_bytes, total, nchunks,
-                 kind, base_offset, chunks):
+                 kind, chunks):
         self.type_id = type_id
         self.version = version
         self.count = count
         self.chunk_bytes = chunk_bytes
         self.total = total
         self.nchunks = nchunks
-        #: "contig" (pack/unpack stages skipped) or "strided".
+        #: :func:`layout_kind` of the whole layout: "contig" (no pack
+        #: stage) or "strided".
         self.kind = kind
-        self.base_offset = base_offset
         self.chunks: Tuple[ChunkPlan, ...] = chunks
         self._cost_cache: Dict["HardwareConfig", dict] = {}
 
@@ -132,9 +134,7 @@ class TransferPlan:
                 f"plan of {total} bytes outside the {full}-byte footprint of "
                 f"{count} x {dtype.name}"
             )
-        segs = dtype.segments_for_count(count)
-        kind = "contig" if segs.count <= 1 else "strided"
-        base = int(segs.offsets[0]) if segs.count else 0
+        kind = layout_kind(dtype, count)
         nchunks = max(1, math.ceil(total / chunk_bytes)) if total else 1
         chunks: List[ChunkPlan] = []
         for i in range(nchunks):
@@ -148,28 +148,24 @@ class TransferPlan:
             chunks.append(ChunkPlan(i, lo, hi, csegs))
         return cls(
             dtype.type_id, dtype.version, count, chunk_bytes, total, nchunks,
-            kind, base, tuple(chunks),
+            kind, tuple(chunks),
         )
 
-    def costs_for(self, cfg: "HardwareConfig") -> dict:
-        """Per-chunk stage durations under ``cfg``.
+    def costs_for(self, cfg: "HardwareConfig",
+                  stage_cost: Callable[..., float]) -> List[float]:
+        """One stage's per-chunk durations under ``cfg``.
 
-        Returns ``{"pack": [...], "d2h": [...], "h2d": [...]}`` lists
-        indexed by chunk. The pack entry is
-        :func:`~repro.core.gpu_pack.gpu_pack_cost` of the chunk's
-        segments; the copy entries are contiguous PCIe copies of its bytes.
+        ``stage_cost(cfg, segs)`` of every chunk's segments, indexed by
+        chunk: :func:`~repro.core.gpu_pack.gpu_pack_cost` for the pack
+        stage, a backend's ``copy_cost`` for its copy stage.
         """
-        costs = self._cost_cache.get(cfg)
-        if costs is not None:
-            return costs
-        costs = {
-            "pack": [gpu_pack_cost(cfg, cp.segs) for cp in self.chunks],
-            "d2h": [cfg.memcpy_time(CopyKind.D2H, cp.nbytes)
-                    for cp in self.chunks],
-            "h2d": [cfg.memcpy_time(CopyKind.H2D, cp.nbytes)
-                    for cp in self.chunks],
-        }
-        self._cost_cache[cfg] = costs
+        per_cfg = self._cost_cache.get(cfg)
+        if per_cfg is None:
+            per_cfg = self._cost_cache[cfg] = {}
+        costs = per_cfg.get(stage_cost)
+        if costs is None:
+            costs = per_cfg[stage_cost] = [
+                stage_cost(cfg, cp.segs) for cp in self.chunks]
         return costs
 
     def __repr__(self) -> str:  # pragma: no cover

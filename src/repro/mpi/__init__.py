@@ -3,7 +3,7 @@
 Provides datatypes, point-to-point communication with eager/rendezvous
 protocols, non-blocking requests, collectives and the world launcher. GPU
 buffers are handled transparently by :mod:`repro.core` (installed on every
-endpoint when the world is created with ``gpu_aware=True``).
+endpoint by the world).
 """
 
 import numpy as _np

@@ -35,9 +35,11 @@ class EndpointStats:
     """Per-endpoint communication counters (library observability).
 
     Mirrors the counters MVAPICH2 exposes through its debug interface:
-    message and byte counts per protocol path, rendezvous transaction
-    counts and staging-pool high-water marks. Updated by the protocol and
-    pipeline layers; read them in tests, benchmarks or tuning scripts.
+    message and byte counts per protocol path, rendezvous chunk counts
+    and control messages. Updated by the protocol and pipeline layers;
+    read them in tests, benchmarks or tuning scripts. Staging-pool
+    high-water marks are the pools' ``peak_in_use``; recovery actions
+    are PERF counters (the ``[faults:]`` footer).
     """
 
     __slots__ = (
@@ -46,10 +48,6 @@ class EndpointStats:
         "gpu_sent", "gpu_bytes_sent",
         "msgs_received", "bytes_received",
         "chunks_sent", "ctrl_messages",
-        "send_vbuf_peak", "recv_vbuf_peak", "tbuf_peak",
-        # Recovery-layer counters (nonzero only under faults/contention).
-        "rdma_retries", "rts_retries", "nacks_sent", "fins_resent",
-        "dups_suppressed", "degrades",
     )
 
     def __init__(self):
@@ -237,8 +235,9 @@ class Endpoint:
         self._next_seq = 0
         #: rank -> node mapping, filled in by the world.
         self.rank_to_node: Dict[int, int] = {}
-        #: set by :class:`repro.core.pipeline.GpuNcEngine` via the world.
-        self._gpu_engine: Optional[Any] = None
+        #: The GPU-aware transfer engine handling device buffers
+        #: (:class:`repro.core.pipeline.GpuNcEngine`), set by the world.
+        self.gpu_engine: Optional[Any] = None
         #: re-armed whenever a new message envelope arrives; Probe waits on
         #: it between scans of the unexpected queue.
         self.arrival_event: Event = Event(self.env, label=f"arrival:{rank}")
@@ -246,21 +245,6 @@ class Endpoint:
         self._daemon = self.env.process(
             self._progress_loop(), name=f"progress:rank{rank}"
         )
-
-    @property
-    def gpu_engine(self):
-        """The GPU-aware transfer engine handling device buffers."""
-        if self._gpu_engine is None:
-            raise MpiError(
-                "device buffer used in MPI communication but no GPU engine "
-                "is installed on this endpoint (create the world with "
-                "gpu_aware=True)"
-            )
-        return self._gpu_engine
-
-    @gpu_engine.setter
-    def gpu_engine(self, engine) -> None:
-        self._gpu_engine = engine
 
     # -- identity ---------------------------------------------------------------
     def new_ssn(self) -> tuple:

@@ -174,11 +174,9 @@ class SendState:
             )
         if start + len(chunks) <= have:
             PERF.bump("dup_cts_suppressed")
-            self.endpoint.stats.dups_suppressed += 1
             return
         if start < have:
             PERF.bump("dup_cts_suppressed")
-            self.endpoint.stats.dups_suppressed += 1
             chunks = chunks[have - start:]
         self.grants.extend(chunks)
         fired, self.grant_event = self.grant_event, self.endpoint.env.event(
@@ -414,7 +412,6 @@ def _on_rts(endpoint: Endpoint, payload: dict) -> None:
         # the match.
         if ssn in endpoint.rts_seen:
             PERF.bump("dup_rts_suppressed")
-            endpoint.stats.dups_suppressed += 1
             return
         endpoint.rts_seen.add(ssn)
     rts = RtsInfo(
@@ -438,7 +435,6 @@ def _on_cts(endpoint: Endpoint, payload: dict) -> None:
         if endpoint.recovery is not None and ssn in endpoint.sent_history:
             # A replayed grant window arriving after the send completed.
             PERF.bump("dup_cts_suppressed")
-            endpoint.stats.dups_suppressed += 1
             return
         raise MpiError(f"CTS for unknown SSN {ssn}")
     state.add_grants(payload["start"], payload["chunks"], payload["chunk_bytes"])
@@ -451,7 +447,6 @@ def _on_fin(endpoint: Endpoint, payload: dict) -> None:
         if endpoint.recovery is not None and ssn in endpoint.retired_ssns:
             # A duplicate FIN straggling in after the transaction retired.
             PERF.bump("dup_fin_suppressed")
-            endpoint.stats.dups_suppressed += 1
             return
         raise MpiError(f"FIN for unknown SSN {ssn}")
     chunk = payload["chunk"]
@@ -460,7 +455,6 @@ def _on_fin(endpoint: Endpoint, payload: dict) -> None:
         # watchdog-triggered replay that crossed the original). Processing
         # it twice would double-retire the chunk.
         PERF.bump("dup_fin_suppressed")
-        endpoint.stats.dups_suppressed += 1
         return
     state.fin_seen.add(chunk)
     state.on_fin(state, chunk)
@@ -477,7 +471,6 @@ def _on_nack(endpoint: Endpoint, payload: dict) -> None:
     for i in payload["chunks"]:
         if i in state.fin_sent:
             PERF.bump("fin_resent")
-            endpoint.stats.fins_resent += 1
             endpoint.post_control(
                 state.dst, {"type": "fin", "ssn": ssn, "chunk": i}
             )
@@ -525,7 +518,6 @@ def rdma_write_safe(endpoint: Endpoint, src, rb):
         token.cancel()
         attempt += 1
         PERF.bump("rdma_retry")
-        endpoint.stats.rdma_retries += 1
         endpoint.tracer.record_fault(
             env.now, "recovery:rdma_retry", src=endpoint.node.node_id,
             attempt=attempt, what="rdma_write",
@@ -559,7 +551,6 @@ def await_cts(endpoint: Endpoint, state: SendState, rts_payload: dict, rec):
                 f"rendezvous {state.ssn}: no CTS after {attempt} RTS attempts"
             )
         PERF.bump("rts_retry")
-        endpoint.stats.rts_retries += 1
         endpoint.tracer.record_fault(
             env.now, "recovery:rts_retry", src=endpoint.node.node_id,
             attempt=attempt,
@@ -679,7 +670,6 @@ def recv_watchdog(endpoint: Endpoint, state: RecvState, rec):
                     },
                 )
         PERF.bump("nack_sent")
-        endpoint.stats.nacks_sent += 1
         endpoint.post_control(
             src, {"type": "nack", "ssn": state.rts.ssn, "chunks": pending}
         )

@@ -2,8 +2,8 @@
 
 :class:`MpiWorld` glues everything together: it places ranks on nodes,
 builds a CUDA context and an endpoint per rank, installs the protocol
-handlers and (by default) the GPU-aware transfer engine, and runs rank
-programs to completion.
+handlers and the GPU-aware transfer engine, and runs rank programs to
+completion.
 
 A *rank program* is a generator function receiving a :class:`RankContext`::
 
@@ -61,7 +61,6 @@ class MpiWorld:
         self,
         cluster: Cluster,
         nprocs: Optional[int] = None,
-        gpu_aware: bool = True,
         gpu_config=None,
         vbuf_bytes: Optional[int] = None,
         vbuf_count: int = 256,
@@ -79,7 +78,6 @@ class MpiWorld:
         #: worker can rebuild an identical world over its own cluster.
         self._build_spec = {
             "nprocs": nprocs,
-            "gpu_aware": gpu_aware,
             "gpu_config": gpu_config,
             "vbuf_bytes": vbuf_bytes,
             "vbuf_count": vbuf_count,
@@ -92,12 +90,11 @@ class MpiWorld:
             gpu_config = GpuNcConfig()
         self.gpu_config = gpu_config
 
-        # Tuning table resolution: the ``tuning`` argument wins over
-        # ``gpu_config.tuning_table``; ``False`` forces tuning off even
-        # when the config carries a table; ``True`` or a path loads the
-        # persisted table (validated against this cluster's config hash).
-        # With no table the engine is bit-identical to the untuned code.
-        self.tuning = self._resolve_tuning(tuning, gpu_config)
+        # Tuning table resolution: a TuningTable is used as given; ``True``
+        # or a path loads the persisted table (validated against this
+        # cluster's config hash); ``None`` or ``False`` runs untuned,
+        # bit-identical to the code before tuning existed.
+        self.tuning = self._resolve_tuning(tuning)
 
         if vbuf_bytes is None:
             vbuf_bytes = gpu_config.chunk_bytes
@@ -144,13 +141,11 @@ class MpiWorld:
         for ep in self.endpoints:
             ep.rank_to_node = rank_to_node
 
-        self.gpu_engine = None
-        if gpu_aware:
-            from ..core.pipeline import GpuNcEngine
+        from ..core.pipeline import GpuNcEngine
 
-            self.gpu_engine = GpuNcEngine(self, gpu_config)
-            for ep in self.endpoints:
-                ep.gpu_engine = self.gpu_engine
+        self.gpu_engine = GpuNcEngine(self, gpu_config)
+        for ep in self.endpoints:
+            ep.gpu_engine = self.gpu_engine
 
         self.contexts = [
             RankContext(
@@ -168,14 +163,10 @@ class MpiWorld:
             for ep in self.endpoints
         ]
 
-    def _resolve_tuning(self, tuning, gpu_config):
+    def _resolve_tuning(self, tuning):
         """Normalize the ``tuning`` argument to a TuningTable or None."""
-        if tuning is False:
+        if tuning is None or tuning is False:
             return None
-        if tuning is None:
-            tuning = gpu_config.tuning_table
-            if tuning is None:
-                return None
         from ..tune.table import TuningTable, cluster_config_hash, table_path
 
         if isinstance(tuning, TuningTable):

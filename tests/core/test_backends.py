@@ -158,6 +158,39 @@ class TestNicCostModel:
             modeled_chunk_cost("carrier-pigeon", HW, vec, 1, 0, 64)
 
 
+#: ``modeled_chunk_cost`` of each backend, as ``float.hex()``, for a
+#: (layout, lo, hi) chunk: the chooser's model must not drift.
+MODELED = {
+    "fine": ((16 * 1024, 4, 8), 0, 64 * KiB, {
+        "gpu": "0x1.9c3f4fc9eb60dp-13", "host": "0x1.23cabe875c29cp-8",
+        "nic": "0x1.0d53801dc5396p-9"}),
+    "wide": ((16, 4 * KiB, 8 * KiB), 0, 64 * KiB, {
+        "gpu": "0x1.13f11f89ad7d4p-15", "host": "0x1.1517ee041440bp-15",
+        "nic": "0x1.f883220691a1ep-17"}),
+    "indexed": (None, 2, 11, {
+        "gpu": "0x1.502d79deb9dc6p-16", "host": "0x1.86239f573ecd6p-18",
+        "nic": "0x1.a332d5715c66cp-20"}),
+    "contig": (4096, 0, 4096, {
+        "gpu": "0x1.5ce5d3d8c474bp-16", "host": "0x1.8185a9bd332dep-18",
+        "nic": "0x1.151f7d2809c26p-19"}),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(MODELED))
+def test_modeled_chunk_cost_pinned(layout):
+    shape, lo, hi, want = MODELED[layout]
+    if layout == "indexed":
+        dtype = Datatype.indexed([3, 1, 7, 2], [0, 5, 9, 30], BYTE)
+    elif layout == "contig":
+        dtype = Datatype.contiguous(shape, BYTE)
+    else:
+        dtype = Datatype.hvector(*shape, BYTE)
+    dtype.commit()
+    got = {b: modeled_chunk_cost(b, HW, dtype, 1, lo, hi).hex()
+           for b in BACKEND_NAMES}
+    assert got == want
+
+
 class TestChooserGuideline:
     """The chooser never picks a backend whose modeled cost is out of
     guideline tolerance against the default -- whatever was measured."""

@@ -5,13 +5,13 @@ import pytest
 
 from repro.core import (
     GpuNcConfig,
-    LayoutPlan,
     TbufPool,
     buffer_location,
     gpu_pack_cost,
     is_device_ptr,
     is_host_ptr,
 )
+from repro.core.plan import TransferPlan
 from repro.cuda import CudaContext
 from repro.hw import Cluster, CopyKind
 from repro.mpi import BYTE, FLOAT, Datatype
@@ -28,7 +28,7 @@ class TestConfig:
     def test_defaults_valid(self):
         cfg = GpuNcConfig()
         assert cfg.chunk_bytes == 64 * 1024
-        assert cfg.use_gpu_offload
+        assert cfg.backend == "auto"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -78,28 +78,35 @@ class TestDetection:
 
 
 class TestLayoutPlan:
+    """How a layout maps onto a buffer: the kind and byte total of its
+    compiled :class:`~repro.core.plan.TransferPlan`."""
+
+    CHUNK = 64 * 1024
+
     def test_contiguous_type(self):
-        plan = LayoutPlan.of(Datatype.contiguous(16, FLOAT), 1)
-        assert plan.kind == "contig" and plan.base_offset == 0
-        assert plan.total_bytes == 64
+        plan = TransferPlan.compile(Datatype.contiguous(16, FLOAT), 1, self.CHUNK)
+        assert plan.kind == "contig" and plan.total == 64
 
     def test_vector_is_strided(self):
-        plan = LayoutPlan.of(Datatype.vector(8, 1, 2, FLOAT), 1)
-        assert plan.kind == "strided"
+        plan = TransferPlan.compile(Datatype.vector(8, 1, 2, FLOAT), 1, self.CHUNK)
+        assert plan.kind == "strided" and plan.total == 32
 
     def test_single_block_vector_is_contig(self):
         """vector(1, n, s) coalesces to one run -> contig plan."""
-        plan = LayoutPlan.of(Datatype.vector(1, 8, 16, FLOAT), 1)
-        assert plan.kind == "contig"
+        plan = TransferPlan.compile(Datatype.vector(1, 8, 16, FLOAT), 1, self.CHUNK)
+        assert plan.kind == "contig" and plan.total == 32
 
     def test_offset_run_detected(self):
         t = Datatype.hindexed([8], [32], BYTE)
-        plan = LayoutPlan.of(t, 1)
-        assert plan.kind == "contig" and plan.base_offset == 32
+        plan = TransferPlan.compile(t, 1, self.CHUNK)
+        assert plan.kind == "contig" and plan.total == 8
+        # The one chunk replays the run where it sits in the buffer.
+        segs = plan.chunks[0].segs
+        assert segs.offsets.tolist() == [32] and segs.lengths.tolist() == [8]
 
     def test_zero_size(self):
-        plan = LayoutPlan.of(FLOAT, 0)
-        assert plan.total_bytes == 0
+        plan = TransferPlan.compile(FLOAT, 0, self.CHUNK)
+        assert plan.kind == "contig" and plan.total == 0
 
 
 class TestGpuPackCost:

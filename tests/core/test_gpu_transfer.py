@@ -336,9 +336,7 @@ class TestPipelineBehaviour:
                 return buf.to_array(np.uint8).reshape(rows, 8)[:, :4].copy()
 
         cluster = Cluster(2)
-        world = MpiWorld(
-            cluster, gpu_config=GpuNcConfig(use_gpu_offload=False)
-        )
+        world = MpiWorld(cluster, gpu_config=GpuNcConfig(backend="host"))
         sent, got = world.run(program)
         assert np.array_equal(sent, got)
 
@@ -358,9 +356,8 @@ class TestPipelineBehaviour:
 
         def run_with(offload):
             cluster = Cluster(2)
-            world = MpiWorld(
-                cluster, gpu_config=GpuNcConfig(use_gpu_offload=offload)
-            )
+            world = MpiWorld(cluster, gpu_config=GpuNcConfig(
+                backend="gpu" if offload else "host"))
             return max(world.run(program))
 
         assert run_with(True) < run_with(False) / 3

@@ -10,7 +10,8 @@ Three layers of guarantee:
   slice-loop oracle of ``tests/mpi/test_pack.py`` for every src/dst
   host/device combination, and so do a partial-size strided receive into
   device memory (on every backend) and an eager host-to-device strided
-  receive (offload on and off), each replaying a prefix plan;
+  receive (offloaded and on the host backend), each replaying a prefix
+  plan;
 * recovery neutrality -- arming the recovery layer on a clean fabric
   moves no traced interval and not the final clock.
 
@@ -309,7 +310,8 @@ def test_eager_strided_device_receive_matches_slice_oracle(offload):
     total = 2 * rtype.size + 7
     payload, background, got = _receive_into_device(
         rtype, count, total, src_dev=False,
-        gpu_config=GpuNcConfig(chunk_bytes=chunk, use_gpu_offload=offload),
+        gpu_config=GpuNcConfig(chunk_bytes=chunk,
+                               backend="gpu" if offload else "host"),
     )
     expected = background.copy()
     slice_scatter(expected, _part_runs(rtype, count), payload, 0)

@@ -96,6 +96,14 @@ class TestStats:
             )
             d = ctx.endpoint.stats.as_dict()
             assert d["eager_sent"] == 1 and d["msgs_received"] == 1
+            # Only counters something maintains: pool high-water marks
+            # are the pools' peak_in_use, recovery actions PERF counters.
+            assert set(d) == {
+                "eager_sent", "eager_bytes_sent", "rndv_sent",
+                "rndv_bytes_sent", "gpu_sent", "gpu_bytes_sent",
+                "msgs_received", "bytes_received", "chunks_sent",
+                "ctrl_messages",
+            }
             return d
 
         run_world(program, 2)

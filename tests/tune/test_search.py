@@ -131,21 +131,14 @@ class TestRuntimeIntegration:
         world.run(program)
         assert PERF.snapshot().get("tune_chunk_clamped", 0) > before
 
-    def test_tuning_false_disables_config_table(self):
-        from repro.core import GpuNcConfig
+    def test_tuning_false_runs_untuned(self):
+        assert MpiWorld(Cluster(2), tuning=False).tuning is None
+        assert MpiWorld(Cluster(2)).tuning is None
 
-        cfg = GpuNcConfig(tuning_table=vector_table(16 * KiB))
-        cluster = Cluster(2)
-        world = MpiWorld(cluster, gpu_config=cfg, tuning=False)
-        assert world.tuning is None
-
-    def test_config_table_used_when_no_world_arg(self):
-        from repro.core import GpuNcConfig
-
+    def test_world_table_reaches_engine(self):
         table = vector_table(16 * KiB)
-        cfg = GpuNcConfig(tuning_table=table)
-        world = MpiWorld(Cluster(2), gpu_config=cfg)
-        assert world.tuning is table
+        world = MpiWorld(Cluster(2), tuning=table)
+        assert world.tuning is table and world.gpu_engine.tuning is table
 
     def test_tuning_path_validates_cluster(self, tmp_path):
         path = vector_table(16 * KiB).save(tmp_path / "t.json")
