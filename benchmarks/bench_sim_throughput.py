@@ -1,21 +1,27 @@
 """Simulator event throughput: how many events/second the kernel retires.
 
 Not a paper figure -- this measures the *simulator's own* hot loop (the
-event heap, the immediate lane, the pooled Timeout allocator), which is
-what the compiled-plan/pooled-event work optimizes. The workload is a mesh
-of timeout-driven processes: half advance by positive delays (heap path),
-half by zero delays (immediate lane), which together mirror the mix the
-5-stage pipeline generates.
+event heap, the immediate lane, the pooled Timeout allocator, in-place
+engine grants), which is what the compiled-plan/pooled-event work
+optimizes. Two workloads, each with half its chains advancing by positive
+delays (heap path) and half by zero delays (immediate lane), which
+together mirror the mix the 5-stage pipeline generates:
 
-The kernel's events/second is printed beside its ratio to a bare
-``heapq`` + generator loop running the same chains in the same process;
-``tests/perf/test_sim_throughput.py`` guards that ratio.
+* a mesh of timeout-driven processes;
+* chains of callback ops, each step a capacity-1 engine grant and a timed
+  ``schedule_op`` step -- the path of every stream, HCA and chunk op.
+
+Each kernel rate is printed beside its ratio to a bare ``heapq`` loop
+running the same chains in the same process (of generators, and of
+``(time, seq, callable)`` entries); ``tests/perf/test_sim_throughput.py``
+guards both ratios.
 """
 
 import heapq
+import itertools
 import time
 
-from repro.sim import Environment
+from repro.sim import CallbackOp, Environment, Resource
 
 CHAINS = 64
 DEPTH = 2_000
@@ -61,23 +67,101 @@ def run_bare() -> int:
     return events
 
 
+class _ChainOp(CallbackOp):
+    """A callback op taking its engine, holding it ``delay`` and releasing
+    it, ``DEPTH`` times over."""
+
+    __slots__ = ("env", "engine", "delay", "left")
+
+    def __init__(self, env, delay):
+        self.env = env
+        self.engine = Resource(env, capacity=1)
+        self.delay = delay
+        self.left = DEPTH
+        self._request()
+
+    def _request(self):
+        self._step = _ChainOp._granted
+        self.engine.request(self)
+
+    def _granted(self):
+        self._step = _ChainOp._done
+        self.env.schedule_op(self, self.delay)
+
+    def _done(self):
+        self.engine.release()
+        self.left -= 1
+        if self.left:
+            self._request()
+
+
+def run_op_workload() -> Environment:
+    """Drive the callback-op chains to completion; returns the environment."""
+    env = Environment()
+    for i in range(CHAINS):
+        _ChainOp(env, _delay(i))
+    env.run()
+    return env
+
+
+def run_op_bare() -> int:
+    """The same chains as ``(time, seq, callable)`` entries on a bare heap;
+    returns the entries popped."""
+    heap, seq = [], itertools.count()
+
+    class Chain:
+        __slots__ = ("delay", "left")
+
+        def __init__(self, delay):
+            self.delay, self.left = delay, DEPTH
+
+        def granted(self, now):
+            heapq.heappush(heap, (now + self.delay, next(seq), self.done))
+
+        def done(self, now):
+            self.left -= 1
+            if self.left:
+                heapq.heappush(heap, (now, next(seq), self.granted))
+
+    for i in range(CHAINS):
+        heapq.heappush(heap, (0.0, next(seq), Chain(_delay(i)).granted))
+    entries = 0
+    while heap:
+        now, _, step = heapq.heappop(heap)
+        step(now)
+        entries += 1
+    return entries
+
+
 def measure(repeats: int = 3):
-    """Best-of-N events/second of the kernel and of the bare loop."""
-    kernel = bare = 0.0
-    for _ in range(repeats):
-        start = time.perf_counter()
-        env = run_workload()
-        kernel = max(kernel, env._eid / (time.perf_counter() - start))
-        start = time.perf_counter()
-        events = run_bare()
-        bare = max(bare, events / (time.perf_counter() - start))
-    return kernel, bare
+    """Best-of-N entries/second of the kernel and of the bare loop, for
+    the process mesh and for the callback-op chains."""
+    rates = {}
+    for name, kernel_run, bare_run in (
+        ("processes", run_workload, run_bare),
+        ("callback ops", run_op_workload, run_op_bare),
+    ):
+        kernel = bare = 0.0
+        for _ in range(repeats):
+            start = time.perf_counter()
+            env = kernel_run()
+            kernel = max(kernel, env._eid / (time.perf_counter() - start))
+            start = time.perf_counter()
+            entries = bare_run()
+            bare = max(bare, entries / (time.perf_counter() - start))
+        rates[name] = (kernel, bare)
+    return rates
 
 
 def test_sim_event_throughput(benchmark):
-    kernel, bare = benchmark.pedantic(measure, rounds=1, iterations=1)
+    rates = benchmark.pedantic(measure, rounds=1, iterations=1)
+    kernel, bare = rates["processes"]
+    op_kernel, op_bare = rates["callback ops"]
     benchmark.extra_info["events_per_second"] = round(kernel)
     benchmark.extra_info["ratio_to_bare_loop"] = round(kernel / bare, 3)
-    print(f"\nsim throughput: {kernel / 1e6:.2f}M events/s, "
-          f"{kernel / bare:.2f}x a bare heapq loop")
-    assert kernel > 0
+    benchmark.extra_info["op_entries_per_second"] = round(op_kernel)
+    benchmark.extra_info["op_ratio_to_bare_loop"] = round(op_kernel / op_bare, 3)
+    for name, (k, b) in rates.items():
+        print(f"\nsim throughput ({name}): {k / 1e6:.2f}M entries/s, "
+              f"{k / b:.2f}x a bare heapq loop")
+    assert kernel > 0 and op_kernel > 0

@@ -42,8 +42,7 @@ from ..perf.stats import PERF
 from ..mpi.datatype import Datatype
 from ..mpi.request import Request
 from ..mpi.status import MpiError, Status
-from ..sim import drive, wait
-from ..sim.events import RECYCLABLE_CALLBACKS
+from ..sim import CallbackOp, drive, wait
 from .backends import BACKENDS, CONTIGUOUS, DEFAULT_BACKEND
 from .config import GpuNcConfig
 from .gpu_pack import gpu_pack_cost
@@ -218,9 +217,11 @@ class GpuNcEngine:
             "chunk_pref": chunk,
             "mode": "gpu",
         }
-        with endpoint.send_order.request() as order:
-            yield order
+        yield endpoint.send_order.acquire()
+        try:
             yield endpoint.post_control(envelope.dst, rts_payload)
+        finally:
+            endpoint.send_order.release()
         if rec is not None:
             # Packing starts immediately after the RTS, so the RTS-retry
             # loop runs beside the chunk pipeline instead of gating it.
@@ -389,14 +390,14 @@ class _Transfer:
         self.rec = endpoint.recovery
 
 
-class _ChunkOp:
+class _ChunkOp(CallbackOp):
     """A callback op moving one chunk of a :class:`_Transfer`.
 
-    It schedules one pooled kick timeout when created and then walks the
-    stages of its description, each a plain method that continues on the
-    event its predecessor waits on (see :mod:`repro.sim.process`). A
-    recovery wait, armed, drives the recovery layer's generator inline;
-    disarmed, it is the plain acquire that generator wraps.
+    It queues itself for its kick when created and then walks the stages
+    of its description, each a plain method that continues on the event
+    its predecessor waits on (see :mod:`repro.sim.process`). A recovery
+    wait, armed, drives the recovery layer's generator inline; disarmed,
+    it is the plain acquire that generator wraps.
     """
 
     __slots__ = ("transfer", "state", "i", "cp", "stages", "vbuf", "tbuf")
@@ -411,7 +412,8 @@ class _ChunkOp:
         self.cp = transfer.plan.chunks[i]
         self.stages = transfer.stages
         self.tbuf = None
-        transfer.endpoint.env.timeout(0.0).callbacks.append(self._on_kick)
+        self._step = type(self)._on_kick
+        transfer.endpoint.env.schedule_op(self)
 
     def _acquire_tbuf(self, then) -> None:
         """Get a device staging chunk; ``then`` sees it as the event value,
@@ -452,7 +454,7 @@ class _SendChunkOp(_ChunkOp):
         self.done = transfer.endpoint.env.event()
         _ChunkOp.__init__(self, transfer, state, i)
 
-    def _on_kick(self, _event) -> None:
+    def _on_kick(self) -> None:
         self.stages.count(self.cp.segs)
         if self.stages.packs:
             self._acquire_tbuf(self._pack)
@@ -538,7 +540,7 @@ class _DrainChunkOp(_ChunkOp):
 
     __slots__ = ()
 
-    def _on_kick(self, _event) -> None:
+    def _on_kick(self) -> None:
         self.vbuf = self.state.staging[self.i]
         self.stages.count(self.cp.segs)
         if self.stages.packs:
@@ -580,7 +582,3 @@ class _DrainChunkOp(_ChunkOp):
     def _unpacked(self, _event) -> None:
         self.transfer.res.tbufs.release(self.tbuf)
         self.state.finish_chunk()
-
-
-# The kick is the only timeout a chunk op creates itself.
-RECYCLABLE_CALLBACKS.update((_SendChunkOp._on_kick, _DrainChunkOp._on_kick))

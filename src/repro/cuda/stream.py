@@ -13,31 +13,30 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Optional
 
-from ..sim import Environment, Event, Resource, Tracer
-from ..sim.events import PROCESSED, RECYCLABLE_CALLBACKS
+from ..sim import CallbackOp, Environment, Event, Resource, Tracer
+from ..sim.events import PROCESSED
 
 __all__ = ["Stream", "CudaEvent"]
 
 _stream_ids = itertools.count()
 
 
-class _StreamOp:
-    """One enqueued stream operation, advanced by event callbacks.
+class _StreamOp(CallbackOp):
+    """One enqueued stream operation, a callback op (see
+    :mod:`repro.sim.process`).
 
-    The original implementation spawned a simulation :class:`Process` per
-    operation; at 5 ops per 64 KB chunk that made generator frames and
-    their init/completion events the pipeline's dominant allocation. This
-    callback chain walks the *same* event sequence -- kick event at enqueue
-    time, engine request issued when the FIFO predecessor completes, one
-    timeout for the transfer duration, then record/release/apply/complete
-    in the legacy order -- so simulated timestamps and event order are
-    bit-identical, with two pooled timeouts and zero generator frames per
-    op instead of a Process, three events and a generator.
+    It walks a kick at enqueue time, the engine request once its FIFO
+    predecessor completes, the transfer duration, then
+    record/release/apply/complete, each in the queue slot a per-op process
+    would take, so simulated timestamps and event order are a process's.
+    The kick and the duration are queue entries of the op itself and the
+    engine grants it in place: no event, generator frame or claim object
+    per op beyond its completion event.
     """
 
     __slots__ = (
         "stream", "prev_tail", "engine", "duration", "apply_fn", "label",
-        "done", "_req", "_start",
+        "done", "_start",
     )
 
     def __init__(self, stream, prev_tail, engine, duration, apply_fn, label, done):
@@ -48,15 +47,14 @@ class _StreamOp:
         self.apply_fn = apply_fn
         self.label = label
         self.done = done
-        self._req = None
         self._start = 0.0
-        # The kick event keeps op start on the event queue (start order
-        # between ops enqueued at the same instant stays FIFO, exactly as
-        # the per-op process's init event did).
-        kick = stream.env.timeout(0.0, label=label)
-        kick.callbacks.append(self._on_kick)
+        # The kick keeps op start on the event queue (start order between
+        # ops enqueued at the same instant stays FIFO, exactly as the
+        # per-op process's init event did).
+        self._step = _StreamOp._on_kick
+        stream.env.schedule_op(self)
 
-    def _on_kick(self, _event: Event) -> None:
+    def _on_kick(self) -> None:
         prev = self.prev_tail
         self.prev_tail = None
         if prev._state is PROCESSED:
@@ -68,33 +66,26 @@ class _StreamOp:
         self._request()
 
     def _request(self) -> None:
-        req = self.engine.request()
-        self._req = req
-        req.callbacks.append(self._on_req)
+        self._step = _StreamOp._on_granted
+        self.engine.request(self)
 
-    def _on_req(self, _event: Event) -> None:
+    def _on_granted(self) -> None:
         env = self.stream.env
         self._start = env.now
-        t = env.timeout(self.duration)
-        t.callbacks.append(self._on_done)
+        self._step = _StreamOp._on_done
+        env.schedule_op(self, self.duration)
 
-    def _on_done(self, _event: Event) -> None:
+    def _on_done(self) -> None:
         stream = self.stream
         env = stream.env
         tracer = stream.tracer
         if tracer.enabled:
             tracer.record(self._start, env.now, self.engine.name, self.label)
-        self.engine.release(self._req)
+        self.engine.release()
         if self.apply_fn is not None and env.functional:
             self.apply_fn()
         stream._pending -= 1
         self.done.succeed()
-
-
-# Both timeouts of a stream op are referenced only by the op itself and the
-# schedule, so they are recyclable the moment their callback returns.
-RECYCLABLE_CALLBACKS.add(_StreamOp._on_kick)
-RECYCLABLE_CALLBACKS.add(_StreamOp._on_done)
 
 
 class Stream:

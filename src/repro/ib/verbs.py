@@ -13,8 +13,9 @@ The model keeps the properties the paper's protocol relies on:
   engine and experiences the same wire latency.
 
 Each control send and RDMA write runs as a small callback op (see
-:mod:`repro.sim.process`): a pooled kick timeout, the TX engine request,
-the wire-time timeout, then local completion and the remote delivery.
+:mod:`repro.sim.process`): a kick, the TX engine granting the op in
+place, the wire time, then local completion and the remote delivery. The
+kick and the wire time are queue entries of the op itself, not timeouts.
 
 Every remote-side effect -- an inbox deposit or an RDMA payload landing --
 is scheduled as a *wire-delivery event* (:meth:`Environment.schedule_wire`)
@@ -31,8 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from ..sim import Environment, Event, Store, Tracer, wait, wire_key
-from ..sim.events import RECYCLABLE_CALLBACKS
+from ..sim import CallbackOp, Environment, Event, Store, Tracer, wait, wire_key
 from ..hw.config import HardwareConfig
 from ..hw.memory import BufferPtr
 from .faults import CancelToken, RdmaError
@@ -177,15 +177,15 @@ class HCA:
         return done
 
 
-class _RdmaOp:
+class _RdmaOp(CallbackOp):
     """One RDMA write: TX engine, optional stall, wire time, remote landing.
 
     A callback op (see :mod:`repro.sim.process`): the kick consults the
-    fault injector and requests the TX engine, one timeout covers the wire
-    time (two when stalled), and the last callback completes the write.
+    fault injector and requests the TX engine, one step covers the wire
+    time (two when stalled), and the last step completes the write.
     """
 
-    __slots__ = ("hca", "src", "dst", "done", "token", "act", "req", "start",
+    __slots__ = ("hca", "src", "dst", "done", "token", "act", "start",
                  "data")
 
     def __init__(self, hca, src, dst, done, token):
@@ -195,33 +195,36 @@ class _RdmaOp:
         self.done = done
         self.token = token
         self.act = None
-        hca.env.timeout(0.0).callbacks.append(self._on_kick)
+        self._step = _RdmaOp._on_kick
+        hca.env.schedule_op(self)
 
-    def _on_kick(self, _event) -> None:
+    def _on_kick(self) -> None:
         hca = self.hca
         inj = hca.fabric.injector
         if inj is not None:
             self.act = inj.on_rdma(hca.node.node_id, self.dst.node_id,
                                    self.src.nbytes)
-        req = self.req = hca.tx.request()
-        req.callbacks.append(self._on_tx)
+        self._step = _RdmaOp._on_tx
+        hca.tx.request(self)
 
-    def _on_tx(self, _event) -> None:
+    def _on_tx(self) -> None:
         env = self.hca.env
         self.start = env.now
         act = self.act
         if act is not None and act.stall:
             # Fault: the TX engine wedges before streaming the payload.
-            env.timeout(act.stall).callbacks.append(self._on_stalled)
+            self._step = _RdmaOp._on_stalled
+            env.schedule_op(self, act.stall)
         else:
-            self._on_stalled(None)
+            self._on_stalled()
 
-    def _on_stalled(self, _event) -> None:
+    def _on_stalled(self) -> None:
         cfg = self.hca.cfg
         wire = cfg.net_post_overhead + self.src.nbytes / cfg.net_bandwidth
-        self.hca.env.timeout(wire).callbacks.append(self._on_sent)
+        self._step = _RdmaOp._on_sent
+        self.hca.env.schedule_op(self, wire)
 
-    def _on_sent(self, _event) -> None:
+    def _on_sent(self) -> None:
         hca = self.hca
         env = hca.env
         src, dst = self.src, self.dst
@@ -230,7 +233,7 @@ class _RdmaOp:
                 self.start, env.now, hca.tx.name, "rdma_write",
                 bytes=src.nbytes, dst=dst.node_id,
             )
-        hca.tx.release(self.req)
+        hca.tx.release()
         token = self.token
         if token is not None and token.cancelled:
             # Abandoned by the retry layer while stalled in TX: never
@@ -271,16 +274,15 @@ class _RdmaOp:
             BufferPtr(memory, dst.offset, dst.nbytes).view()[:] = self.data
 
 
-class _ControlOp:
+class _ControlOp(CallbackOp):
     """One control send: TX engine, wire time, remote inbox deposit.
 
     A callback op (see :mod:`repro.sim.process`): the kick consults the
-    fault injector and requests the TX engine, one timeout covers the wire
-    time, and the last callback completes the send and schedules delivery.
+    fault injector and requests the TX engine, one step covers the wire
+    time, and the last step completes the send and schedules delivery.
     """
 
-    __slots__ = ("hca", "dst", "payload", "size", "done", "act", "req",
-                 "start")
+    __slots__ = ("hca", "dst", "payload", "size", "done", "act", "start")
 
     def __init__(self, hca, dst, payload, size, done):
         self.hca = hca
@@ -289,17 +291,18 @@ class _ControlOp:
         self.size = size
         self.done = done
         self.act = None
-        hca.env.timeout(0.0).callbacks.append(self._on_kick)
+        self._step = _ControlOp._on_kick
+        hca.env.schedule_op(self)
 
-    def _on_kick(self, _event) -> None:
+    def _on_kick(self) -> None:
         hca = self.hca
         inj = hca.fabric.injector
         if inj is not None:
             self.act = inj.on_control(hca.node.node_id, self.dst, self.payload)
-        req = self.req = hca.tx.request()
-        req.callbacks.append(self._on_tx)
+        self._step = _ControlOp._on_tx
+        hca.tx.request(self)
 
-    def _on_tx(self, _event) -> None:
+    def _on_tx(self) -> None:
         hca = self.hca
         cfg = hca.cfg
         self.start = hca.env.now
@@ -308,9 +311,10 @@ class _ControlOp:
             + cfg.net_control_overhead
             + self.size / cfg.net_bandwidth
         )
-        hca.env.timeout(wire).callbacks.append(self._on_sent)
+        self._step = _ControlOp._on_sent
+        hca.env.schedule_op(self, wire)
 
-    def _on_sent(self, _event) -> None:
+    def _on_sent(self) -> None:
         hca = self.hca
         env = hca.env
         dst_node = self.dst
@@ -318,7 +322,7 @@ class _ControlOp:
             hca.tracer.record(
                 self.start, env.now, hca.tx.name, "control", dst=dst_node,
             )
-        hca.tx.release(self.req)
+        hca.tx.release()
         # Local completion does not imply delivery: a dropped message still
         # completes at the sender, exactly like a real unacked control path.
         self.done.succeed()
@@ -357,7 +361,7 @@ class _ControlOp:
         )
 
 
-class _LoopbackOp:
+class _LoopbackOp(CallbackOp):
     """One self-send: no fabric and no fault injection, but the control-path
     CPU overhead plus a host-memory copy of the message body."""
 
@@ -368,27 +372,20 @@ class _LoopbackOp:
         self.payload = payload
         self.size = size
         self.done = done
-        hca.env.timeout(0.0).callbacks.append(self._on_kick)
+        self._step = _LoopbackOp._on_kick
+        hca.env.schedule_op(self)
 
-    def _on_kick(self, _event) -> None:
+    def _on_kick(self) -> None:
         cfg = self.hca.cfg
-        self.hca.env.timeout(
-            cfg.net_control_overhead + self.size / cfg.host_memcpy_bandwidth
-        ).callbacks.append(self._on_copied)
+        self._step = _LoopbackOp._on_copied
+        self.hca.env.schedule_op(
+            self, cfg.net_control_overhead + self.size / cfg.host_memcpy_bandwidth
+        )
 
-    def _on_copied(self, _event) -> None:
+    def _on_copied(self) -> None:
         node_id = self.hca.node.node_id
         put = self.hca.inbox.put(ControlMessage(node_id, node_id, self.payload))
         wait(put, self._on_put)
 
     def _on_put(self, _event) -> None:
         self.done.succeed()
-
-
-# Every timeout an HCA op creates has the op's own callback as its only
-# waiter, and no op keeps the timeout: each is recyclable on return.
-RECYCLABLE_CALLBACKS.update((
-    _RdmaOp._on_kick, _RdmaOp._on_stalled, _RdmaOp._on_sent,
-    _ControlOp._on_kick, _ControlOp._on_sent,
-    _LoopbackOp._on_kick, _LoopbackOp._on_copied,
-))

@@ -299,13 +299,16 @@ class Endpoint:
     # -- CPU accounting helper ------------------------------------------------------
     def cpu_work(self, duration: float, label: str):
         """Occupy the host CPU for ``duration`` (a generator)."""
-        with self.node.cpu.request() as req:
-            yield req
+        cpu = self.node.cpu
+        yield cpu.acquire()
+        try:
             start = self.env.now
             if duration > 0:
                 yield self.env.timeout(duration)
             if self.tracer.enabled:
                 self.tracer.record(start, self.env.now, self._cpu_engine, label)
+        finally:
+            cpu.release()
         return None
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -36,8 +36,7 @@ import numpy as np
 from ..hw.memory import BufferPtr
 from ..ib.faults import CancelToken, RdmaError
 from ..perf.stats import PERF
-from ..sim import Event, Store, drive, wait
-from ..sim.events import RECYCLABLE_CALLBACKS
+from ..sim import CallbackOp, Event, Store, drive, wait
 from .datatype import Datatype
 from .endpoint import Endpoint
 from .matching import ArrivedMessage, Envelope, PostedRecv
@@ -333,8 +332,8 @@ def install_protocol(endpoint: Endpoint) -> None:
 # ---------------------------------------------------------------------------
 
 def _eager_send(endpoint, envelope, buf, count, datatype, req):
-    with endpoint.send_order.request() as order:
-        yield order
+    yield endpoint.send_order.acquire()
+    try:
         data = pack_bytes(buf, datatype, count)
         yield from endpoint.cpu_work(
             host_pack_time(endpoint.cfg, datatype, count), "pack:eager"
@@ -344,6 +343,8 @@ def _eager_send(endpoint, envelope, buf, count, datatype, req):
             {"type": "eager", "envelope": envelope, "data": data},
             size_bytes=data.nbytes + EAGER_HEADER,
         )
+    finally:
+        endpoint.send_order.release()
     endpoint.stats.note_send("eager", data.nbytes)
     req._complete(Status(source=endpoint.rank, tag=envelope.tag,
                          count_bytes=data.nbytes))
@@ -735,9 +736,11 @@ def _rdv_send_host(endpoint, envelope, buf, count, datatype, req):
         "chunk_pref": chunk_pref,
         "mode": "host",
     }
-    with endpoint.send_order.request() as order:
-        yield order
+    yield endpoint.send_order.acquire()
+    try:
         yield endpoint.post_control(envelope.dst, rts_payload)
+    finally:
+        endpoint.send_order.release()
     if rec is None:
         chunk_bytes = yield from await_chunk_bytes(state)
     else:
@@ -845,14 +848,14 @@ def make_recv_state(
     return state
 
 
-class GrantOp:
+class GrantOp(CallbackOp):
     """Grants staging vbufs to the sender in windows (a callback op).
 
     Grants ``rendezvous_window`` chunks up front, then one more per drained
     chunk, so a message of any size flows through a bounded vbuf pool.
     Like every callback op (see :mod:`repro.sim.process`) it starts with
-    one pooled kick timeout, then advances on each vbuf acquisition, each
-    CTS post and each drained-chunk token.
+    a kick, then advances on each vbuf acquisition, each CTS post and each
+    drained-chunk token.
     """
 
     __slots__ = ("endpoint", "state", "left", "start", "grants")
@@ -860,9 +863,10 @@ class GrantOp:
     def __init__(self, endpoint: Endpoint, state: RecvState):
         self.endpoint = endpoint
         self.state = state
-        endpoint.env.timeout(0.0).callbacks.append(self._on_kick)
+        self._step = GrantOp._on_kick
+        endpoint.env.schedule_op(self)
 
-    def _on_kick(self, _event) -> None:
+    def _on_kick(self) -> None:
         endpoint = self.endpoint
         self._batch(min(self.state.nchunks, endpoint.cfg.rendezvous_window,
                         max(1, endpoint.recv_vbufs.count // 2)))
@@ -913,10 +917,6 @@ class GrantOp:
 
     def _drained(self, _event) -> None:
         self._batch(1)
-
-
-# The kick is the only timeout a granter creates itself.
-RECYCLABLE_CALLBACKS.add(GrantOp._on_kick)
 
 
 def _rdv_recv_host(endpoint: Endpoint, posted: PostedRecv, rts: RtsInfo):

@@ -2,9 +2,10 @@
 
 A from-scratch SimPy-like engine: generator-based processes and callback
 ops, an event heap with FIFO tie-breaking (fully deterministic runs),
-capacity resources, object stores and interval tracing. Everything else in
-:mod:`repro` -- the GPU, the PCIe bus, the InfiniBand fabric, the MPI
-library -- is built on these primitives.
+capacity resources that grant waiters in place, object stores and
+interval tracing. Everything else in :mod:`repro` -- the GPU, the PCIe
+bus, the InfiniBand fabric, the MPI library -- is built on these
+primitives.
 """
 
 from .core import WIRE_KEY_BASE, EmptySchedule, Environment, wire_key
@@ -16,8 +17,8 @@ from .events import (
     SimulationError,
     Timeout,
 )
-from .process import Process, ProcessGenerator, drive, wait
-from .resources import Request, Resource, Store, StoreGet, StorePut
+from .process import CallbackOp, Process, ProcessGenerator, drive, wait
+from .resources import Resource, Store, StoreGet, StorePut
 from .trace import FaultRecord, Interval, Tracer, union_duration
 
 __all__ = [
@@ -31,12 +32,12 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "SimulationError",
+    "CallbackOp",
     "Process",
     "ProcessGenerator",
     "drive",
     "wait",
     "Resource",
-    "Request",
     "Store",
     "StorePut",
     "StoreGet",

@@ -8,7 +8,7 @@ from typing import Any, Iterable, List, Optional, Tuple
 
 from ..perf.stats import PERF
 from .events import PROCESSED, TRIGGERED, AllOf, AnyOf, Event, SimulationError, Timeout
-from .process import Process, ProcessGenerator
+from .process import CallbackOp, Process, ProcessGenerator
 
 __all__ = ["Environment", "EmptySchedule", "WIRE_KEY_BASE", "wire_key"]
 
@@ -68,6 +68,10 @@ class Environment:
     the same key, so the processed event sequence is identical to a single
     heap's.
 
+    An entry is anything with a ``_process()`` method: an event, or a
+    :class:`~repro.sim.process.CallbackOp` queued by :meth:`schedule_op`
+    or granted a :class:`~repro.sim.resources.Resource` in place.
+
     Wire-delivery events (:meth:`schedule_wire`) carry keys above
     ``WIRE_KEY_BASE`` instead of a creation sequence number: at any given
     instant they process after every locally-created event, ordered among
@@ -84,8 +88,8 @@ class Environment:
         #: clock. The shard coordinator uses it to reproduce the
         #: sequential "queue drained before the horizon" clock exactly.
         self._last_event = float(initial_time)
-        self._queue: List[Tuple[float, int, Event]] = []
-        self._imm: "deque[Tuple[float, int, Event]]" = deque()
+        self._queue: List[Tuple[float, int, Any]] = []
+        self._imm: "deque[Tuple[float, int, Any]]" = deque()
         self._eid = 0
         #: Free list of recyclable processed Timeouts (see
         #: :class:`repro.sim.events.Timeout`). Pooling changes wall-clock
@@ -164,6 +168,24 @@ class Environment:
             heapq.heappush(self._queue, (self._now + delay, self._eid, event))
         else:
             raise SimulationError(f"cannot schedule {event!r} in the past")
+
+    def schedule_op(self, op: "CallbackOp", delay: float = 0.0) -> None:
+        """Queue callback op ``op``'s next step ``delay`` from now.
+
+        The op itself is the queue entry: at its time the environment
+        runs the step the op stored in ``_step`` (see
+        :class:`~repro.sim.process.CallbackOp`). It takes the
+        ``(time, seq)`` slot of a timeout created here, so replacing a
+        timeout whose only callback was that step leaves every other
+        entry's order as it was.
+        """
+        self._eid += 1
+        if delay == 0.0:
+            self._imm.append((self._now, self._eid, op))
+        elif delay > 0:
+            heapq.heappush(self._queue, (self._now + delay, self._eid, op))
+        else:
+            raise SimulationError(f"cannot schedule {op!r} in the past")
 
     def schedule_at(self, event: Event, when: float) -> None:
         """Schedule ``event`` at the absolute simulated time ``when``.

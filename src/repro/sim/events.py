@@ -43,11 +43,10 @@ PROCESSED = object()
 #: :class:`Timeout` whose only callback is one of these can be recycled into
 #: the environment's free-list pool (see :meth:`Timeout._process`) -- nothing
 #: can observe the object afterwards. Registered beside each callback: the
-#: process and inline-generator drivers (:mod:`repro.sim.process`) and every
-#: callback op's timeout steps -- stream ops (:mod:`repro.cuda.stream`),
-#: HCA ops (:mod:`repro.ib.verbs`), chunk ops (:mod:`repro.core.pipeline`)
-#: and the grant op (:mod:`repro.mpi.protocol`). Everything else
-#: (conditions, stream tails, user-held events) keeps fresh allocations.
+#: process and inline-generator resumes (:mod:`repro.sim.process`).
+#: Callback ops take no timeouts (their timed steps are queue entries, see
+#: :meth:`Environment.schedule_op`); everything else (conditions, stream
+#: tails, user-held events) keeps fresh allocations.
 RECYCLABLE_CALLBACKS: set = set()
 
 #: Upper bound on pooled Timeout objects per environment.
@@ -201,9 +200,9 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed simulated delay.
 
-    Timeouts are the simulator's dominant allocation (every stream
-    operation and every process start creates one), so processed instances
-    are recycled into a per-environment free list whenever it is provably
+    Every process start creates one, and so does every delay a process or
+    an inline-driven generator waits out, so processed instances are
+    recycled into a per-environment free list whenever it is provably
     safe: the sole registered callback is in :data:`RECYCLABLE_CALLBACKS`,
     meaning no reference to the object survives processing. Pooling is a
     wall-clock optimization only -- a pooled timeout is scheduled through

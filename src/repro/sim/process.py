@@ -7,13 +7,18 @@ is itself an event that triggers when the generator returns, so processes can
 wait on each other and be combined with ``AllOf``/``AnyOf``.
 
 Short-lived per-message work (control sends, RDMA writes, pipeline chunks)
-runs as *callback ops* instead: small objects that schedule one pooled
-zero-delay kick timeout where a process's init event would go, then advance
-through callbacks on the events a process would have yielded. :func:`wait`
-is their ``yield event``; :func:`drive` runs one of the recovery layer's
-generators inline, as ``yield from`` inside a process would. An op may
-append its callback straight onto an event it has just created (its kick,
-a timeout, an engine request): a fresh event cannot be processed yet.
+runs as *callback ops* instead: :class:`CallbackOp` objects that advance
+through plain step methods. An op stores its next step in ``_step`` and
+is then itself the queue entry, in the ``(time, seq)`` slot of the event
+a process would have yielded there: :meth:`Environment.schedule_op`
+queues its kick (where a process's init event would go) and each timed
+step (where the timeout would go), and :meth:`Resource.request` grants it
+an engine in place (where the grant event would go). On any other event
+it continues through a callback: :func:`wait` is its ``yield event``, and
+:func:`drive` runs one of the recovery layer's generators inline, as
+``yield from`` inside a process would. An op may append its callback
+straight onto an event it has just created: a fresh event cannot be
+processed yet.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .events import PROCESSED, RECYCLABLE_CALLBACKS, Event, SimulationError
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Environment
 
-__all__ = ["Process", "ProcessGenerator", "wait", "drive"]
+__all__ = ["CallbackOp", "Process", "ProcessGenerator", "wait", "drive"]
 
 ProcessGenerator = Generator[Event, Any, Any]
 
@@ -90,6 +95,23 @@ class Process(Event):
                 continue
             next_event.callbacks.append(self._resume)
             return
+
+
+class CallbackOp:
+    """Base of the callback ops: a queue entry that runs its ``_step``.
+
+    ``_step`` holds the op's next step as a plain function (``Cls._on_x``,
+    not ``self._on_x``), which the environment calls with the op when it
+    processes the op's queue slot. A bound method stored on the op would
+    make a reference cycle, leaving every finished op to the cyclic
+    garbage collector instead of freeing it when the last event or engine
+    drops it.
+    """
+
+    __slots__ = ("_step",)
+
+    def _process(self) -> None:
+        self._step(self)
 
 
 def wait(event: Event, callback: Callable[[Any], None]) -> None:

@@ -14,39 +14,23 @@ from .events import Event, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Environment
+    from .process import CallbackOp
 
-__all__ = ["Resource", "Request", "Store", "StorePut", "StoreGet"]
-
-
-class Request(Event):
-    """A pending claim on a :class:`Resource`.
-
-    Supports ``with`` so the holder releases automatically::
-
-        with engine.request() as req:
-            yield req
-            yield env.timeout(cost)
-    """
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource"):
-        super().__init__(resource.env, label=resource._req_label)
-        self.resource = resource
-
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.resource.release(self)
-
-    def cancel(self) -> None:
-        """Withdraw a request that has not been granted yet."""
-        self.resource._cancel(self)
+__all__ = ["Resource", "Store", "StorePut", "StoreGet"]
 
 
 class Resource:
-    """A resource with finite capacity and a FIFO wait queue."""
+    """A resource with finite capacity and a FIFO wait queue.
+
+    A grant takes no claim object: it puts the waiter itself on the
+    environment's immediate lane. :meth:`request` queues a
+    :class:`~repro.sim.process.CallbackOp`, whose stored step then runs in
+    the grant's slot; :meth:`acquire` queues a plain event for a process
+    to yield, which succeeds in that slot. The holder hands its unit back
+    with :meth:`release`, which grants the oldest waiter in its place.
+    """
+
+    __slots__ = ("env", "capacity", "name", "count", "_label", "_waiting")
 
     def __init__(self, env: "Environment", capacity: int = 1, name: str = ""):
         if capacity < 1:
@@ -54,54 +38,50 @@ class Resource:
         self.env = env
         self.capacity = capacity
         self.name = name
-        # Precomputed once: requests are created on the hot path and an
-        # f-string label per request shows up in profiles.
-        self._req_label = f"request:{name}"
-        self._users: list[Request] = []
-        self._waiting: Deque[Request] = deque()
-
-    @property
-    def count(self) -> int:
-        """Number of granted (active) requests."""
-        return len(self._users)
+        #: Number of granted units.
+        self.count = 0
+        self._label = f"acquire:{name}"
+        self._waiting: Deque[Any] = deque()
 
     @property
     def queue_len(self) -> int:
-        """Number of requests still waiting."""
+        """Number of waiters not yet granted."""
         return len(self._waiting)
 
-    def request(self) -> Request:
-        req = Request(self)
-        if len(self._users) < self.capacity:
-            self._users.append(req)
-            req.succeed(self)
+    def request(self, op: "CallbackOp") -> None:
+        """Queue ``op`` for a unit; its stored step runs once granted.
+
+        A free unit is granted at once, in the ``(time, seq)`` slot of a
+        zero-delay event succeeding now.
+        """
+        if self.count < self.capacity:
+            self.count += 1
+            self.env.schedule_op(op)
         else:
-            self._waiting.append(req)
-        return req
+            self._waiting.append(op)
 
-    def release(self, request: Request) -> None:
-        """Release a granted request; grants the next waiter, if any."""
-        try:
-            self._users.remove(request)
-        except ValueError:
-            # Releasing an ungranted request is a no-op if it was queued
-            # (treat as cancel) and an error otherwise.
-            if request in self._waiting:
-                self._waiting.remove(request)
-                return
-            raise SimulationError(
-                f"release of a request unknown to resource {self.name!r}"
-            ) from None
-        while self._waiting and len(self._users) < self.capacity:
-            nxt = self._waiting.popleft()
-            self._users.append(nxt)
-            nxt.succeed(self)
+    def acquire(self) -> Event:
+        """An event that succeeds once a unit is granted (for a process)."""
+        event = Event(self.env, label=self._label)
+        if self.count < self.capacity:
+            self.count += 1
+            event.succeed()
+        else:
+            self._waiting.append(event)
+        return event
 
-    def _cancel(self, request: Request) -> None:
-        if request in self._waiting:
-            self._waiting.remove(request)
-        elif request in self._users:
-            self.release(request)
+    def release(self) -> None:
+        """Give back one granted unit; the oldest waiter gets it."""
+        if not self.count:
+            raise SimulationError(f"release of idle resource {self.name!r}")
+        if not self._waiting:
+            self.count -= 1
+            return
+        waiter = self._waiting.popleft()
+        if isinstance(waiter, Event):
+            waiter.succeed()
+        else:
+            self.env.schedule_op(waiter)
 
 
 class StorePut(Event):

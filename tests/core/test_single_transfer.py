@@ -4,9 +4,12 @@ A drawn transfer sends ``count`` elements of a contiguous, vector or
 irregular ``indexed`` type from a host or device buffer into a host or
 device buffer, under a forced or automatic backend, at an eager or a 2-3
 chunk rendezvous size, into a full-size or a one-element-larger receive,
-fault-free or under recovery. The receive buffer must equal the
-slice-loop oracle of ``tests/mpi/test_pack.py`` byte for byte, and the
-drained world must hold no protocol state, staging buffer or engine claim
+fault-free or under recovery, one way or both ways at once (each rank
+then sends to the other while it receives, so the GPU exec engine, the
+HCA TX engine and the host CPU serve both directions and hold queued
+waiters). Each receive buffer must equal the slice-loop oracle of
+``tests/mpi/test_pack.py`` byte for byte, and the drained world must hold
+no protocol state, staging buffer or resource claim
 (:func:`tests.audit.audit_drained`).
 """
 
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 from repro.core import GpuNcConfig
 from repro.hw import Cluster, KiB
 from repro.ib import FaultPlan, FaultSpec
-from repro.mpi import BYTE, Datatype, MpiWorld
+from repro.mpi import BYTE, Datatype, MpiWorld, wait_all
 from tests.audit import audit_drained
 from tests.mpi.test_pack import slice_gather, slice_scatter
 
@@ -72,11 +75,12 @@ def element_runs(runs, extent, count):
     partial=st.booleans(),
     size=st.sampled_from(["eager", "rdv2", "rdv3"]),
     fault=st.sampled_from(sorted(FAULTS)),
+    both_ways=st.booleans(),
     data=st.data(),
 )
 def test_single_transfer_matches_slice_oracle(layout, src_dev, dst_dev,
                                               backend, partial, size, fault,
-                                              data):
+                                              both_ways, data):
     dtype, runs, extent = layout
     elem = dtype.size
     if size == "eager":
@@ -91,30 +95,41 @@ def test_single_transfer_matches_slice_oracle(layout, src_dev, dst_dev,
     rcount = count + 1 if partial else count
     span = (rcount - 1) * extent + runs[-1][0] + runs[-1][1]
     rng = np.random.default_rng(total)
-    sent = rng.integers(0, 256, span, dtype=np.uint8)
-    background = rng.integers(0, 256, span, dtype=np.uint8)
+    # What each rank sends (rank 1 only when both ways) and what its
+    # receive buffer holds before the message lands.
+    sent = rng.integers(0, 256, (2, span), dtype=np.uint8)
+    background = rng.integers(0, 256, (2, span), dtype=np.uint8)
 
     specs = FAULTS[fault]
     cluster = Cluster(2, faults=FaultPlan(specs=specs) if specs else None)
     world = MpiWorld(cluster, gpu_config=GpuNcConfig(chunk_bytes=CHUNK,
                                                      backend=backend))
 
-    def program(ctx):
-        dev = src_dev if ctx.rank == 0 else dst_dev
+    def alloc(ctx, dev, fill):
         buf = ctx.cuda.malloc(span) if dev else ctx.node.malloc_host(span)
-        if ctx.rank == 0:
-            buf.view()[:] = sent
-            yield from ctx.comm.Send(buf, count, dtype, dest=1)
-        else:
-            buf.view()[:] = background
-            status = yield from ctx.comm.Recv(buf, rcount, dtype, source=0)
-            assert status.count_bytes == total
-            return buf.view().copy()
+        buf.view()[:] = fill
+        return buf
 
-    got = world.run(program)[1]
-    expected = background.copy()
-    payload = slice_gather(sent, element_runs(runs, extent, count), 0, total)
-    slice_scatter(expected, element_runs(runs, extent, rcount), payload, 0)
-    assert np.array_equal(got, expected)
+    def program(ctx):
+        rank, peer = ctx.rank, 1 - ctx.rank
+        reqs = []
+        if rank == 1 or both_ways:
+            rbuf = alloc(ctx, dst_dev, background[rank])
+            reqs.append(ctx.comm.Irecv(rbuf, rcount, dtype, source=peer))
+        if rank == 0 or both_ways:
+            sbuf = alloc(ctx, src_dev, sent[rank])
+            reqs.append(ctx.comm.Isend(sbuf, count, dtype, dest=peer))
+        statuses = yield from wait_all(reqs)
+        if rank == 1 or both_ways:
+            assert statuses[0].count_bytes == total
+            return rbuf.view().copy()
+
+    got = world.run(program)
+    for rank in (0, 1) if both_ways else (1,):
+        expected = background[rank].copy()
+        payload = slice_gather(sent[1 - rank], element_runs(runs, extent, count),
+                               0, total)
+        slice_scatter(expected, element_runs(runs, extent, rcount), payload, 0)
+        assert np.array_equal(got[rank], expected), f"rank {rank} receive"
     world.env.run()
     audit_drained(world)

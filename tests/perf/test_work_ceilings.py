@@ -12,9 +12,14 @@ the failure names the value to pin.
 * ``processes``: :class:`~repro.sim.Process` instances started;
 * ``timeouts``: timeouts created (``event_pool_hit + event_pool_miss``).
 
+Finished work must also be freed by reference counting: a Fig. 5 round
+trip leaves no cyclic garbage for the collector.
+
 Irregular layouts carry a second deterministic cost: the memoized word
 index a gather or scatter walks, pinned as index bytes per payload byte.
 """
+
+import gc
 
 import numpy as np
 import pytest
@@ -29,9 +34,9 @@ from repro.sim import Process
 #: Per-operation ceilings, pinned at the measured counts.
 CEILINGS = {
     # One Figure 5 4 MiB MV2-GPU-NC round trip.
-    "fig5-4m": {"events": 2311, "processes": 4, "timeouts": 973},
+    "fig5-4m": {"events": 2311, "processes": 4, "timeouts": 6},
     # One 4x4 Stencil2D-MV2-GPU-NC iteration, 64x4096 local, timing only.
-    "stencil2d-4x4": {"events": 2464, "processes": 96, "timeouts": 960},
+    "stencil2d-4x4": {"events": 2464, "processes": 96, "timeouts": 112},
 }
 
 
@@ -92,6 +97,21 @@ def test_work_per_operation_within_ceiling(name, monkeypatch):
         f"{name}: per-operation work fell below its ceiling; ratchet "
         f"CEILINGS[{name!r}] down to {stale}"
     )
+
+
+def test_round_trips_leave_no_cyclic_garbage():
+    """A finished op, event or process is freed when its last user drops
+    it; a cycle (say, an op holding its own bound method) would leave
+    every one of them to the cyclic collector."""
+    world = MpiWorld(Cluster(2))
+    program = make_nc_program(1 << 20, iterations=2, verify=False)
+    gc.collect()
+    gc.disable()
+    try:
+        world.run(program)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 #: Memoized index bytes per payload byte, pinned at the measured figures.

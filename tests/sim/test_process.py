@@ -1,8 +1,10 @@
 """Unit tests for process coroutines and the callback-op helpers."""
 
+from collections import deque
+
 import pytest
 
-from repro.sim import Environment, SimulationError, drive, wait
+from repro.sim import CallbackOp, Environment, Resource, SimulationError, drive, wait
 
 
 @pytest.fixture
@@ -243,3 +245,90 @@ class TestCallbackOpHelpers:
         drive(raiser(), lambda e: None)
         with pytest.raises(ValueError, match="loud"):
             env.run()
+
+
+class _Step(CallbackOp):
+    """A callback op whose one step calls ``fn()``."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+        self._step = _Step._run
+
+    def _run(self):
+        self.fn()
+
+
+class _RequestEngine:
+    """A capacity-1 FIFO granting each waiter by succeeding a fresh event,
+    as ``Request.succeed()`` did before grants went in place."""
+
+    def __init__(self, env):
+        self.env = env
+        self.busy = False
+        self.waiting = deque()
+
+    def request(self, fn):
+        event = self.env.event()
+        event.callbacks.append(lambda _e: fn())
+        if self.busy:
+            self.waiting.append(event)
+        else:
+            self.busy = True
+            event.succeed()
+
+    def release(self):
+        if self.waiting:
+            self.waiting.popleft().succeed()
+        else:
+            self.busy = False
+
+
+def _slot_order(in_place: bool):
+    """Log and final sequence number of one schedule, built with callback
+    op entries (``in_place``) or with a pooled timeout and a succeeding
+    event at the same points, among timeouts created before and after."""
+    env = Environment()
+    log = []
+
+    def note(tag):
+        return lambda *_: log.append((tag, env.now))
+
+    engine = Resource(env, capacity=1) if in_place else _RequestEngine(env)
+
+    def step(delay, fn):
+        if in_place:
+            env.schedule_op(_Step(fn), delay)
+        else:
+            env.timeout(delay).callbacks.append(lambda _e: fn())
+
+    def grant(tag):
+        fn = note(tag)
+        engine.request(_Step(fn) if in_place else fn)
+
+    def release_at_one():
+        note("step-1")()
+        engine.release()  # grants "grant-b" now, behind "after-1"
+
+    env.timeout(0.0).callbacks.append(note("before-0"))
+    env.timeout(1.0).callbacks.append(note("before-1"))
+    step(0.0, note("step-0"))
+    step(1.0, release_at_one)
+    grant("grant-a")
+    grant("grant-b")
+    env.timeout(0.0).callbacks.append(note("after-0"))
+    env.timeout(1.0).callbacks.append(note("after-1"))
+    env.run()
+    return log, env._eid
+
+
+class TestCallbackOpSlots:
+    def test_op_steps_and_grants_take_timeout_and_request_slots(self):
+        ops = _slot_order(in_place=True)
+        assert ops == _slot_order(in_place=False)
+        assert ops == ([
+            ("before-0", 0.0), ("step-0", 0.0), ("grant-a", 0.0),
+            ("after-0", 0.0), ("before-1", 1.0), ("step-1", 1.0),
+            ("after-1", 1.0), ("grant-b", 1.0),
+        ], 8)

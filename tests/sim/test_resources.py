@@ -2,12 +2,32 @@
 
 import pytest
 
-from repro.sim import Environment, Resource, SimulationError, Store
+from repro.sim import CallbackOp, Environment, Resource, SimulationError, Store
 
 
 @pytest.fixture
 def env():
     return Environment()
+
+
+class _Op(CallbackOp):
+    """A callback op that logs ``(tag, now)`` when granted, then holds its
+    unit for ``hold`` before releasing it (None: keeps it)."""
+
+    __slots__ = ("env", "res", "tag", "hold", "log")
+
+    def __init__(self, env, res, tag, log, hold=None):
+        self.env, self.res, self.tag, self.log, self.hold = env, res, tag, log, hold
+        self._step = _Op._granted
+
+    def _granted(self):
+        self.log.append((self.tag, self.env.now))
+        if self.hold is not None:
+            self._step = _Op._release
+            self.env.schedule_op(self, self.hold)
+
+    def _release(self):
+        self.res.release()
 
 
 class TestResource:
@@ -17,79 +37,86 @@ class TestResource:
 
     def test_grant_within_capacity_is_immediate(self, env):
         res = Resource(env, capacity=2)
-        r1, r2 = res.request(), res.request()
-        assert r1.triggered and r2.triggered
-        assert res.count == 2
+        log = []
+        res.request(_Op(env, res, "a", log))
+        res.request(_Op(env, res, "b", log))
+        assert res.count == 2 and res.queue_len == 0
+        env.run()
+        assert log == [("a", 0.0), ("b", 0.0)]
 
     def test_over_capacity_waits(self, env):
         res = Resource(env, capacity=1)
-        r1 = res.request()
-        r2 = res.request()
-        assert r1.triggered and not r2.triggered
-        assert res.queue_len == 1
-        res.release(r1)
-        assert r2.triggered
-        assert res.count == 1
+        log = []
+        res.request(_Op(env, res, "a", log))
+        res.request(_Op(env, res, "b", log))
+        assert res.count == 1 and res.queue_len == 1
+        env.run()
+        assert log == [("a", 0.0)]
+        res.release()
+        assert res.count == 1 and res.queue_len == 0
+        env.run()
+        assert log == [("a", 0.0), ("b", 0.0)]
 
     def test_fifo_grant_order(self, env):
         res = Resource(env, capacity=1)
-        order = []
-
-        def user(name, hold):
-            with res.request() as req:
-                yield req
-                order.append((name, env.now))
-                yield env.timeout(hold)
-
+        log = []
         for i in range(4):
-            env.process(user(i, 1.0))
+            res.request(_Op(env, res, i, log, hold=1.0))
         env.run()
-        assert order == [(0, 0.0), (1, 1.0), (2, 2.0), (3, 3.0)]
+        assert log == [(0, 0.0), (1, 1.0), (2, 2.0), (3, 3.0)]
+        assert res.count == 0
 
-    def test_context_manager_releases(self, env):
+    def test_process_acquire_and_release(self, env):
         res = Resource(env, capacity=1)
+        log = []
+
+        def user(name):
+            yield res.acquire()
+            log.append((name, env.now))
+            yield env.timeout(1.0)
+            res.release()
+
+        for name in ("p", "q"):
+            env.process(user(name))
+        env.run()
+        assert log == [("p", 0.0), ("q", 1.0)]
+        assert res.count == 0
+
+    def test_ops_and_processes_share_one_fifo(self, env):
+        res = Resource(env, capacity=1)
+        log = []
+        res.request(_Op(env, res, "op", log, hold=1.0))
 
         def user():
-            with res.request() as req:
-                yield req
-                yield env.timeout(1.0)
+            yield res.acquire()
+            log.append(("process", env.now))
+            yield env.timeout(1.0)
+            res.release()
 
         env.process(user())
+        res.request(_Op(env, res, "late-op", log, hold=1.0))
         env.run()
-        assert res.count == 0
+        # The process asks when its init event runs, after late-op asked.
+        assert log == [("op", 0.0), ("late-op", 1.0), ("process", 2.0)]
 
-    def test_release_unknown_request_raises(self, env):
-        res_a = Resource(env, capacity=1)
-        res_b = Resource(env, capacity=1)
-        req = res_a.request()
+    def test_release_of_idle_resource_raises(self, env):
+        res = Resource(env, capacity=1)
         with pytest.raises(SimulationError):
-            res_b.release(req)
-
-    def test_release_queued_request_cancels_it(self, env):
-        res = Resource(env, capacity=1)
-        r1 = res.request()
-        r2 = res.request()
-        res.release(r2)  # cancel the queued one
-        assert res.queue_len == 0
-        res.release(r1)
-        assert res.count == 0
-
-    def test_cancel_waiting_request(self, env):
-        res = Resource(env, capacity=1)
-        res.request()
-        r2 = res.request()
-        r2.cancel()
-        assert res.queue_len == 0
+            res.release()
+        res.request(_Op(env, res, "a", []))
+        res.release()
+        with pytest.raises(SimulationError):
+            res.release()
 
     def test_parallel_capacity_two(self, env):
         res = Resource(env, capacity=2)
         finish = []
 
         def user(name):
-            with res.request() as req:
-                yield req
-                yield env.timeout(1.0)
-                finish.append((name, env.now))
+            yield res.acquire()
+            yield env.timeout(1.0)
+            finish.append((name, env.now))
+            res.release()
 
         for i in range(4):
             env.process(user(i))
