@@ -2,26 +2,28 @@
 
 Not a paper figure -- this measures the *simulator's own* hot loop (the
 event heap, the immediate lane, the pooled Timeout allocator, in-place
-engine grants), which is what the compiled-plan/pooled-event work
-optimizes. Two workloads, each with half its chains advancing by positive
-delays (heap path) and half by zero delays (immediate lane), which
-together mirror the mix the 5-stage pipeline generates:
+engine and pool grants), which is what the compiled-plan/pooled-event
+work optimizes. Three workloads, each with half its chains advancing by
+positive delays (heap path) and half by zero delays (immediate lane),
+which together mirror the mix the 5-stage pipeline generates:
 
 * a mesh of timeout-driven processes;
 * chains of callback ops, each step a capacity-1 engine grant and a timed
-  ``schedule_op`` step -- the path of every stream, HCA and chunk op.
+  ``schedule_op`` step -- the path of every stream, HCA and chunk op;
+* the same chains taking a pool buffer in place and putting it back
+  instead -- the path of every chunk op's tbuf and vbuf.
 
 Each kernel rate is printed beside its ratio to a bare ``heapq`` loop
 running the same chains in the same process (of generators, and of
 ``(time, seq, callable)`` entries); ``tests/perf/test_sim_throughput.py``
-guards both ratios.
+guards the three ratios.
 """
 
 import heapq
 import itertools
 import time
 
-from repro.sim import CallbackOp, Environment, Resource
+from repro.sim import CallbackOp, Environment, Resource, Store
 
 CHAINS = 64
 DEPTH = 2_000
@@ -95,13 +97,47 @@ class _ChainOp(CallbackOp):
             self._request()
 
 
-def run_op_workload() -> Environment:
+class _PoolChainOp(CallbackOp):
+    """A callback op taking the buffer of its pool in place, holding it
+    ``delay`` and putting it back, ``DEPTH`` times over."""
+
+    __slots__ = ("env", "pool", "delay", "left")
+
+    def __init__(self, env, delay):
+        self.env = env
+        self.pool = Store(env)
+        self.pool.put(bytearray(8))
+        self.delay = delay
+        self.left = DEPTH
+        self._request()
+
+    def _request(self):
+        self._step = _PoolChainOp._granted
+        self.pool.request(self)
+
+    def _granted(self):
+        self._step = _PoolChainOp._done
+        self.env.schedule_op(self, self.delay)
+
+    def _done(self):
+        self.pool.put(self.item)
+        self.left -= 1
+        if self.left:
+            self._request()
+
+
+def run_op_workload(chain=_ChainOp) -> Environment:
     """Drive the callback-op chains to completion; returns the environment."""
     env = Environment()
     for i in range(CHAINS):
-        _ChainOp(env, _delay(i))
+        chain(env, _delay(i))
     env.run()
     return env
+
+
+def run_pool_workload() -> Environment:
+    """Drive the pool-grant chains to completion; returns the environment."""
+    return run_op_workload(_PoolChainOp)
 
 
 def run_op_bare() -> int:
@@ -135,11 +171,13 @@ def run_op_bare() -> int:
 
 def measure(repeats: int = 3):
     """Best-of-N entries/second of the kernel and of the bare loop, for
-    the process mesh and for the callback-op chains."""
+    the process mesh and for the callback-op chains of engine and of pool
+    grants."""
     rates = {}
     for name, kernel_run, bare_run in (
         ("processes", run_workload, run_bare),
         ("callback ops", run_op_workload, run_op_bare),
+        ("pool grants", run_pool_workload, run_op_bare),
     ):
         kernel = bare = 0.0
         for _ in range(repeats):
@@ -157,11 +195,15 @@ def test_sim_event_throughput(benchmark):
     rates = benchmark.pedantic(measure, rounds=1, iterations=1)
     kernel, bare = rates["processes"]
     op_kernel, op_bare = rates["callback ops"]
+    pool_kernel, pool_bare = rates["pool grants"]
     benchmark.extra_info["events_per_second"] = round(kernel)
     benchmark.extra_info["ratio_to_bare_loop"] = round(kernel / bare, 3)
     benchmark.extra_info["op_entries_per_second"] = round(op_kernel)
     benchmark.extra_info["op_ratio_to_bare_loop"] = round(op_kernel / op_bare, 3)
+    benchmark.extra_info["pool_entries_per_second"] = round(pool_kernel)
+    benchmark.extra_info["pool_ratio_to_bare_loop"] = round(
+        pool_kernel / pool_bare, 3)
     for name, (k, b) in rates.items():
         print(f"\nsim throughput ({name}): {k / 1e6:.2f}M entries/s, "
               f"{k / b:.2f}x a bare heapq loop")
-    assert kernel > 0 and op_kernel > 0
+    assert kernel > 0 and op_kernel > 0 and pool_kernel > 0

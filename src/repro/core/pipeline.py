@@ -241,8 +241,8 @@ class GpuNcEngine:
     def _acquire_tbuf(self, endpoint, res):
         """Acquire a device staging chunk or degrade (a generator).
 
-        Runs only with recovery armed (a chunk op otherwise takes the
-        plain blocking acquire). A tbuf that cannot be had within
+        Runs only with recovery armed (a chunk op is otherwise granted a
+        tbuf in place by the pool). A tbuf that cannot be had within
         ``staging_timeout`` returns None: the chunk degrades from the
         GPU-offload path to the host-style strided-PCIe path instead of
         blocking the pipeline indefinitely.
@@ -395,9 +395,10 @@ class _ChunkOp(CallbackOp):
 
     It queues itself for its kick when created and then walks the stages
     of its description, each a plain method that continues on the event
-    its predecessor waits on (see :mod:`repro.sim.process`). A recovery
-    wait, armed, drives the recovery layer's generator inline; disarmed,
-    it is the plain acquire that generator wraps.
+    its predecessor waits on (see :mod:`repro.sim.process`). Disarmed,
+    the tbuf and vbuf pools grant it a buffer in place and the next step
+    reads it from ``item``; armed, the recovery layer's generator is
+    driven inline and hands its buffer over the same way.
     """
 
     __slots__ = ("transfer", "state", "i", "cp", "stages", "vbuf", "tbuf")
@@ -415,19 +416,21 @@ class _ChunkOp(CallbackOp):
         self._step = type(self)._on_kick
         transfer.endpoint.env.schedule_op(self)
 
-    def _acquire_tbuf(self, then) -> None:
-        """Get a device staging chunk; ``then`` sees it as the event value,
-        or None when the armed recovery layer degrades the chunk."""
+    def _acquire_tbuf(self, step) -> None:
+        """Get a device staging chunk, then run ``step``, which finds it
+        in ``item`` (None when the armed recovery layer degrades the
+        chunk)."""
         t = self.transfer
+        self._step = step
         if t.rec is None:
-            wait(t.res.tbufs.acquire(), then)
+            t.res.tbufs.request(self)
         else:
-            drive(t.engine._acquire_tbuf(t.endpoint, t.res), then)
+            drive(t.engine._acquire_tbuf(t.endpoint, t.res), self._take)
 
-    def _hold_tbuf(self, event) -> bool:
+    def _hold_tbuf(self) -> bool:
         """Keep the granted tbuf; False once the chunk has degraded to the
         host description (strided PCIe copy, no tbuf)."""
-        tbuf = event._value
+        tbuf = self.item
         if tbuf is None:
             self.stages = BACKENDS["host"]
             return False
@@ -457,12 +460,12 @@ class _SendChunkOp(_ChunkOp):
     def _on_kick(self) -> None:
         self.stages.count(self.cp.segs)
         if self.stages.packs:
-            self._acquire_tbuf(self._pack)
+            self._acquire_tbuf(_SendChunkOp._pack)
         else:
             self._acquire_vbuf()
 
-    def _pack(self, event) -> None:
-        if not self._hold_tbuf(event):
+    def _pack(self) -> None:
+        if not self._hold_tbuf():
             self._acquire_vbuf()
             return
         t = self.transfer
@@ -475,16 +478,17 @@ class _SendChunkOp(_ChunkOp):
     def _acquire_vbuf(self, _event=None) -> None:
         t = self.transfer
         pool = t.endpoint.send_vbufs
+        self._step = _SendChunkOp._copy
         if t.rec is None:
-            wait(pool.acquire(), self._copy)
+            pool.request(self)
         else:
-            drive(_proto.acquire_vbuf(t.endpoint, pool), self._copy)
+            drive(_proto.acquire_vbuf(t.endpoint, pool), self._take)
 
-    def _copy(self, event) -> None:
+    def _copy(self) -> None:
         t = self.transfer
         cp = self.cp
         buf = t.buf
-        vbuf = self.vbuf = event._value
+        vbuf = self.vbuf = self.item
         wait(t.res.d2h.enqueue(
             t.endpoint.cuda.gpu.engine_for(CopyKind.D2H), self._copy_cost(),
             lambda: cp.gather_into(buf, vbuf.view()),
@@ -544,12 +548,12 @@ class _DrainChunkOp(_ChunkOp):
         self.vbuf = self.state.staging[self.i]
         self.stages.count(self.cp.segs)
         if self.stages.packs:
-            self._acquire_tbuf(self._on_tbuf)
+            self._acquire_tbuf(_DrainChunkOp._on_tbuf)
         else:
             self._copy()
 
-    def _on_tbuf(self, event) -> None:
-        self._hold_tbuf(event)
+    def _on_tbuf(self) -> None:
+        self._hold_tbuf()
         self._copy()
 
     def _copy(self) -> None:

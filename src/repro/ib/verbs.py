@@ -15,10 +15,13 @@ The model keeps the properties the paper's protocol relies on:
 Each control send and RDMA write runs as a small callback op (see
 :mod:`repro.sim.process`): a kick, the TX engine granting the op in
 place, the wire time, then local completion and the remote delivery. The
-kick and the wire time are queue entries of the op itself, not timeouts.
+kick, the wire time and the delivery are queue entries of the op itself,
+not timeouts or events. A delivered control message goes into the
+receiving HCA's inbox, a :class:`~repro.sim.Store` that grants it in
+place to the progress daemon of the rank it is addressed to.
 
 Every remote-side effect -- an inbox deposit or an RDMA payload landing --
-is scheduled as a *wire-delivery event* (:meth:`Environment.schedule_wire`)
+is a *wire delivery*: the op queues itself (:meth:`Environment.schedule_wire`)
 keyed by ``(arrival time, source node, per-source sequence)``. The key is
 computed entirely from sender-local state, so the delivery order of
 same-instant arrivals is independent of how the simulation is partitioned:
@@ -32,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from ..sim import CallbackOp, Environment, Event, Store, Tracer, wait, wire_key
+from ..sim import CallbackOp, Environment, Event, Store, Tracer, wire_key
 from ..hw.config import HardwareConfig
 from ..hw.memory import BufferPtr
 from .faults import CancelToken, RdmaError
@@ -87,7 +90,8 @@ class HCA:
         self.tracer = tracer
         self.name = f"hca{node.node_id}"
         self.tx = Resource(env, capacity=1, name=f"{self.name}.tx")
-        #: Control messages land here; MPI progress engines block on get().
+        #: Control messages land here; each MPI progress daemon waits on
+        #: it (``request``) for the messages addressed to its rank.
         self.inbox: Store = Store(env, name=f"{self.name}.inbox")
         #: dst node id -> completion event label; building an f-string
         #: per control message is measurable on the hot path.
@@ -182,7 +186,8 @@ class _RdmaOp(CallbackOp):
 
     A callback op (see :mod:`repro.sim.process`): the kick consults the
     fault injector and requests the TX engine, one step covers the wire
-    time (two when stalled), and the last step completes the write.
+    time (two when stalled), the next completes the write, and the op is
+    queued once more under its wire key to land the payload.
     """
 
     __slots__ = ("hca", "src", "dst", "done", "token", "act", "start",
@@ -257,15 +262,16 @@ class _RdmaOp(CallbackOp):
             # owning shard injects the same keyed delivery at the arrival
             # instant. A post-completion token cancel is unreachable (the
             # retry layer only cancels attempts that never completed), so
-            # the in-flight check in _land has no cross-shard counterpart.
+            # the in-flight check in _on_land has no cross-shard counterpart.
             if data is not None:
                 hca.fabric.bridge.send_rdma(
                     dst.node_id, dst.offset, data, arrival, key,
                 )
             return
-        env.schedule_wire(arrival, key, self._land, label="wire-rdma")
+        self._step = _RdmaOp._on_land
+        env.schedule_wire(arrival, key, self)
 
-    def _land(self, _event) -> None:
+    def _on_land(self) -> None:
         if self.token is not None and self.token.cancelled:
             return
         if self.data is not None:
@@ -279,7 +285,8 @@ class _ControlOp(CallbackOp):
 
     A callback op (see :mod:`repro.sim.process`): the kick consults the
     fault injector and requests the TX engine, one step covers the wire
-    time, and the last step completes the send and schedules delivery.
+    time, and the next completes the send and queues the op under its
+    wire key (twice for an injected duplicate) to deposit the message.
     """
 
     __slots__ = ("hca", "dst", "payload", "size", "done", "act", "start")
@@ -350,13 +357,14 @@ class _ControlOp(CallbackOp):
                     src_node, dst_node, self.payload, dup_arrival, dup_key,
                 )
             return
-        env.schedule_wire(arrival, key, self._land, label="wire-ctl")
+        self._step = _ControlOp._on_land
+        env.schedule_wire(arrival, key, self)
         if duplicate:
-            env.schedule_wire(dup_arrival, dup_key, self._land, label="wire-ctl")
+            env.schedule_wire(dup_arrival, dup_key, self)
 
-    def _land(self, _event) -> None:
+    def _on_land(self) -> None:
         hca = self.hca
-        hca.fabric.hcas[self.dst].inbox.put_nowait(
+        hca.fabric.hcas[self.dst].inbox.put(
             ControlMessage(hca.node.node_id, self.dst, self.payload)
         )
 
@@ -383,9 +391,13 @@ class _LoopbackOp(CallbackOp):
         )
 
     def _on_copied(self) -> None:
-        node_id = self.hca.node.node_id
-        put = self.hca.inbox.put(ControlMessage(node_id, node_id, self.payload))
-        wait(put, self._on_put)
+        # The completion step goes first, into the slot a put event took
+        # before the inbox granted the message to its progress daemon.
+        hca = self.hca
+        node_id = hca.node.node_id
+        self._step = _LoopbackOp._on_delivered
+        hca.env.schedule_op(self)
+        hca.inbox.put(ControlMessage(node_id, node_id, self.payload))
 
-    def _on_put(self, _event) -> None:
+    def _on_delivered(self) -> None:
         self.done.succeed()

@@ -4,9 +4,10 @@ An :class:`Endpoint` is the library-internal half of one MPI process. It
 owns
 
 * the matching lists (posted receives / unexpected messages),
-* the **progress daemon**, a simulated process that services the HCA inbox
-  and dispatches control messages (eager payloads, RTS/CTS/FIN, and any
-  message types registered by the GPU pipeline) to handlers,
+* the **progress daemon**, a callback op that waits on the HCA inbox for
+  the control messages addressed to its rank and dispatches each (eager
+  payloads, RTS/CTS/FIN, and any message types registered by the GPU
+  pipeline) to its handler,
 * rendezvous bookkeeping (send/recv transaction states keyed by SSN),
 * the host staging-buffer pool (**vbufs**) used by staged rendezvous and by
   the GPU pipeline, pre-allocated and registered exactly like MVAPICH2's.
@@ -17,7 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from ..hw.memory import BufferPtr
-from ..sim import Event, Resource, Store
+from ..sim import CallbackOp, Event, Resource, Store
 from .matching import MatchLists
 from .status import MpiError
 
@@ -87,7 +88,10 @@ class VbufPool:
     """A pool of pre-registered, fixed-size host staging buffers.
 
     Mirrors MVAPICH2's vbuf pool: acquiring blocks (in simulation) when the
-    pool is drained, which is the library's natural flow control.
+    pool is drained, which is the library's natural flow control. A
+    callback op takes a vbuf in place (:meth:`request`); a process, or
+    the recovery layer's raced wait, yields :meth:`acquire`'s event.
+    Released vbufs are handed out again oldest first.
     """
 
     def __init__(self, env: "Environment", node: "Node", buf_bytes: int, count: int):
@@ -104,7 +108,7 @@ class VbufPool:
         # transfers touch a handful, and endpoint construction is on the
         # wall-clock critical path of every world. Acquire semantics are
         # unchanged -- a spare slice is deposited synchronously before the
-        # get, so blocking happens exactly when all `count` are in use.
+        # grant, so blocking happens exactly when all `count` are in use.
         self._spare = count
 
     @property
@@ -112,21 +116,39 @@ class VbufPool:
         return len(self._store) + self._spare
 
     @property
+    def waiting(self) -> int:
+        """Number of acquires not yet granted."""
+        return self._store.queue_len
+
+    @property
     def peak_in_use(self) -> int:
         """High-water mark of simultaneously-acquired buffers."""
         return self._peak
 
-    def acquire(self):
-        """Get one vbuf (an event; yield it)."""
+    def _mint(self) -> None:
+        """Deposit the next spare slice when no released vbuf is free."""
         if not len(self._store) and self._spare:
             i = self.count - self._spare
             self._spare -= 1
-            self._store.put_nowait(
+            self._store.put(
                 self._backing.sub(i * self.buf_bytes, self.buf_bytes)
             )
-        get = self._store.get()
+
+    def _note_peak(self) -> None:
         in_use = self.count - (len(self._store) + self._spare)
         self._peak = max(self._peak, in_use)
+
+    def request(self, op) -> None:
+        """Grant ``op`` one vbuf in place (see :meth:`Store.request`)."""
+        self._mint()
+        self._store.request(op)
+        self._note_peak()
+
+    def acquire(self):
+        """Get one vbuf (an event; yield it)."""
+        self._mint()
+        get = self._store.get()
+        self._note_peak()
         return get
 
     def cancel(self, get) -> bool:
@@ -159,7 +181,7 @@ class VbufPool:
                 raise MpiError(
                     f"double release of vbuf at offset {buf.offset}"
                 )
-        self._store.put_nowait(buf)
+        self._store.put(buf)
 
 
 class Endpoint:
@@ -242,9 +264,8 @@ class Endpoint:
         #: it between scans of the unexpected queue.
         self.arrival_event: Event = Event(self.env, label=f"arrival:{rank}")
         self._cpu_engine = f"cpu{node.node_id}"
-        self._daemon = self.env.process(
-            self._progress_loop(), name=f"progress:rank{rank}"
-        )
+        #: the progress daemon
+        self.progress = _ProgressOp(self)
 
     # -- identity ---------------------------------------------------------------
     def new_ssn(self) -> tuple:
@@ -282,20 +303,6 @@ class Endpoint:
             self.node_of_rank(dst_rank), payload, size_bytes=size_bytes
         )
 
-    def _progress_loop(self):
-        """The progress daemon: dispatch every inbound control message."""
-        while True:
-            msg = yield self.hca.inbox.get(
-                lambda m: isinstance(m.payload, dict)
-                and m.payload.get("dst_rank") == self.rank
-            )
-            payload = msg.payload
-            mtype = payload.get("type")
-            handler = self.handlers.get(mtype)
-            if handler is None:
-                raise MpiError(f"rank {self.rank}: no handler for {mtype!r}")
-            handler(self, payload)
-
     # -- CPU accounting helper ------------------------------------------------------
     def cpu_work(self, duration: float, label: str):
         """Occupy the host CPU for ``duration`` (a generator)."""
@@ -313,3 +320,39 @@ class Endpoint:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Endpoint rank={self.rank} node={self.node.node_id}>"
+
+
+class _ProgressOp(CallbackOp):
+    """The progress daemon of one endpoint (a callback op).
+
+    It waits on the HCA inbox for the next control message addressed to
+    its rank, which the inbox grants it in place, runs the handler
+    registered for the message type, and waits again. Its kick takes the
+    slot a process's init event would.
+    """
+
+    __slots__ = ("endpoint", "mine")
+
+    def __init__(self, endpoint: Endpoint):
+        self.endpoint = endpoint
+        rank = endpoint.rank
+        #: the inbox filter, built once: messages addressed to this rank
+        self.mine = lambda m: (
+            isinstance(m.payload, dict) and m.payload.get("dst_rank") == rank
+        )
+        self._step = _ProgressOp._on_kick
+        endpoint.env.schedule_op(self)
+
+    def _on_kick(self) -> None:
+        self._step = _ProgressOp._on_message
+        self.endpoint.hca.inbox.request(self, self.mine)
+
+    def _on_message(self) -> None:
+        endpoint = self.endpoint
+        payload = self.item.payload
+        mtype = payload.get("type")
+        handler = endpoint.handlers.get(mtype)
+        if handler is None:
+            raise MpiError(f"rank {endpoint.rank}: no handler for {mtype!r}")
+        handler(endpoint, payload)
+        endpoint.hca.inbox.request(self, self.mine)

@@ -117,7 +117,7 @@ class RecvState:
         vbuf = self.staging.pop(index)
         self.endpoint.recv_vbufs.release(vbuf)
         if self.drained is not None and self.next_grant < self.nchunks:
-            self.drained.put_nowait(index)
+            self.drained.put(index)
 
     def finish_chunk(self) -> None:
         """Mark one chunk fully landed; fires ``done`` on the last one."""
@@ -569,7 +569,7 @@ def acquire_vbuf(endpoint: Endpoint, pool):
     unlike tbufs there is nothing to degrade to -- instead a starved pool
     turns from a silent hang into a bounded, diagnosable failure. (A
     generator: callback ops drive it inline when recovery is armed and
-    call ``pool.acquire()`` directly otherwise.)
+    are granted a vbuf in place by ``pool.request(op)`` otherwise.)
     """
     rec = endpoint.recovery
     if rec is None:
@@ -854,8 +854,10 @@ class GrantOp(CallbackOp):
     Grants ``rendezvous_window`` chunks up front, then one more per drained
     chunk, so a message of any size flows through a bounded vbuf pool.
     Like every callback op (see :mod:`repro.sim.process`) it starts with
-    a kick, then advances on each vbuf acquisition, each CTS post and each
-    drained-chunk token.
+    a kick, then advances on each vbuf, each CTS post and each
+    drained-chunk token. The vbuf pool and the transaction's drained-chunk
+    store grant it in place; armed, a vbuf comes from the recovery layer's
+    raced wait instead.
     """
 
     __slots__ = ("endpoint", "state", "left", "start", "grants")
@@ -882,10 +884,11 @@ class GrantOp(CallbackOp):
         state = self.state
         if self.left > 0 and state.next_grant < state.nchunks:
             pool = endpoint.recv_vbufs
+            self._step = GrantOp._granted
             if endpoint.recovery is None:
-                wait(pool.acquire(), self._granted)
+                pool.request(self)
             else:
-                drive(acquire_vbuf(endpoint, pool), self._granted)
+                drive(acquire_vbuf(endpoint, pool), self._take)
         elif self.grants:
             wait(endpoint.post_control(
                 state.rts.envelope.src,
@@ -900,11 +903,11 @@ class GrantOp(CallbackOp):
         else:
             self._posted(None)
 
-    def _granted(self, event) -> None:
+    def _granted(self) -> None:
         state = self.state
         i = state.next_grant
         lo, hi = state.chunk_range(i)
-        vbuf = state.staging[i] = event._value
+        vbuf = state.staging[i] = self.item
         self.grants.append(self.endpoint.hca.register(vbuf.sub(0, hi - lo)))
         state.next_grant += 1
         self.left -= 1
@@ -913,9 +916,10 @@ class GrantOp(CallbackOp):
     def _posted(self, _event) -> None:
         state = self.state
         if state.next_grant < state.nchunks:
-            wait(state.drained.get(), self._drained)
+            self._step = GrantOp._drained
+            state.drained.request(self)
 
-    def _drained(self, _event) -> None:
+    def _drained(self) -> None:
         self._batch(1)
 
 

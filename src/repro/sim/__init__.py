@@ -2,7 +2,7 @@
 
 A from-scratch SimPy-like engine: generator-based processes and callback
 ops, an event heap with FIFO tie-breaking (fully deterministic runs),
-capacity resources that grant waiters in place, object stores and
+capacity resources and object stores that grant waiters in place, and
 interval tracing. Everything else in :mod:`repro` -- the GPU, the PCIe
 bus, the InfiniBand fabric, the MPI library -- is built on these
 primitives.
@@ -18,7 +18,7 @@ from .events import (
     Timeout,
 )
 from .process import CallbackOp, Process, ProcessGenerator, drive, wait
-from .resources import Resource, Store, StoreGet, StorePut
+from .resources import Resource, Store, StoreGet
 from .trace import FaultRecord, Interval, Tracer, union_duration
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "wait",
     "Resource",
     "Store",
-    "StorePut",
     "StoreGet",
     "Tracer",
     "Interval",

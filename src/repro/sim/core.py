@@ -12,10 +12,10 @@ from .process import CallbackOp, Process, ProcessGenerator
 
 __all__ = ["Environment", "EmptySchedule", "WIRE_KEY_BASE", "wire_key"]
 
-#: Heap keys at or above this value mark *wire delivery* events: the
+#: Heap keys at or above this value mark *wire deliveries*: the
 #: remote-side effects of cross-node fabric traffic (control-message inbox
 #: deposits and RDMA payload landings). They share the event queue with
-#: ordinary events but use a key derived from the *sending node* --
+#: ordinary entries but use a key derived from the *sending node* --
 #: ``(src_node, per-source sequence)`` -- instead of the global creation
 #: counter. Two consequences, both deliberate:
 #:
@@ -59,7 +59,8 @@ class Environment:
 
     * the binary heap holds events scheduled with a positive delay;
     * an O(1) *immediate lane* (a deque) holds zero-delay events -- the
-      vast majority (every ``succeed``, store dispatch and resource grant).
+      vast majority (every ``succeed``, op kick and store or resource
+      grant).
       Because the clock never moves backwards and the sequence number is
       monotonic, appended entries are already in key order, so the lane
       needs no sifting and the merge is a single head comparison.
@@ -70,9 +71,11 @@ class Environment:
 
     An entry is anything with a ``_process()`` method: an event, or a
     :class:`~repro.sim.process.CallbackOp` queued by :meth:`schedule_op`
-    or granted a :class:`~repro.sim.resources.Resource` in place.
+    or :meth:`schedule_wire`, or granted a
+    :class:`~repro.sim.resources.Resource` or
+    :class:`~repro.sim.resources.Store` in place.
 
-    Wire-delivery events (:meth:`schedule_wire`) carry keys above
+    Wire deliveries (:meth:`schedule_wire`) carry keys above
     ``WIRE_KEY_BASE`` instead of a creation sequence number: at any given
     instant they process after every locally-created event, ordered among
     themselves by ``(source node, per-source sequence)``. See the
@@ -205,14 +208,13 @@ class Environment:
         else:
             heapq.heappush(self._queue, (when, self._eid, event))
 
-    def schedule_wire(
-        self, when: float, key: int, callback, label: str = "wire"
-    ) -> Event:
-        """Schedule a wire-delivery event at ``when`` under ``key``.
+    def schedule_wire(self, when: float, key: int, entry: Any) -> None:
+        """Queue ``entry`` for a wire delivery at ``when`` under ``key``.
 
         ``key`` must come from :func:`wire_key`; see its docstring for the
-        ordering contract. The returned event is already triggered (value
-        ``None``) and fires ``callback(event)`` when processed. Used by the
+        ordering contract. ``entry`` is a queue entry (a
+        :class:`~repro.sim.process.CallbackOp` whose stored step lands the
+        delivery); an op may be queued under several keys. Used by the
         verbs layer for every cross-node delivery and by the shard bridge
         to inject granted cross-shard messages -- both compute the same key
         from the same sender-local counters, which is what makes sharded
@@ -222,14 +224,8 @@ class Environment:
             raise SimulationError(
                 f"cannot schedule wire delivery at {when} (now is {self._now})"
             )
-        assert key >= WIRE_KEY_BASE, "wire events must use wire_key()"
-        event = Event(self, label=label)
-        event._ok = True
-        event._value = None
-        event._state = TRIGGERED
-        event.callbacks.append(callback)
-        heapq.heappush(self._queue, (when, key, event))
-        return event
+        assert key >= WIRE_KEY_BASE, "wire deliveries must use wire_key()"
+        heapq.heappush(self._queue, (when, key, entry))
 
     def _clear_schedule(self) -> None:
         """Drop every scheduled entry (shard merge resets worker queues)."""

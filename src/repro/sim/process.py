@@ -7,18 +7,20 @@ is itself an event that triggers when the generator returns, so processes can
 wait on each other and be combined with ``AllOf``/``AnyOf``.
 
 Short-lived per-message work (control sends, RDMA writes, pipeline chunks)
-runs as *callback ops* instead: :class:`CallbackOp` objects that advance
-through plain step methods. An op stores its next step in ``_step`` and
-is then itself the queue entry, in the ``(time, seq)`` slot of the event
-a process would have yielded there: :meth:`Environment.schedule_op`
-queues its kick (where a process's init event would go) and each timed
-step (where the timeout would go), and :meth:`Resource.request` grants it
-an engine in place (where the grant event would go). On any other event
-it continues through a callback: :func:`wait` is its ``yield event``, and
-:func:`drive` runs one of the recovery layer's generators inline, as
-``yield from`` inside a process would. An op may append its callback
-straight onto an event it has just created: a fresh event cannot be
-processed yet.
+and each rank's progress daemon run as *callback ops* instead:
+:class:`CallbackOp` objects that advance through plain step methods. An
+op stores its next step in ``_step`` and is then itself the queue entry,
+in the ``(time, seq)`` slot of the event a process would have yielded
+there: :meth:`Environment.schedule_op` queues its kick (where a
+process's init event would go) and each timed step (where the timeout
+would go), :meth:`Environment.schedule_wire` queues a remote delivery
+under its wire key, and :meth:`Resource.request` grants it an engine
+and :meth:`Store.request` a buffer or a message in place (where the
+grant event would go). On any other event it continues through a
+callback: :func:`wait` is its ``yield event``, and :func:`drive` runs
+one of the recovery layer's generators inline, as ``yield from`` inside
+a process would. An op may append its callback straight onto an event
+it has just created: a fresh event cannot be processed yet.
 """
 
 from __future__ import annotations
@@ -105,12 +107,23 @@ class CallbackOp:
     processes the op's queue slot. A bound method stored on the op would
     make a reference cycle, leaving every finished op to the cyclic
     garbage collector instead of freeing it when the last event or engine
-    drops it.
+    drops it. A :class:`~repro.sim.resources.Store` that grants the op
+    leaves the item in ``item`` for that step to read.
     """
 
-    __slots__ = ("_step",)
+    __slots__ = ("_step", "item")
 
     def _process(self) -> None:
+        self._step(self)
+
+    def _take(self, event) -> None:
+        """Run the stored step with ``event``'s value as ``item``.
+
+        The callback for an event that stands in for a store grant: the
+        armed recovery layer's raced waits, driven inline, hand the op
+        their buffer this way.
+        """
+        self.item = event._value
         self._step(self)
 
 

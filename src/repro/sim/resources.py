@@ -1,8 +1,13 @@
 """Shared-resource primitives: FIFO resources and object stores.
 
 These are the building blocks for modeling hardware queues: a DMA engine is
-a ``Resource(capacity=1)``, a staging-buffer pool is a ``Store`` pre-filled
-with buffer objects, and so on.
+a ``Resource(capacity=1)``, a staging-buffer pool is a ``Store`` of buffer
+objects, an HCA inbox a ``Store`` of control messages, and so on.
+
+Both grant a waiting callback op in place: the op itself is queued in the
+``(time, seq)`` slot where a grant event would have succeeded, so neither
+allocates an event per grant. Processes, which can only yield events,
+take the event forms (:meth:`Resource.acquire`, :meth:`Store.get`).
 """
 
 from __future__ import annotations
@@ -16,7 +21,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from .core import Environment
     from .process import CallbackOp
 
-__all__ = ["Resource", "Store", "StorePut", "StoreGet"]
+__all__ = ["Resource", "Store", "StoreGet"]
+
+#: A store filter: accepts or rejects one item.
+Filter = Callable[[Any], bool]
+
+#: What :meth:`Store._take` returns when no item matches.
+_NONE = object()
 
 
 class Resource:
@@ -84,79 +95,93 @@ class Resource:
             self.env.schedule_op(waiter)
 
 
-class StorePut(Event):
-    __slots__ = ("item",)
-
-    def __init__(self, store: "Store", item: Any):
-        super().__init__(store.env, label=store._put_label)
-        self.item = item
-
-
 class StoreGet(Event):
-    __slots__ = ("filter",)
+    """The event :meth:`Store.get` returns; it succeeds with the item."""
 
-    def __init__(self, store: "Store", filt: Optional[Callable[[Any], bool]]):
-        super().__init__(store.env, label=store._get_label)
-        self.filter = filt
+    __slots__ = ()
 
 
 class Store:
-    """An unbounded-or-bounded FIFO store of Python objects.
+    """A FIFO store of Python objects that grants waiters in place.
 
-    ``get`` accepts an optional filter predicate, in which case the first
-    (oldest) matching item is returned -- used e.g. for MPI message matching
-    on mailboxes.
+    A waiter takes the oldest item its optional filter accepts (the
+    filter is how each MPI progress engine picks the messages addressed
+    to its rank out of a shared HCA inbox). As with :class:`Resource`, a
+    grant takes no event of its own: :meth:`request` queues a
+    :class:`~repro.sim.process.CallbackOp`, which finds the item in its
+    ``item`` slot when its stored step runs in the grant's slot, and
+    :meth:`get` queues a :class:`StoreGet` for a process to yield, which
+    succeeds with the item in that slot. :meth:`put` hands a deposit to
+    the oldest waiter whose filter accepts it, or keeps it.
     """
 
-    def __init__(self, env: "Environment", capacity: float = float("inf"), name: str = ""):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+    __slots__ = ("env", "name", "items", "_get_label", "_waiting")
+
+    def __init__(self, env: "Environment", name: str = ""):
         self.env = env
-        self.capacity = capacity
         self.name = name
-        self._put_label = f"put:{name}"
         self._get_label = f"get:{name}"
         self.items: list[Any] = []
-        self._putters: Deque[StorePut] = deque()
-        self._getters: Deque[StoreGet] = deque()
+        #: ``(waiter, filter)`` pairs in arrival order; a waiter is a
+        #: callback op or a StoreGet. No waiter accepts a kept item.
+        self._waiting: Deque[tuple] = deque()
 
     def __len__(self) -> int:
         return len(self.items)
 
-    def put(self, item: Any) -> StorePut:
-        event = StorePut(self, item)
-        self._putters.append(event)
-        self._dispatch()
-        return event
+    @property
+    def queue_len(self) -> int:
+        """Number of waiters not yet granted."""
+        return len(self._waiting)
 
-    def put_nowait(self, item: Any) -> None:
-        """Deposit an item without creating a put event.
+    def request(self, op: "CallbackOp", filt: Optional[Filter] = None) -> None:
+        """Queue ``op`` for the oldest item ``filt`` accepts.
 
-        For callers that ignore the returned event (pool pre-fill and
-        buffer release), the StorePut event is pure overhead: it succeeds
-        immediately and nothing ever waits on it. Skipping it removes one
-        allocation and one scheduled no-op per put; because the dropped
-        event has no callbacks, the relative order of all remaining events
-        is unchanged. Falls back to :meth:`put` when the deposit cannot
-        complete immediately (bounded store at capacity, or queued putters
-        whose FIFO turn must come first).
+        ``op.item`` receives the item and the op's stored step runs in
+        the ``(time, seq)`` slot of a zero-delay event succeeding at the
+        grant: now, when a kept item matches.
         """
-        if self._putters or len(self.items) >= self.capacity:
-            self.put(item)
-            return
-        self.items.append(item)
-        if self._getters:
-            self._dispatch()
+        item = self._take(filt)
+        if item is _NONE:
+            self._waiting.append((op, filt))
+        else:
+            op.item = item
+            self.env.schedule_op(op)
 
-    def get(self, filt: Optional[Callable[[Any], bool]] = None) -> StoreGet:
-        event = StoreGet(self, filt)
-        self._getters.append(event)
-        self._dispatch()
+    def get(self, filt: Optional[Filter] = None) -> StoreGet:
+        """An event that succeeds with the oldest item ``filt`` accepts
+        (for a process, or a wait raced against a timeout)."""
+        event = StoreGet(self.env, label=self._get_label)
+        item = self._take(filt)
+        if item is _NONE:
+            self._waiting.append((event, filt))
+        else:
+            event.succeed(item)
         return event
+
+    def put(self, item: Any) -> None:
+        """Deposit ``item``: the oldest waiter that accepts it is granted
+        it in place, or the store keeps it."""
+        waiting = self._waiting
+        if waiting:
+            for i, (waiter, filt) in enumerate(waiting):
+                if filt is None or filt(item):
+                    del waiting[i]
+                    if isinstance(waiter, Event):
+                        waiter.succeed(item)
+                    else:
+                        waiter.item = item
+                        self.env.schedule_op(waiter)
+                    return
+        self.items.append(item)
 
     def peek_items(self) -> tuple:
         """Snapshot of currently stored items (for inspection/tests)."""
         return tuple(self.items)
+
+    def peek_waiters(self) -> tuple:
+        """Snapshot of the waiting ops and events, oldest first."""
+        return tuple(waiter for waiter, _ in self._waiting)
 
     def cancel_get(self, get: StoreGet) -> bool:
         """Withdraw a pending get; returns False if it already triggered.
@@ -165,46 +190,19 @@ class Store:
         get that lost its race must be removed from the wait queue, or it
         would later steal an item nobody is waiting for.
         """
-        if get.triggered:
-            return False
-        try:
-            self._getters.remove(get)
-        except ValueError:
-            return False
-        return True
+        waiting = self._waiting
+        for i, (waiter, _) in enumerate(waiting):
+            if waiter is get:
+                del waiting[i]
+                return True
+        return False
 
-    def _dispatch(self) -> None:
-        # Allocation-free rendezvous loop (this runs once per put/get, the
-        # hottest non-numpy path in the simulator). Unsatisfied getters are
-        # rotated back onto the same deque in their original relative
-        # order, which matches the semantics of rebuilding the queue.
+    def _take(self, filt: Optional[Filter]) -> Any:
+        """Remove and return the oldest item ``filt`` accepts, or ``_NONE``."""
         items = self.items
-        getters = self._getters
-        putters = self._putters
-        while True:
-            progress = False
-            # Move queued puts into the store while capacity allows.
-            while putters and len(items) < self.capacity:
-                put = putters.popleft()
-                items.append(put.item)
-                put.succeed()
-                progress = True
-            # Satisfy getters (FIFO, skipping non-matching filters).
-            for _ in range(len(getters)):
-                get = getters.popleft()
-                idx = self._find(get.filter)
-                if idx is None:
-                    getters.append(get)
-                else:
-                    get.succeed(items.pop(idx))
-                    progress = True
-            if not progress:
-                return
-
-    def _find(self, filt: Optional[Callable[[Any], bool]]) -> Optional[int]:
         if filt is None:
-            return 0 if self.items else None
-        for i, item in enumerate(self.items):
+            return items.pop(0) if items else _NONE
+        for i, item in enumerate(items):
             if filt(item):
-                return i
-        return None
+                return items.pop(i)
+        return _NONE

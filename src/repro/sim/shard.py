@@ -35,7 +35,7 @@ Cross-shard traffic is cut at **send time**: the verbs layer
 (:mod:`repro.ib.verbs`) computes each operation's remote arrival timestamp
 in the sender's timeline and hands it to the :class:`ShardBridge` instead
 of touching the peer node's replica objects. Messages reach the owning
-shard with the next grant and are injected as plain events at the
+shard with the next grant and are queued as wire deliveries at the
 precomputed arrival time -- by the safety argument above, never in the
 receiver's past.
 
@@ -74,6 +74,7 @@ import numpy as np
 from ..perf.stats import PERF
 from .core import Environment
 from .events import SimulationError
+from .process import CallbackOp
 
 __all__ = ["ShardView", "ShardBridge", "run_sharded_world", "window_bounds"]
 
@@ -242,41 +243,54 @@ class ShardBridge:
 
     # -- receiver side -------------------------------------------------------
     def deliver(self, msgs: List[tuple]) -> None:
-        """Inject granted messages as wire events at their arrivals.
+        """Queue granted messages as wire deliveries at their arrivals.
 
         Payload references are materialized *now* (delivery receipt),
         because the sender recycles its staging half two rounds later
         while a far-future arrival may still be queued here. Each record
-        is injected through :meth:`Environment.schedule_wire` under the
-        sender's original wire key, landing at exactly the sequential
-        run's queue position.
+        becomes a :class:`_Delivery` queued through
+        :meth:`Environment.schedule_wire` under the sender's original wire
+        key, landing at exactly the sequential run's queue position.
         """
+        from ..ib.verbs import ControlMessage
+
         env = self.env
         for m in msgs:
             kind, arrival, key = m[0], m[1], m[2]
             if kind == "ctl":
-                cb = self._ctl_callback(m[4], m[5], m[6])
+                src_node, dst_node, payload = m[4], m[5], m[6]
+                entry = _Delivery(
+                    _Delivery._deposit, self.fabric.hcas[dst_node].inbox,
+                    ControlMessage(src_node, dst_node, payload),
+                )
             elif kind == "rdma":
-                data = self._fetch(m[6])
-                cb = self._rdma_callback(m[4], m[5], data)
+                entry = _Delivery(
+                    _Delivery._land, self.fabric.nodes[m[4]].memory,
+                    (m[5], self._fetch(m[6])),
+                )
             else:  # pragma: no cover - protocol error
                 raise SimulationError(f"unknown cross-shard message {kind!r}")
-            env.schedule_wire(arrival, key, cb, label=f"xshard-{kind}")
+            env.schedule_wire(arrival, key, entry)
 
-    def _ctl_callback(self, src_node: int, dst_node: int, payload: Any):
-        def apply(_event, self=self):
-            from ..ib.verbs import ControlMessage
 
-            self.fabric.hcas[dst_node].inbox.put_nowait(
-                ControlMessage(src_node, dst_node, payload)
-            )
-        return apply
+class _Delivery(CallbackOp):
+    """One granted cross-shard record, queued under its wire key: a
+    control message for an HCA inbox, or an ``(offset, bytes)`` RDMA
+    payload for a node's host memory."""
 
-    def _rdma_callback(self, dst_node: int, offset: int, data: np.ndarray):
-        def apply(_event, self=self):
-            node = self.fabric.nodes[dst_node]
-            node.memory.raw[offset : offset + data.nbytes] = data
-        return apply
+    __slots__ = ("target", "body")
+
+    def __init__(self, step, target, body):
+        self._step = step
+        self.target = target
+        self.body = body
+
+    def _deposit(self) -> None:
+        self.target.put(self.body)
+
+    def _land(self) -> None:
+        offset, data = self.body
+        self.target.raw[offset : offset + data.nbytes] = data
 
 
 # ---------------------------------------------------------------------------

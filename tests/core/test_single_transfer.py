@@ -21,7 +21,7 @@ from repro.core import GpuNcConfig
 from repro.hw import Cluster, KiB
 from repro.ib import FaultPlan, FaultSpec
 from repro.mpi import BYTE, Datatype, MpiWorld, wait_all
-from tests.audit import audit_drained
+from tests.audit import audit_drained, recording_drained_stores
 from tests.mpi.test_pack import slice_gather, slice_scatter
 
 CHUNK = 8 * KiB  # the eager threshold: a larger message is a rendezvous
@@ -124,12 +124,13 @@ def test_single_transfer_matches_slice_oracle(layout, src_dev, dst_dev,
             assert statuses[0].count_bytes == total
             return rbuf.view().copy()
 
-    got = world.run(program)
+    with recording_drained_stores() as drained:
+        got = world.run(program)
+        world.env.run()
     for rank in (0, 1) if both_ways else (1,):
         expected = background[rank].copy()
         payload = slice_gather(sent[1 - rank], element_runs(runs, extent, count),
                                0, total)
         slice_scatter(expected, element_runs(runs, extent, rcount), payload, 0)
         assert np.array_equal(got[rank], expected), f"rank {rank} receive"
-    world.env.run()
-    audit_drained(world)
+    audit_drained(world, drained)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.staging import TbufPool
+from repro.sim import CallbackOp
 from repro.cuda.runtime import CudaContext
 from repro.hw import Cluster
 from repro.mpi.endpoint import VbufPool
@@ -113,3 +114,59 @@ class TestOwnershipValidation:
         with pytest.raises(exc):
             pool.release(crooked)
         pool.release(buf)  # the real chunk still goes back fine
+
+
+class _Holder(CallbackOp):
+    """A callback op that keeps the buffer a pool grants it in place."""
+
+    __slots__ = ("held",)
+
+    def __init__(self, held):
+        self.held = held
+        self._step = _Holder._granted
+
+    def _granted(self):
+        self.held.append(self.item)
+
+
+@pytest.mark.parametrize("make", [_tbuf_pool, _vbuf_pool],
+                         ids=["tbuf", "vbuf"])
+class TestGrantOrder:
+    """The order in which buffers are handed out decides which staging
+    bytes a transfer touches, and the golden digests hash those bytes."""
+
+    @staticmethod
+    def _slot(pool, buf):
+        return (buf.offset - pool._backing.offset) // CHUNK
+
+    def _take(self, cluster, pool, n):
+        held = []
+        for _ in range(n):
+            pool.request(_Holder(held))
+        cluster.env.run()
+        return held
+
+    def test_released_buffers_reused_oldest_first_before_minting(self, make):
+        cluster = Cluster(1)
+        pool = make(cluster)
+        first = self._take(cluster, pool, 3)
+        assert [self._slot(pool, b) for b in first] == [0, 1, 2]
+        pool.release(first[1])
+        pool.release(first[0])
+        again = self._take(cluster, pool, 2)
+        assert [self._slot(pool, b) for b in again] == [1, 0]
+        assert pool._spare == COUNT - 3  # no slice minted while one was free
+        (fresh,) = self._take(cluster, pool, 1)
+        assert self._slot(pool, fresh) == 3 and pool._spare == 0
+
+    def test_drained_pool_grants_the_next_release(self, make):
+        cluster = Cluster(1)
+        pool = make(cluster)
+        held = self._take(cluster, pool, COUNT)
+        late = []
+        pool.request(_Holder(late))
+        cluster.env.run()
+        assert not late and pool.waiting == 1
+        pool.release(held[2])
+        cluster.env.run()
+        assert late == [held[2]] and pool.waiting == 0

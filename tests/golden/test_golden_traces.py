@@ -24,7 +24,7 @@ trace, a clock or a byte fails this test.
 Every sequential run doubles as a leak check: once its digest is taken,
 the environment runs until its queue is empty and
 :func:`tests.audit.audit_drained` asserts that no protocol state, staging
-buffer or engine hold is left.
+buffer, engine hold, inbox message or stray waiter is left.
 
 Print fresh digests, explain a mismatch, or regenerate after an intended
 behaviour change with::
@@ -64,7 +64,7 @@ from repro.mpi import BYTE, Datatype, MpiWorld
 from repro.mpi.pack import pack_bytes
 from repro.perf.ledger import recording
 from repro.sim.trace import Tracer
-from tests.audit import audit_drained
+from tests.audit import audit_drained, recording_drained_stores
 
 DIGEST_FILE = Path(__file__).with_name("digests.json")
 
@@ -126,11 +126,12 @@ def _captured_worlds(dump=False):
         sequential = self.cluster.shards == 1
         if sequential:
             self.cluster.tracer.enabled = True
-        out = original(self, program, *args, **kwargs)
-        digests.append(_world_digest(self.cluster, dump))
-        if sequential:
-            self.env.run()
-            audit_drained(self)
+        with recording_drained_stores() as drained:
+            out = original(self, program, *args, **kwargs)
+            digests.append(_world_digest(self.cluster, dump))
+            if sequential:
+                self.env.run()
+                audit_drained(self, drained)
         return out
 
     MpiWorld.run = run

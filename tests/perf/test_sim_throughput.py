@@ -1,6 +1,6 @@
 """Perf guards: simulator event throughput relative to a bare event loop.
 
-Two workloads, each half through the zero-delay immediate lane and half
+Three workloads, each half through the zero-delay immediate lane and half
 through the event heap:
 
 * a mesh of timeout-driven processes, against a bare ``heapq`` +
@@ -8,7 +8,10 @@ through the event heap:
 * chains of callback ops, each step a capacity-1 engine grant and a
   timed :meth:`~repro.sim.Environment.schedule_op` step (the path every
   stream, HCA and chunk op takes), against a bare ``heapq`` loop of
-  ``(time, seq, callable)`` entries.
+  ``(time, seq, callable)`` entries;
+* the same chains taking a buffer from a pool in place instead of an
+  engine, and putting it back (the path of every chunk op's tbuf and
+  vbuf), against the same bare loop.
 
 Each round runs a workload once on :class:`~repro.sim.Environment` and
 once on its bare loop, interleaved, and divides the kernel's queue
@@ -24,7 +27,7 @@ import time
 
 import pytest
 
-from repro.sim import CallbackOp, Environment, Resource
+from repro.sim import CallbackOp, Environment, Resource, Store
 
 pytestmark = pytest.mark.perf
 
@@ -34,6 +37,7 @@ ROUNDS = 7
 #: Median kernel/bare events-per-second ratios, pinned at the measured median.
 PINNED = 0.61
 PINNED_OPS = 0.91
+PINNED_POOL = 0.81
 
 
 def _delay(i: int) -> float:
@@ -112,11 +116,40 @@ class _ChainOp(CallbackOp):
             self._request()
 
 
-def kernel_op_entries_per_second() -> float:
+class _PoolChainOp(CallbackOp):
+    """A callback op taking the buffer of its pool in place, holding it
+    ``delay`` and putting it back, ``DEPTH`` times over."""
+
+    __slots__ = ("env", "pool", "delay", "left")
+
+    def __init__(self, env, delay):
+        self.env = env
+        self.pool = Store(env)
+        self.pool.put(bytearray(8))
+        self.delay = delay
+        self.left = DEPTH
+        self._request()
+
+    def _request(self):
+        self._step = _PoolChainOp._granted
+        self.pool.request(self)
+
+    def _granted(self):
+        self._step = _PoolChainOp._done
+        self.env.schedule_op(self, self.delay)
+
+    def _done(self):
+        self.pool.put(self.item)
+        self.left -= 1
+        if self.left:
+            self._request()
+
+
+def kernel_op_entries_per_second(chain=_ChainOp) -> float:
     env = Environment()
     start = time.perf_counter()
     for i in range(CHAINS):
-        _ChainOp(env, _delay(i))
+        chain(env, _delay(i))
     env.run()
     return env._eid / (time.perf_counter() - start)
 
@@ -150,11 +183,12 @@ def bare_op_entries_per_second() -> float:
     return entries / (time.perf_counter() - start)
 
 
-def measure_op_ratio() -> float:
+def measure_op_ratio(chain=_ChainOp) -> float:
     """Median over ``ROUNDS`` of kernel over bare-loop entries/s for the
-    callback-op chains."""
+    callback-op chains (of engine grants, or of pool grants with
+    ``chain=_PoolChainOp``)."""
     return statistics.median(
-        kernel_op_entries_per_second() / bare_op_entries_per_second()
+        kernel_op_entries_per_second(chain) / bare_op_entries_per_second()
         for _ in range(ROUNDS)
     )
 
@@ -174,4 +208,13 @@ def test_callback_op_throughput_within_30_percent_of_recorded():
     assert ratio >= floor, (
         f"callback-op steps fell to {ratio:.2f}x the entries/s of a bare "
         f"heapq loop (pinned {PINNED_OPS:.2f}x, floor {floor:.2f}x)"
+    )
+
+
+def test_pool_grant_throughput_within_30_percent_of_recorded():
+    ratio = measure_op_ratio(_PoolChainOp)
+    floor = 0.7 * PINNED_POOL
+    assert ratio >= floor, (
+        f"pool-grant op steps fell to {ratio:.2f}x the entries/s of a bare "
+        f"heapq loop (pinned {PINNED_POOL:.2f}x, floor {floor:.2f}x)"
     )

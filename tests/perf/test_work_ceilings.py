@@ -1,4 +1,5 @@
-"""Deterministic work ceilings: events, processes and timeouts per operation.
+"""Deterministic work ceilings: events, processes, timeouts and event
+objects per operation.
 
 Wall-clock guards depend on the host; these counts do not. Each count is
 the difference between a two-operation and a one-operation run of the
@@ -10,7 +11,14 @@ the failure names the value to pin.
 
 * ``events``: events scheduled (the environment's sequence counter);
 * ``processes``: :class:`~repro.sim.Process` instances started;
-* ``timeouts``: timeouts created (``event_pool_hit + event_pool_miss``).
+* ``timeouts``: timeouts created (``event_pool_hit + event_pool_miss``);
+* ``event_objects``: :class:`~repro.sim.Event` instances constructed,
+  subclasses included (a recycled timeout is not constructed again).
+
+The first three count queue slots: a grant or step that moves into a
+different slot changes them, and the golden digests say where. The last
+counts allocations: a grant made in place instead of through an event
+lowers it and leaves the other three as they were.
 
 Finished work must also be freed by reference counting: a Fig. 5 round
 trip leaves no cyclic garbage for the collector.
@@ -29,14 +37,16 @@ from repro.bench.vector_latency import make_nc_program
 from repro.hw import Cluster, HardwareConfig, MiB
 from repro.mpi import DOUBLE, FLOAT, Datatype, MpiWorld
 from repro.perf.stats import PERF
-from repro.sim import Process
+from repro.sim import Event, Process, StoreGet
 
 #: Per-operation ceilings, pinned at the measured counts.
 CEILINGS = {
     # One Figure 5 4 MiB MV2-GPU-NC round trip.
-    "fig5-4m": {"events": 2311, "processes": 4, "timeouts": 6},
+    "fig5-4m": {"events": 2311, "processes": 4, "timeouts": 6,
+                "event_objects": 533},
     # One 4x4 Stencil2D-MV2-GPU-NC iteration, 64x4096 local, timing only.
-    "stencil2d-4x4": {"events": 2464, "processes": 96, "timeouts": 112},
+    "stencil2d-4x4": {"events": 2464, "processes": 96, "timeouts": 112,
+                      "event_objects": 912},
 }
 
 
@@ -57,16 +67,23 @@ WORKLOADS = {"fig5-4m": _fig5, "stencil2d-4x4": _stencil}
 
 
 def _work(run, ops: int, monkeypatch) -> dict:
-    """Events, processes and timeouts of one ``run(ops)`` on a fresh world."""
-    envs, started = set(), [0]
+    """Events, processes, timeouts and event objects of one ``run(ops)``
+    on a fresh world."""
+    envs, started, made = set(), [0], [0]
     init = Process.__init__
+    event_init = Event.__init__
 
     def counting_init(self, env, *args, **kwargs):
         envs.add(env)
         started[0] += 1
         init(self, env, *args, **kwargs)
 
+    def counting_event_init(self, env, *args, **kwargs):
+        made[0] += 1
+        event_init(self, env, *args, **kwargs)
+
     monkeypatch.setattr(Process, "__init__", counting_init)
+    monkeypatch.setattr(Event, "__init__", counting_event_init)
     before = PERF.snapshot()
     run(ops)
     after = PERF.snapshot()
@@ -79,6 +96,7 @@ def _work(run, ops: int, monkeypatch) -> dict:
             after.get(k, 0) - before.get(k, 0)
             for k in ("event_pool_hit", "event_pool_miss")
         ),
+        "event_objects": made[0],
     }
 
 
@@ -97,6 +115,22 @@ def test_work_per_operation_within_ceiling(name, monkeypatch):
         f"{name}: per-operation work fell below its ceiling; ratchet "
         f"CEILINGS[{name!r}] down to {stale}"
     )
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_disarmed_runs_create_no_store_get(name, monkeypatch):
+    """Pools, drained-chunk stores and inboxes grant their ops in place;
+    only processes and the armed recovery layer take a get event."""
+    made = [0]
+    init = StoreGet.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StoreGet, "__init__", counting_init)
+    WORKLOADS[name](1)
+    assert made[0] == 0
 
 
 def test_round_trips_leave_no_cyclic_garbage():

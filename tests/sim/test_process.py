@@ -4,7 +4,9 @@ from collections import deque
 
 import pytest
 
-from repro.sim import CallbackOp, Environment, Resource, SimulationError, drive, wait
+from repro.sim import (
+    CallbackOp, Environment, Resource, SimulationError, Store, drive, wait,
+)
 
 
 @pytest.fixture
@@ -323,6 +325,61 @@ def _slot_order(in_place: bool):
     return log, env._eid
 
 
+class _Take(CallbackOp):
+    """A callback op that calls ``fn(item)`` once a store grants it."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+        self._step = _Take._run
+
+    def _run(self):
+        self.fn(self.item)
+
+
+def _store_slot_order(in_place: bool):
+    """Log and final sequence number of one schedule in which a store
+    grants ops in place (``in_place``) or succeeds a ``StoreGet`` per
+    waiter, at the same points, among timeouts created before and after.
+
+    One item is in the store when it is asked for; later, a put passes a
+    filtered waiter that does not accept it, queued ahead of one that does.
+    """
+    env = Environment()
+    store = Store(env)
+    log = []
+
+    def note(tag):
+        return lambda *_: log.append((tag, env.now))
+
+    def take(tag, filt=None):
+        def fn(item):
+            log.append((f"{tag}={item}", env.now))
+
+        if in_place:
+            store.request(_Take(fn), filt)
+        else:
+            store.get(filt).callbacks.append(lambda e: fn(e.value))
+
+    def put_at_one():
+        note("step-1")()
+        store.put("other")  # passes "picky", grants "any" behind "after-1"
+        store.put("wanted")
+
+    store.put("early")
+    env.timeout(0.0).callbacks.append(note("before-0"))
+    env.timeout(1.0).callbacks.append(note("before-1"))
+    take("present")
+    take("picky", lambda item: item == "wanted")
+    take("any")
+    env.timeout(1.0).callbacks.append(lambda _e: put_at_one())
+    env.timeout(0.0).callbacks.append(note("after-0"))
+    env.timeout(1.0).callbacks.append(note("after-1"))
+    env.run()
+    return log, env._eid
+
+
 class TestCallbackOpSlots:
     def test_op_steps_and_grants_take_timeout_and_request_slots(self):
         ops = _slot_order(in_place=True)
@@ -331,4 +388,13 @@ class TestCallbackOpSlots:
             ("before-0", 0.0), ("step-0", 0.0), ("grant-a", 0.0),
             ("after-0", 0.0), ("before-1", 1.0), ("step-1", 1.0),
             ("after-1", 1.0), ("grant-b", 1.0),
+        ], 8)
+
+    def test_store_grants_take_store_get_slots(self):
+        ops = _store_slot_order(in_place=True)
+        assert ops == _store_slot_order(in_place=False)
+        assert ops == ([
+            ("before-0", 0.0), ("present=early", 0.0), ("after-0", 0.0),
+            ("before-1", 1.0), ("step-1", 1.0), ("after-1", 1.0),
+            ("any=other", 1.0), ("picky=wanted", 1.0),
         ], 8)

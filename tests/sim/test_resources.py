@@ -124,6 +124,19 @@ class TestResource:
         assert finish == [(0, 1.0), (1, 1.0), (2, 2.0), (3, 2.0)]
 
 
+class _Taker(CallbackOp):
+    """A callback op that logs ``(tag, item, now)`` once a store grants it."""
+
+    __slots__ = ("env", "tag", "log")
+
+    def __init__(self, env, tag, log):
+        self.env, self.tag, self.log = env, tag, log
+        self._step = _Taker._granted
+
+    def _granted(self):
+        self.log.append((self.tag, self.item, self.env.now))
+
+
 class TestStore:
     def test_put_then_get(self, env):
         store = Store(env)
@@ -145,7 +158,7 @@ class TestStore:
 
         def producer():
             yield env.timeout(3.0)
-            yield store.put("late")
+            store.put("late")
 
         env.process(consumer())
         env.process(producer())
@@ -188,35 +201,12 @@ class TestStore:
 
         def producer():
             yield env.timeout(2.0)
-            yield store.put("yes")
+            store.put("yes")
 
         p = env.process(consumer())
         env.process(producer())
         assert env.run(p) == ("yes", 2.0)
         assert store.peek_items() == ("nope",)
-
-    def test_bounded_capacity_blocks_put(self, env):
-        store = Store(env, capacity=1)
-        done = []
-
-        def producer():
-            yield store.put("a")
-            done.append(("a", env.now))
-            yield store.put("b")
-            done.append(("b", env.now))
-
-        def consumer():
-            yield env.timeout(5.0)
-            yield store.get()
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert done == [("a", 0.0), ("b", 5.0)]
-
-    def test_capacity_validation(self, env):
-        with pytest.raises(ValueError):
-            Store(env, capacity=0)
 
     def test_len(self, env):
         store = Store(env)
@@ -237,9 +227,89 @@ class TestStore:
 
         def producer():
             yield env.timeout(1.0)
-            yield store.put("x")
-            yield store.put("y")
+            store.put("x")
+            store.put("y")
 
         env.process(producer())
         env.run()
         assert got == [("first", "x"), ("second", "y")]
+
+    def test_request_takes_a_kept_item_at_once(self, env):
+        store = Store(env)
+        store.put("a")
+        store.put("b")
+        log = []
+        store.request(_Taker(env, "op", log))
+        assert store.peek_items() == ("b",) and store.queue_len == 0
+        env.run()
+        assert log == [("op", "a", 0.0)]
+
+    def test_request_waits_for_put(self, env):
+        store = Store(env)
+        log = []
+        op = _Taker(env, "op", log)
+        store.request(op)
+        assert store.queue_len == 1 and store.peek_waiters() == (op,)
+        env.run()
+        assert log == []
+        store.put("late")
+        assert store.queue_len == 0 and len(store) == 0
+        env.run()
+        assert log == [("op", "late", 0.0)]
+
+    def test_put_skips_waiters_whose_filter_rejects_it(self, env):
+        store = Store(env)
+        log = []
+        picky = _Taker(env, "picky", log)
+        store.request(picky, lambda x: x == "wanted")
+        store.request(_Taker(env, "any", log))
+        store.put("other")
+        assert store.peek_waiters() == (picky,)
+        store.put("wanted")
+        env.run()
+        assert log == [("any", "other", 0.0), ("picky", "wanted", 0.0)]
+
+    def test_filtered_request_leaves_rejected_items(self, env):
+        store = Store(env)
+        for i in range(4):
+            store.put(i)
+        log = []
+        store.request(_Taker(env, "odd", log), lambda x: x % 2 == 1)
+        env.run()
+        assert log == [("odd", 1, 0.0)]
+        assert store.peek_items() == (0, 2, 3)
+
+    def test_ops_and_processes_share_one_fifo(self, env):
+        store = Store(env)
+        log = []
+        store.request(_Taker(env, "op", log))
+
+        def user():
+            item = yield store.get()
+            log.append(("process", item, env.now))
+
+        env.process(user())
+        env.run()
+        store.request(_Taker(env, "late-op", log))
+        for item in ("x", "y", "z"):
+            store.put(item)
+        env.run()
+        assert log == [("op", "x", 0.0), ("process", "y", 0.0),
+                       ("late-op", "z", 0.0)]
+
+    def test_cancel_get_withdraws_a_waiter(self, env):
+        store = Store(env)
+        get = store.get()
+        assert store.cancel_get(get)
+        assert store.queue_len == 0
+        store.put("kept")
+        assert store.peek_items() == ("kept",)
+        assert not get.triggered
+        assert not store.cancel_get(get)
+
+    def test_cancel_get_after_grant_returns_false(self, env):
+        store = Store(env)
+        get = store.get()
+        store.put("x")
+        assert get.triggered and get.value == "x"
+        assert not store.cancel_get(get)

@@ -17,7 +17,7 @@ from repro.apps import StencilConfig, run_stencil
 from repro.hw import Cluster
 from repro.ib.faults import FaultPlan, FaultSpec
 from repro.mpi import BYTE, Datatype, MpiWorld
-from repro.sim import Environment, Tracer, WIRE_KEY_BASE, wire_key
+from repro.sim import CallbackOp, Environment, Tracer, WIRE_KEY_BASE, wire_key
 
 
 # -- core primitives ------------------------------------------------------------
@@ -68,12 +68,25 @@ class TestRunWindow:
         assert env.last_event_time == 7.0
 
 
+class _Landing(CallbackOp):
+    """A wire-delivery entry that appends ``tag`` to ``order`` each time
+    it is processed."""
+
+    __slots__ = ("order", "tag")
+
+    def __init__(self, order, tag):
+        self.order, self.tag = order, tag
+        self._step = _Landing._land
+
+    def _land(self):
+        self.order.append(self.tag)
+
+
 class TestWireKeys:
     def test_wire_events_follow_local_events_at_same_instant(self):
         env = Environment()
         order = []
-        env.schedule_wire(1.0, wire_key(0, 1),
-                          lambda _ev: order.append("wire"))
+        env.schedule_wire(1.0, wire_key(0, 1), _Landing(order, "wire"))
         _schedule(env, 1.0, lambda _ev: order.append("local"))
         env.run()
         assert order == ["local", "wire"]
@@ -82,12 +95,20 @@ class TestWireKeys:
         env = Environment()
         order = []
         for src, seq in [(2, 1), (0, 2), (1, 1), (0, 1)]:
-            env.schedule_wire(
-                1.0, wire_key(src, seq),
-                lambda _ev, s=(src, seq): order.append(s),
-            )
+            env.schedule_wire(1.0, wire_key(src, seq),
+                              _Landing(order, (src, seq)))
         env.run()
         assert order == [(0, 1), (0, 2), (1, 1), (2, 1)]
+
+    def test_one_entry_lands_once_per_key(self):
+        """An injected duplicate queues the same op under a second key."""
+        env = Environment()
+        order = []
+        entry = _Landing(order, "ctl")
+        env.schedule_wire(1.0, wire_key(0, 1), entry)
+        env.schedule_wire(1.5, wire_key(0, 2), entry)
+        env.run()
+        assert order == ["ctl", "ctl"] and env.now == 1.5
 
     def test_wire_key_layout(self):
         assert wire_key(0, 1) > WIRE_KEY_BASE
