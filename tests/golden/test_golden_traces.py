@@ -16,10 +16,12 @@ digest every interval. The digests pin the behaviour of the paper
 experiments, the fault matrix, the collectives, the datatype zoo, a
 32-rank stencil at shards 1 and 2, and ``paths:quick``: one transfer down
 each rendezvous path no experiment takes (the host and NIC backends, the
-contiguous device pipeline, the staged host rendezvous and the tbuf
-degrade), fault-free and under recovery, plus eager host-to-device
-deliveries, contiguous and strided, offloaded and not. Any change to a
-trace, a clock or a byte fails this test.
+contiguous device pipeline, the staged and the zero-copy host rendezvous,
+host-to-device and device-to-host rendezvous and the tbuf degrade),
+fault-free and under recovery, a zero-byte synchronous send between
+device buffers, plus eager host-to-device deliveries, contiguous and
+strided, offloaded and not. Any change to a trace, a clock or a byte
+fails this test.
 
 Every sequential run doubles as a leak check: once its digest is taken,
 the environment runs until its queue is empty and
@@ -198,9 +200,10 @@ _PATH_FAULTS = {
 
 
 def _transfer(space, layout, rows, specs=(), gpu_config=None,
-              recovery=None, src_space=None):
-    """One byte-verified rank 0 -> rank 1 transfer of ``rows`` 4-byte rows
-    into a buffer in ``space`` ("device" or "host"), sent from a buffer in
+              recovery=None, src_space=None, count=1, send="Send"):
+    """One byte-verified rank 0 -> rank 1 transfer of ``count`` elements
+    of ``rows`` 4-byte rows into a buffer in ``space`` ("device" or
+    "host"), sent with ``send`` ("Send" or "Ssend") from a buffer in
     ``src_space`` (default: the same)."""
     if layout == "strided":
         dtype = Datatype.hvector(rows, 4, 8, BYTE).commit()
@@ -219,15 +222,15 @@ def _transfer(space, layout, rows, specs=(), gpu_config=None,
             buf = ctx.node.malloc_host(span)
         if ctx.rank == 0:
             buf.view()[:] = np.arange(span, dtype=np.uint64) % 241
-            yield from ctx.comm.Send(buf, 1, dtype, dest=1)
+            yield from getattr(ctx.comm, send)(buf, count, dtype, dest=1)
         else:
             buf.view()[:] = 0
-            yield from ctx.comm.Recv(buf, 1, dtype, source=0)
+            yield from ctx.comm.Recv(buf, count, dtype, source=0)
         return buf
 
     sent, received = world.run(program, until=1.0)
-    assert np.array_equal(pack_bytes(sent, dtype, 1),
-                          pack_bytes(received, dtype, 1))
+    assert np.array_equal(pack_bytes(sent, dtype, count),
+                          pack_bytes(received, dtype, count))
 
 
 def _paths(dump=False):
@@ -256,10 +259,28 @@ def _paths(dump=False):
             cases.append((f"eager {layout}/{path}", (
                 "device", layout, 1536, (), config, None, "host",
             )))
+    # Mixed rendezvous: the two sides' buffers live in different spaces.
+    for src, dst in (("host", "device"), ("device", "host")):
+        for layout in ("contig", "strided"):
+            cases.append((f"{src}-to-{dst} {layout}/none", (
+                dst, layout, 2 << 14, (), None, None, src,
+            )))
+        for fault in ("rdma fail x2", "drop fin"):
+            cases.append((f"{src}-to-{dst} strided/{fault}", (
+                dst, "strided", 2 << 14, _PATH_FAULTS[fault], None, None, src,
+            )))
+    # The zero-copy host rendezvous: windows of the user buffers.
+    for fault, specs in _PATH_FAULTS.items():
+        cases.append((f"host contig rdv/{fault}",
+                      ("host", "contig", 2 << 14, specs)))
+    # A zero-byte synchronous send from device memory into device memory.
+    cases.append(("zero-byte ssend", (
+        "device", "contig", 16, (), None, None, None, 0, "Ssend",
+    )))
     with _captured_worlds(dump) as worlds:
         for _, args in cases:
             _transfer(*args)
-    assert len(worlds) == len(cases) == 17
+    assert len(worlds) == len(cases) == 29
     return {f":{name}": d for (name, _), d in zip(cases, worlds)}
 
 
