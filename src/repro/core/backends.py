@@ -39,6 +39,13 @@ with the chunk's one gather or scatter.
     Not a choosable backend: the description every contiguous layout
     walks, one contiguous copy and no pack stage.
 
+A rendezvous out of or into *host* memory walks the same chunk ops over
+one of two host-buffer descriptions (:func:`host_stages`), MVAPICH2's
+host rendezvous: :data:`ZERO_COPY` for a contiguous datatype, whose
+chunks the HCA reads from and writes to the user buffer directly, and
+otherwise a CPU pack (send) or unpack (drain) of each chunk on the node
+CPU into or out of a vbuf, charged as the MPI library's host pack.
+
 The module also carries the *modeled* per-chunk cost of each backend
 (:func:`modeled_chunk_cost`), which charges the same cost functions the
 chunk ops charge, and the Hunold/Träff guideline guard
@@ -68,11 +75,13 @@ __all__ = [
     "BACKEND_NAMES",
     "CONTIGUOUS",
     "DEFAULT_BACKEND",
+    "ZERO_COPY",
     "NIC_RING_OVERHEAD",
     "NIC_DESC_COST",
     "NIC_MAX_DESCRIPTORS",
     "GUIDELINE_TOLERANCE",
     "contiguous_copy_cost",
+    "host_stages",
     "nic_offload_cost",
     "strided_pcie_cost",
     "modeled_chunk_cost",
@@ -152,31 +161,41 @@ class Stages:
     """A backend, described by the stages its chunks walk.
 
     The chunk ops of :mod:`repro.core.pipeline` walk these stages for
-    every device chunk:
+    every rendezvous chunk:
 
     * send: (tbuf, pack) -> vbuf -> copy -> (release tbuf) -> RDMA write;
     * drain: (tbuf) -> copy -> release the vbuf -> (unpack, release tbuf).
 
-    The stages in parentheses exist only when the description ``packs``.
+    The stages in parentheses exist only when the description ``packs``;
+    a description without a copy stage (``copy_cost`` None) takes no vbuf
+    either: the HCA reads and writes the user buffer itself.
     """
 
-    __slots__ = ("packs", "copy_cost", "labels", "counter", "segment_counter")
+    __slots__ = ("packs", "copy_cost", "labels", "counter", "segment_counter",
+                 "host_buffer")
 
-    def __init__(self, packs: bool, copy_cost: Callable[..., float],
-                 labels: Tuple[str, str, str], counter: Optional[str] = None,
-                 segment_counter: Optional[str] = None):
+    def __init__(self, packs: bool, copy_cost: Optional[Callable[..., float]],
+                 labels: Optional[Tuple[str, str, str]],
+                 counter: Optional[str] = None,
+                 segment_counter: Optional[str] = None,
+                 host_buffer: bool = False):
         #: Whether a GPU kernel on the exec engine packs (send) or unpacks
         #: (drain) the chunk while a device staging buffer (tbuf) is held.
         self.packs = packs
-        #: ``copy_cost(cfg, segs)``: duration of the PCIe copy stage that
-        #: moves the chunk between device memory and its host vbuf.
+        #: ``copy_cost(cfg, segs)``: duration of the copy stage that moves
+        #: the chunk between the user buffer and its vbuf, or None.
         self.copy_cost = copy_cost
         #: Trace label of that copy: send and drain formats of the chunk
-        #: index, and the label of every eager-delivery copy.
+        #: index (a host buffer's carry none), and the label of every
+        #: eager-delivery copy.
         self.labels = labels
         #: PERF counter of the chunks moved, and of their segments.
         self.counter = counter
         self.segment_counter = segment_counter
+        #: A host buffer's description: its copy runs on the node CPU, and
+        #: its send moves one chunk at a time at the receiver's chunk size,
+        #: each once its predecessor's FIN is posted and its grant is in.
+        self.host_buffer = host_buffer
 
     def count(self, segs: "SegmentList") -> None:
         """Count one chunk of ``segs`` moved under this description."""
@@ -205,6 +224,30 @@ BACKEND_NAMES = tuple(sorted(BACKENDS))
 #: buffer and the vbuf. Not a choosable backend, and not counted.
 CONTIGUOUS = Stages(False, contiguous_copy_cost,
                     ("d2h[%d]:d2h", "h2d[%d]:h2d", "eager-h2d:h2d"))
+
+#: A contiguous host buffer: no copy stage, the chunks are windows of the
+#: user buffer.
+ZERO_COPY = Stages(False, None, None, host_buffer=True)
+#: Any other host buffer: the CPU pack of a strided layout, or the plain
+#: copy of one whose whole layout is one run, whatever its chunk's
+#: segments -- the two branches of
+#: :func:`repro.mpi.pack.host_pack_range_time`.
+_HOST_LABELS = ("pack:rdv", "unpack:rdv", None)
+_HOST_PACK = Stages(
+    False, lambda cfg, segs: cfg.host_pack_time(segs.count, segs.total_bytes),
+    _HOST_LABELS, host_buffer=True)
+_HOST_COPY = Stages(
+    False, lambda cfg, segs: segs.total_bytes / cfg.host_memcpy_bandwidth,
+    _HOST_LABELS, host_buffer=True)
+
+
+def host_stages(dtype: "Datatype", count: int) -> Stages:
+    """The description of a host buffer of ``count`` elements of ``dtype``."""
+    if dtype.is_contiguous:
+        return ZERO_COPY
+    if dtype.segments_for_count(count).count <= 1:
+        return _HOST_COPY
+    return _HOST_PACK
 
 
 def modeled_chunk_cost(name: str, cfg, dtype: "Datatype", count: int,

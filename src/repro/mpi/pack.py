@@ -34,7 +34,6 @@ __all__ = [
     "pack_into",
     "unpack_from",
     "pack_range_bytes",
-    "pack_range_into",
     "unpack_range_from",
     "unpack_array_into",
     "strided_rows_equal",
@@ -174,20 +173,6 @@ def pack_range_bytes(
     out = np.empty(segs.total_bytes, np.uint8)
     gather_into(buf, segs, out)
     return out
-
-
-def pack_range_into(
-    buf: BufferPtr, dtype: Datatype, count: int, lo: int, hi: int,
-    out: np.ndarray,
-) -> None:
-    """Pack range ``[lo, hi)`` straight into contiguous ``out[: hi - lo]``.
-
-    The allocation-free variant of :func:`pack_range_bytes` used by the
-    staged host send path: gathering directly into the wire staging buffer
-    fuses the pack and the stage copy into one movement.
-    """
-    check_buffer_bounds(buf, dtype, count)
-    gather_into(buf, dtype.segments_for_range(count, lo, hi), out)
 
 
 def unpack_range_from(

@@ -6,7 +6,8 @@ The subsystem has three parts (see DESIGN.md §9):
   message-size buckets, the tuning-table key;
 * :mod:`repro.tune.table` -- the persisted, cluster-hash-keyed
   :class:`TuningTable` with nearest-bucket lookup, and the runtime
-  :func:`tuned_chunk_pref` hook the transfer engine calls at RTS time;
+  :func:`tuned_transfer_choice` hook the transfer engine calls at RTS
+  time;
 * :mod:`repro.tune.search` -- the deterministic grid +
   successive-halving search (imported lazily here: it pulls in the bench
   harness, which the runtime lookup path must not).
@@ -32,7 +33,6 @@ from .table import (
     active_provenance,
     cluster_config_hash,
     table_path,
-    tuned_chunk_pref,
     tuned_transfer_choice,
     tuning_dir,
 )
@@ -50,7 +50,6 @@ __all__ = [
     "active_provenance",
     "cluster_config_hash",
     "table_path",
-    "tuned_chunk_pref",
     "tuned_transfer_choice",
     "tuning_dir",
 ]

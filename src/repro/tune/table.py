@@ -40,7 +40,6 @@ __all__ = [
     "cluster_config_hash",
     "tuning_dir",
     "table_path",
-    "tuned_chunk_pref",
     "tuned_transfer_choice",
     "active_provenance",
 ]
@@ -439,12 +438,3 @@ def tuned_transfer_choice(table, datatype, count: int, total_bytes: int,
         PERF.bump("tune_chunk_clamped")
     return choice
 
-
-def tuned_chunk_pref(table, datatype, count: int, total_bytes: int,
-                     cap: int, memo: Optional[dict] = None,
-                     ctx: Optional[str] = None) -> Optional[int]:
-    """Chunk-size-only view of :func:`tuned_transfer_choice` (or None)."""
-    choice = tuned_transfer_choice(
-        table, datatype, count, total_bytes, cap, memo=memo, ctx=ctx
-    )
-    return None if choice is None else choice.chunk_bytes

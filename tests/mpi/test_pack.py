@@ -14,7 +14,6 @@ from repro.mpi.pack import (
     pack_bytes,
     pack_into,
     pack_range_bytes,
-    pack_range_into,
     unpack_array_into,
     unpack_from,
     unpack_range_from,
@@ -315,11 +314,7 @@ def test_every_entry_point_matches_slice_oracle(layout, count, base, data):
     assert np.array_equal(pack_bytes(buf, dtype, count), packed)
     assert np.array_equal(pack_range_bytes(buf, dtype, count, lo, hi), want)
     out = np.full(hi - lo + 8, 0xA5, np.uint8)
-    pack_range_into(buf, dtype, count, lo, hi, out)
-    assert np.array_equal(out[: hi - lo], want)
-    assert (out[hi - lo:] == 0xA5).all()
     chunk = ChunkPlan(0, lo, hi, dtype.segments_for_range(count, lo, hi))
-    out[:] = 0xA5
     chunk.gather_into(buf, out)
     assert np.array_equal(out[: hi - lo], want)
     assert (out[hi - lo:] == 0xA5).all()

@@ -57,6 +57,22 @@ class TestStats:
 
         run_world(program, 2)
 
+    def test_host_rendezvous_counts_chunks(self):
+        rows = 3 << 14  # 192 KB, packed on the CPU into 64 KB vbufs
+        vec = Datatype.hvector(rows, 4, 8, BYTE).commit()
+
+        def program(ctx):
+            buf = ctx.node.malloc_host(rows * 8)
+            if ctx.rank == 0:
+                yield from ctx.comm.Send(buf, 1, vec, dest=1)
+                s = ctx.endpoint.stats
+                assert s.rndv_sent == 1 and s.gpu_sent == 0
+                assert s.chunks_sent == 3
+            else:
+                yield from ctx.comm.Recv(buf, 1, vec, source=0)
+
+        run_world(program, 2)
+
     def test_vbuf_peak_tracks_pipeline_depth(self):
         rows = 1 << 17  # 512 KB -> 8 chunks
 

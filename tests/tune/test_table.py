@@ -13,7 +13,7 @@ from repro.tune import (
     TuningTable,
     TuningTableError,
     cluster_config_hash,
-    tuned_chunk_pref,
+    tuned_transfer_choice,
 )
 
 SIG = LayoutSignature("uniform", width=4, pitch=8)
@@ -158,21 +158,21 @@ class TestTunedChunkPref:
 
     def test_hit(self):
         table = make_table(**{str(4 * KiB): 16 * KiB})
-        assert tuned_chunk_pref(table, self.vec, 1, 4 * KiB,
-                                cap=64 * KiB) == 16 * KiB
+        assert tuned_transfer_choice(table, self.vec, 1, 4 * KiB,
+                                     cap=64 * KiB).chunk_bytes == 16 * KiB
 
     def test_miss_returns_none(self):
         table = TuningTable("x")
         before = PERF.snapshot().get("tune_lookup_miss", 0)
-        assert tuned_chunk_pref(table, self.vec, 1, 4 * KiB,
-                                cap=64 * KiB) is None
+        assert tuned_transfer_choice(table, self.vec, 1, 4 * KiB,
+                                     cap=64 * KiB) is None
         assert PERF.snapshot().get("tune_lookup_miss", 0) == before + 1
 
     def test_clamped_to_cap(self):
         table = make_table(**{str(4 * KiB): 256 * KiB})
         before = PERF.snapshot().get("tune_chunk_clamped", 0)
-        assert tuned_chunk_pref(table, self.vec, 1, 4 * KiB,
-                                cap=64 * KiB) == 64 * KiB
+        assert tuned_transfer_choice(table, self.vec, 1, 4 * KiB,
+                                     cap=64 * KiB).chunk_bytes == 64 * KiB
         assert PERF.snapshot().get("tune_chunk_clamped", 0) == before + 1
 
 
@@ -248,11 +248,11 @@ class TestCollectiveContext:
         table.set(vec.layout_signature(1), 4 * KiB, ctx_entry(16 * KiB),
                   ctx="coll:f4")
         before = PERF.snapshot().get("coll_tuned_hit", 0)
-        assert tuned_chunk_pref(table, vec, 1, 4 * KiB, cap=64 * KiB,
-                                ctx="coll:f4") == 16 * KiB
+        assert tuned_transfer_choice(table, vec, 1, 4 * KiB, cap=64 * KiB,
+                                     ctx="coll:f4").chunk_bytes == 16 * KiB
         assert PERF.snapshot().get("coll_tuned_hit", 0) == before + 1
         # A ctx-free resolution of the same shape must not bump it.
         table.set(vec.layout_signature(1), 4 * KiB, ctx_entry(16 * KiB))
-        assert tuned_chunk_pref(table, vec, 1, 4 * KiB,
-                                cap=64 * KiB) == 16 * KiB
+        assert tuned_transfer_choice(table, vec, 1, 4 * KiB,
+                                     cap=64 * KiB).chunk_bytes == 16 * KiB
         assert PERF.snapshot().get("coll_tuned_hit", 0) == before + 1
