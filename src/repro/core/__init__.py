@@ -16,13 +16,11 @@ from .config import GpuNcConfig, RecoveryConfig
 from .detect import buffer_location, is_device_ptr, is_host_ptr
 from .gpu_pack import gpu_pack_cost
 from .pipeline import GpuNcEngine
-from .staging import TbufPool
 
 __all__ = [
     "GpuNcConfig",
     "RecoveryConfig",
     "GpuNcEngine",
-    "TbufPool",
     "Stages",
     "BACKENDS",
     "guideline_backend",

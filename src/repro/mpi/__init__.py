@@ -10,7 +10,7 @@ import numpy as _np
 
 from .comm import CartComm, Comm
 from .datatype import Datatype, DatatypeError, SegmentList
-from .endpoint import Endpoint, EndpointStats, VbufPool
+from .endpoint import Endpoint, EndpointStats, StagingPool
 from .request import Request, test_all, wait_all, wait_any
 from .status import ANY_SOURCE, ANY_TAG, PROC_NULL, UNDEFINED, MpiError, Status
 from .world import MpiWorld, RankContext, run_world
@@ -36,7 +36,7 @@ __all__ = [
     "SegmentList",
     "Endpoint",
     "EndpointStats",
-    "VbufPool",
+    "StagingPool",
     "Request",
     "wait_all",
     "wait_any",

@@ -27,7 +27,8 @@ Counter names
     Pack/unpack served by one NumPy fancy-indexing operation over the
     word indices.
 ``tbuf_acquire``
-    Device staging chunks handed out by :class:`repro.core.staging.TbufPool`.
+    Device staging chunks (tbufs) asked of a GPU's
+    :class:`repro.mpi.endpoint.StagingPool`.
 ``plan_cache_hit`` / ``plan_cache_miss``
     Lookups of a canonical entry's compiled
     :class:`~repro.core.plan.TransferPlan` cache (keyed on the caller's

@@ -190,24 +190,6 @@ class Environment:
         else:
             raise SimulationError(f"cannot schedule {op!r} in the past")
 
-    def schedule_at(self, event: Event, when: float) -> None:
-        """Schedule ``event`` at the absolute simulated time ``when``.
-
-        Used by the shard bridge to inject cross-shard arrivals, whose
-        timestamps were fixed in the sending shard's timeline. ``when`` must
-        not lie in the past.
-        """
-        if when < self._now:
-            raise SimulationError(
-                f"cannot schedule {event!r} at {when} (now is {self._now})"
-            )
-        event._state = TRIGGERED
-        self._eid += 1
-        if when == self._now:
-            self._imm.append((self._now, self._eid, event))
-        else:
-            heapq.heappush(self._queue, (when, self._eid, event))
-
     def schedule_wire(self, when: float, key: int, entry: Any) -> None:
         """Queue ``entry`` for a wire delivery at ``when`` under ``key``.
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import (
     GpuNcConfig,
-    TbufPool,
     buffer_location,
     gpu_pack_cost,
     is_device_ptr,
@@ -14,8 +13,8 @@ from repro.core import (
 from repro.core.plan import TransferPlan
 from repro.cuda import CudaContext
 from repro.hw import Cluster, CopyKind
-from repro.mpi import BYTE, FLOAT, Datatype
-from repro.mpi.endpoint import VbufPool
+from repro.mpi import BYTE, FLOAT, Datatype, MpiError
+from repro.mpi.endpoint import StagingPool
 
 
 @pytest.fixture
@@ -132,7 +131,7 @@ class TestGpuPackCost:
 
 class TestPools:
     def test_tbuf_pool_cycle(self, ctx):
-        pool = TbufPool(ctx, chunk_bytes=1024, chunks=2)
+        pool = StagingPool(ctx.env, ctx.malloc, 1024, 2, kind="tbuf chunk")
         env = ctx.env
 
         def proc():
@@ -149,18 +148,18 @@ class TestPools:
         assert pool.available == 2
 
     def test_tbuf_wrong_size_release_rejected(self, ctx):
-        pool = TbufPool(ctx, chunk_bytes=1024, chunks=1)
+        pool = StagingPool(ctx.env, ctx.malloc, 1024, 1, kind="tbuf chunk")
         foreign = ctx.malloc(512)
-        with pytest.raises(ValueError):
+        with pytest.raises(MpiError):
             pool.release(foreign)
 
     def test_tbuf_validation(self, ctx):
         with pytest.raises(ValueError):
-            TbufPool(ctx, chunk_bytes=0, chunks=1)
+            StagingPool(ctx.env, ctx.malloc, 0, 1, kind="tbuf chunk")
 
     def test_vbuf_pool_blocks_when_empty(self):
         cluster = Cluster(1)
-        pool = VbufPool(cluster.env, cluster.nodes[0], 256, 1)
+        pool = StagingPool(cluster.env, cluster.nodes[0].malloc_host, 256, 1)
         got = []
 
         def consumer():
@@ -195,10 +194,8 @@ class TestPools:
         assert got == [("waited", 1.0)]
 
     def test_vbuf_wrong_size_release_rejected(self):
-        from repro.mpi import MpiError
-
         cluster = Cluster(1)
-        pool = VbufPool(cluster.env, cluster.nodes[0], 256, 1)
+        pool = StagingPool(cluster.env, cluster.nodes[0].malloc_host, 256, 1)
         foreign = cluster.nodes[0].malloc_host(128)
         with pytest.raises(MpiError):
             pool.release(foreign)

@@ -11,11 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.staging import TbufPool
 from repro.sim import CallbackOp
 from repro.cuda.runtime import CudaContext
 from repro.hw import Cluster
-from repro.mpi.endpoint import VbufPool
+from repro.mpi.endpoint import StagingPool
 from repro.mpi.status import MpiError
 
 CHUNK = 4096
@@ -26,11 +25,12 @@ def _tbuf_pool(cluster):
     node = cluster.nodes[0]
     cuda = CudaContext(cluster.env, cluster.cfg, node, gpu=node.gpus[0],
                        tracer=cluster.tracer, name="cuda:test")
-    return TbufPool(cuda, CHUNK, COUNT)
+    return StagingPool(cuda.env, cuda.malloc, CHUNK, COUNT, kind="tbuf chunk",
+                       counter="tbuf_acquire")
 
 
 def _vbuf_pool(cluster):
-    return VbufPool(cluster.env, cluster.nodes[0], CHUNK, COUNT)
+    return StagingPool(cluster.env, cluster.nodes[0].malloc_host, CHUNK, COUNT)
 
 
 def _drive(cluster, pool, ops):
@@ -72,7 +72,7 @@ class TestConservationInvariant:
 
 
 @pytest.mark.parametrize("make,exc", [
-    (_tbuf_pool, ValueError),
+    (_tbuf_pool, MpiError),
     (_vbuf_pool, MpiError),
 ], ids=["tbuf", "vbuf"])
 class TestOwnershipValidation:

@@ -22,15 +22,23 @@ from repro.sim import CallbackOp, Environment, Tracer, WIRE_KEY_BASE, wire_key
 
 # -- core primitives ------------------------------------------------------------
 
-def _schedule(env, when, cb=None, label="t"):
-    """Schedule a bare succeeded event at an absolute time."""
-    ev = env.event(label=label)
-    ev._ok = True
-    ev._value = None
-    if cb is not None:
-        ev.callbacks.append(cb)
-    env.schedule_at(ev, when)
-    return ev
+class _Call(CallbackOp):
+    """A queue entry that calls ``cb`` (if any) when processed."""
+
+    __slots__ = ("cb",)
+
+    def __init__(self, cb):
+        self.cb = cb
+        self._step = _Call._run
+
+    def _run(self):
+        if self.cb is not None:
+            self.cb()
+
+
+def _schedule(env, when, cb=None):
+    """Queue a callback op that runs ``cb`` at the absolute time ``when``."""
+    env.schedule_op(_Call(cb), when - env.now)
 
 
 class TestRunWindow:
@@ -38,7 +46,7 @@ class TestRunWindow:
         env = Environment()
         seen = []
         for t in (1.0, 2.0, 3.0):
-            _schedule(env, t, lambda _ev, t=t: seen.append(t))
+            _schedule(env, t, lambda t=t: seen.append(t))
         count = env.run_window(2.0)
         assert count == 1
         assert seen == [1.0]
@@ -51,7 +59,7 @@ class TestRunWindow:
         env = Environment()
         seen = []
         for t in (0.5, 1.0, 1.5, 2.0):
-            _schedule(env, t, lambda _ev, t=t: seen.append(t))
+            _schedule(env, t, lambda t=t: seen.append(t))
         total = env.run_window(1.0) + env.run_window(2.0) + env.run_window(9.9)
         assert total == 4
         assert seen == [0.5, 1.0, 1.5, 2.0]
@@ -87,7 +95,7 @@ class TestWireKeys:
         env = Environment()
         order = []
         env.schedule_wire(1.0, wire_key(0, 1), _Landing(order, "wire"))
-        _schedule(env, 1.0, lambda _ev: order.append("local"))
+        _schedule(env, 1.0, lambda: order.append("local"))
         env.run()
         assert order == ["local", "wire"]
 
