@@ -144,10 +144,12 @@ class HCA:
 
         Local completion fires when the HCA has finished reading the source
         buffer (TX done: the buffer is safe to reuse); the destination bytes
-        become visible one wire latency later. A FIN control message posted
-        after local completion serializes behind the data on the same
-        reliable connection, so it can never announce bytes that have not
-        landed -- matching the paper's protocol.
+        become visible one wire latency later, or at once for a write to
+        this node, which skips the wire as a control message to self does.
+        A FIN control message posted after local completion serializes
+        behind the data on the same reliable connection, so it can never
+        announce bytes that have not landed -- matching the paper's
+        protocol.
 
         ``token`` (retry layer only): cancelling it abandons the attempt --
         an in-flight write will not touch remote memory nor complete.
@@ -255,6 +257,12 @@ class _RdmaOp(CallbackOp):
         # remotely one wire latency later.
         data = self.data = src.view().copy() if env.functional else None
         self.done.succeed()
+        if dst.node_id == hca.node.node_id:
+            # Loopback skips the wire, as a control message to self does:
+            # the bytes land with the local completion, so a FIN posted
+            # after it cannot overtake them.
+            self._on_land()
+            return
         arrival = env.now + hca._latency(dst.node_id)
         key = hca._next_wire_key()
         if not hca.fabric.is_local(dst.node_id):

@@ -112,6 +112,25 @@ class TestBasicSendRecv:
 
         run_world(program, 1)
 
+    def test_self_rendezvous_lands_before_its_receive_completes(self):
+        """A strided self-send into a contiguous receive: each FIN to self
+        finishes its zero-copy chunk at once, so the bytes of every chunk
+        must be there by then."""
+        rows = 3 << 12  # 48 KiB packed, three 16 KiB chunks
+        vec = Datatype.hvector(rows, 4, 8, BYTE).commit()
+
+        def program(ctx):
+            sbuf = host_buf(ctx, rows * 8, np.arange(rows * 8) % 251)
+            rbuf = host_buf(ctx, rows * 4)
+            req = ctx.comm.Irecv(rbuf, rows * 4, BYTE, source=0)
+            yield from ctx.comm.Send(sbuf, 1, vec, dest=0)
+            yield from req.wait()
+            assert np.array_equal(rbuf.view(),
+                                  sbuf.view().reshape(rows, 8)[:, :4].ravel())
+
+        world = MpiWorld(Cluster(1), vbuf_bytes=16 << 10)
+        world.run(program)
+
 
 class TestMatching:
     def test_tags_differentiate(self):
