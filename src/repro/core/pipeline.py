@@ -24,8 +24,8 @@ MVAPICH2-GPU work the paper builds on.
 
 The engine drives every rendezvous over :mod:`repro.mpi.protocol`'s
 RTS/CTS/FIN wire protocol, whatever the buffer spaces: one sender and one
-receiver process per message, each side walking its own buffer's
-description. A host buffer walks a host one
+receiver message op per message (callback ops too, with no process), each
+side walking its own buffer's description. A host buffer walks a host one
 (:func:`~repro.core.backends.host_stages`), a CPU pack into vbufs or zero
 copy, one chunk at a time; eager delivery into device memory walks the
 drain ops one chunk at a time too.
@@ -143,86 +143,11 @@ class GpuNcEngine:
         return BACKENDS[DEFAULT_BACKEND]
 
     # ------------------------------------------------------------------------
-    # The rendezvous driver, one process per side of a message
+    # The rendezvous driver, one message op per side of a message
     # ------------------------------------------------------------------------
     def rdv_send(self, endpoint, envelope, buf, count, dtype, req) -> None:
         """Start the rendezvous send of one message, from any buffer."""
-        endpoint.env.process(
-            self._send_proc(endpoint, envelope, buf, count, dtype, req),
-            name=f"rdv-send:{endpoint.rank}->{envelope.dst}",
-        )
-
-    def _send_proc(self, endpoint, envelope, buf, count, dtype, req):
-        env = endpoint.env
-        total = envelope.size_bytes
-        # A zero-byte send takes the host description of its datatype,
-        # whatever its buffer space: there is nothing to stage.
-        if buf.space == "device" and total:
-            kind = layout_kind(dtype, count)
-            tuned = kind == "strided"
-        else:
-            kind, stages = None, host_stages(dtype, count)
-            tuned = stages is not ZERO_COPY
-        # Contiguous sends deliberately bypass the table (no staging
-        # geometry to tune); counted so tuned runs can see the traffic
-        # the table never saw instead of it looking like lookup misses.
-        choice = None
-        if self.tuning is not None:
-            if tuned:
-                choice = self._transfer_choice(
-                    endpoint, dtype, count, total, ctx=req.coll_ctx)
-            else:
-                PERF.bump("tune_contig_bypass")
-        chunk = choice.chunk_bytes if choice is not None else 0
-        if kind is not None:
-            # A device buffer dictates the chunk size, and both sides
-            # replay the cached TransferPlan of this shape: chunk ranges,
-            # slices, labels and durations.
-            chunk = chunk or self.config.chunk_bytes
-            stages = self._stages_for(kind, choice)
-            transfer = _Transfer(self, endpoint, buf, dtype.plan_for(count, chunk),
-                                 stages, req, envelope.tag)
-        elif stages is not ZERO_COPY:  # a zero-copy send leaves it to the receiver
-            chunk = chunk or endpoint.send_vbufs.buf_bytes
-        ssn = endpoint.new_ssn()
-        state = _proto.SendState(endpoint=endpoint, ssn=ssn, dst=envelope.dst)
-        endpoint.send_states[ssn] = state
-        rec = endpoint.recovery
-        rts_payload = {
-            "type": "rts",
-            "ssn": ssn,
-            "envelope": envelope,
-            "total": total,
-            "chunk_pref": chunk,
-        }
-        yield endpoint.send_order.acquire()
-        try:
-            yield endpoint.post_control(envelope.dst, rts_payload)
-        finally:
-            endpoint.send_order.release()
-        if stages.host_buffer:
-            # A host buffer's chunks wait for the first CTS, take the
-            # receiver's chunk size and move one at a time; the last one
-            # completes the send.
-            if rec is None:
-                yield state.grant_event
-            else:
-                yield from _proto.await_cts(endpoint, state, rts_payload, rec)
-            _SendChunkOp(_Transfer(self, endpoint, buf,
-                                   dtype.plan_for(count, state.chunk_bytes),
-                                   stages, req, envelope.tag), state, 0)
-            return
-        if rec is not None:
-            # Packing starts immediately after the RTS, so the RTS-retry
-            # loop runs beside the chunk pipeline instead of gating it.
-            def cts_monitor():
-                yield from _proto.await_cts(endpoint, state, rts_payload, rec)
-            env.process(cts_monitor(), name=f"cts-monitor:{ssn}")
-
-        ops = [_SendChunkOp(transfer, state, i)
-               for i in range(transfer.plan.nchunks)]
-        yield env.all_of([op.done for op in ops])
-        transfer.send_done(state)
+        _SendOp(self, endpoint, envelope, buf, count, dtype, req)
 
     def _acquire_tbuf(self, endpoint, res):
         """Acquire a device staging chunk or degrade (a generator).
@@ -249,12 +174,159 @@ class GpuNcEngine:
 
     def rdv_recv(self, endpoint, posted, rts) -> None:
         """Start the rendezvous receive of a matched RTS, into any buffer."""
-        endpoint.env.process(
-            self._recv_proc(endpoint, posted, rts),
-            name=f"rdv-recv:rank{endpoint.rank}",
-        )
+        _RecvOp(self, endpoint, posted, rts)
 
-    def _recv_proc(self, endpoint, posted, rts):
+    def deliver_eager_device(self, endpoint, req, data, status) -> None:
+        """Deliver an eager payload into device memory."""
+        _EagerDelivery(self, endpoint, req, data, status)
+
+
+# ---------------------------------------------------------------------------
+# Message ops
+# ---------------------------------------------------------------------------
+
+class _SendOp(CallbackOp):
+    """The sender side of one rendezvous (a callback op).
+
+    Its kick chooses the stage description and chunk size, opens the
+    transaction and waits for ``send_order``, which grants it in place;
+    it then posts the RTS and starts the chunk ops. A device buffer's
+    chunks start at once and count down on their transfer, the last one
+    completing the send. A host buffer's first chunk waits for the first
+    CTS (armed, :func:`~repro.mpi.protocol.await_cts` is driven inline),
+    and its chunks then move one at a time.
+    """
+
+    __slots__ = ("engine", "endpoint", "envelope", "buf", "count", "dtype",
+                 "req", "stages", "transfer", "state", "rts")
+
+    def __init__(self, engine, endpoint, envelope, buf, count, dtype, req):
+        self.engine = engine
+        self.endpoint = endpoint
+        self.envelope = envelope
+        self.buf = buf
+        self.count = count
+        self.dtype = dtype
+        self.req = req
+        self._step = _SendOp._on_kick
+        endpoint.env.schedule_op(self)
+
+    def _on_kick(self) -> None:
+        engine, endpoint = self.engine, self.endpoint
+        envelope, dtype, count = self.envelope, self.dtype, self.count
+        total = envelope.size_bytes
+        # A zero-byte send takes the host description of its datatype,
+        # whatever its buffer space: there is nothing to stage.
+        if self.buf.space == "device" and total:
+            kind = layout_kind(dtype, count)
+            tuned = kind == "strided"
+        else:
+            kind, stages = None, host_stages(dtype, count)
+            tuned = stages is not ZERO_COPY
+        # Contiguous sends deliberately bypass the table (no staging
+        # geometry to tune); counted so tuned runs can see the traffic
+        # the table never saw instead of it looking like lookup misses.
+        choice = None
+        if engine.tuning is not None:
+            if tuned:
+                choice = engine._transfer_choice(
+                    endpoint, dtype, count, total, ctx=self.req.coll_ctx)
+            else:
+                PERF.bump("tune_contig_bypass")
+        chunk = choice.chunk_bytes if choice is not None else 0
+        if kind is not None:
+            # A device buffer dictates the chunk size, and both sides
+            # replay the cached TransferPlan of this shape: chunk ranges,
+            # slices, labels and durations. Every chunk is staged in a
+            # send vbuf.
+            chunk = chunk or engine.config.chunk_bytes
+            vbuf = endpoint.send_vbufs.buf_bytes
+            if chunk > vbuf:
+                raise MpiError(
+                    f"device chunk {chunk} exceeds sender vbuf {vbuf}")
+            stages = engine._stages_for(kind, choice)
+            self.transfer = _Transfer(engine, endpoint, self.buf,
+                                      dtype.plan_for(count, chunk), stages,
+                                      self.req, envelope.tag)
+        elif stages is not ZERO_COPY:  # a zero-copy send leaves it to the receiver
+            chunk = chunk or endpoint.send_vbufs.buf_bytes
+        self.stages = stages
+        ssn = endpoint.new_ssn()
+        self.state = _proto.SendState(endpoint=endpoint, ssn=ssn,
+                                      dst=envelope.dst)
+        endpoint.send_states[ssn] = self.state
+        self.rts = {
+            "type": "rts",
+            "ssn": ssn,
+            "envelope": envelope,
+            "total": total,
+            "chunk_pref": chunk,
+        }
+        self._step = _SendOp._on_order
+        endpoint.send_order.request(self)
+
+    def _on_order(self) -> None:
+        wait(self.endpoint.post_control(self.envelope.dst, self.rts),
+             self._rts_posted)
+
+    def _rts_posted(self, _event) -> None:
+        endpoint = self.endpoint
+        endpoint.send_order.release()
+        state = self.state
+        rec = endpoint.recovery
+        if self.stages.host_buffer:
+            # A host buffer's chunks wait for the first CTS, take the
+            # receiver's chunk size and move one at a time; the last one
+            # completes the send.
+            if rec is None:
+                self._step = _SendOp._granted
+                state.wait_grant(self)
+            else:
+                drive(_proto.await_cts(endpoint, state, self.rts, rec),
+                      self._granted)
+            return
+        if rec is not None:
+            # Packing starts immediately after the RTS, so the RTS-retry
+            # loop runs beside the chunk pipeline instead of gating it.
+            endpoint.env.process(
+                _proto.await_cts(endpoint, state, self.rts, rec),
+                name=f"cts-monitor:{state.ssn}",
+            )
+        transfer = self.transfer
+        for i in range(transfer.plan.nchunks):
+            _SendChunkOp(transfer, state, i)
+
+    def _granted(self, _event=None) -> None:
+        state = self.state
+        _SendChunkOp(_Transfer(self.engine, self.endpoint, self.buf,
+                               self.dtype.plan_for(self.count, state.chunk_bytes),
+                               self.stages, self.req, self.envelope.tag),
+                     state, 0)
+
+
+class _RecvOp(CallbackOp):
+    """The receiver side of one rendezvous (a callback op).
+
+    Its kick chooses the stage description and chunk size and opens the
+    transaction: a zero-copy receive grants every window of the user
+    buffer in one CTS, a staged one starts its
+    :class:`~repro.mpi.protocol.GrantOp`. It then waits, in place, for
+    the transaction's ``done`` wake-up and completes the receive.
+    """
+
+    __slots__ = ("engine", "endpoint", "posted", "rts", "state")
+
+    def __init__(self, engine, endpoint, posted, rts):
+        self.engine = engine
+        self.endpoint = endpoint
+        self.posted = posted
+        self.rts = rts
+        self._step = _RecvOp._on_kick
+        endpoint.env.schedule_op(self)
+
+    def _on_kick(self) -> None:
+        engine, endpoint, rts = self.engine, self.endpoint, self.rts
+        posted = self.posted
         req = posted.request
         total = rts.total
         dtype, count = req.datatype, req.count
@@ -262,17 +334,17 @@ class GpuNcEngine:
         if req.buf.space == "device":
             # The sender dictated the chunk size; the drain backend comes
             # from this side's datatype and table.
-            chunk = rts.chunk_pref or self.config.chunk_bytes
+            chunk = rts.chunk_pref or engine.config.chunk_bytes
             if chunk > vbuf:
                 raise MpiError(f"sender chunk {chunk} exceeds receiver vbuf {vbuf}")
             kind = layout_kind(dtype, count)
             choice = None
             if kind == "strided":
-                choice = self._transfer_choice(
+                choice = engine._transfer_choice(
                     endpoint, dtype, count, total,
                     pool=endpoint.recv_vbufs, ctx=req.coll_ctx,
                 )
-            stages = self._stages_for(kind, choice)
+            stages = engine._stages_for(kind, choice)
         else:
             stages = host_stages(dtype, count)
             if stages is ZERO_COPY:
@@ -286,30 +358,33 @@ class GpuNcEngine:
         if stages is ZERO_COPY:
             # Every landing window is a window of the user buffer, all
             # granted at once; each FIN finishes its chunk.
-            state = _proto.make_recv_state(
+            self.state = _proto.make_recv_state(
                 endpoint, posted, rts, chunk, staged=False,
                 on_fin=_proto.RecvState.retire_chunk,
             )
-            yield endpoint.post_control(rts.envelope.src, {
+            wait(endpoint.post_control(rts.envelope.src, {
                 "type": "cts", "ssn": rts.ssn, "start": 0, "chunk_bytes": chunk,
                 "chunks": [endpoint.hca.register(_window(req.buf, cp))
                            for cp in plan.chunks],
-            })
+            }), self._granted)
         else:
-            transfer = _Transfer(self, endpoint, req.buf, plan, stages)
-            state = _proto.make_recv_state(
+            transfer = _Transfer(engine, endpoint, req.buf, plan, stages)
+            self.state = _proto.make_recv_state(
                 endpoint, posted, rts, chunk, staged=True,
                 on_fin=lambda state, i: _DrainChunkOp(transfer, state, i),
             )
-            _proto.GrantOp(endpoint, state)
-        yield state.done
-        _proto.retire_recv_state(endpoint, rts.ssn)
-        endpoint.stats.note_recv(total)
-        req._complete(state.status)
+            _proto.GrantOp(endpoint, self.state)
+            self._granted()
 
-    def deliver_eager_device(self, endpoint, req, data, status) -> None:
-        """Deliver an eager payload into device memory."""
-        _EagerDelivery(self, endpoint, req, data, status)
+    def _granted(self, _event=None) -> None:
+        self._step = _RecvOp._on_done
+        self.state.done.wait(self)
+
+    def _on_done(self) -> None:
+        endpoint, rts = self.endpoint, self.rts
+        _proto.retire_recv_state(endpoint, rts.ssn)
+        endpoint.stats.note_recv(rts.total)
+        self.posted.request._complete(self.state.status)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +395,7 @@ class _Transfer:
     """One side of one message, shared by its chunk ops."""
 
     __slots__ = ("engine", "endpoint", "res", "buf", "plan", "stages",
-                 "pack", "copy", "rec", "req", "tag", "eager")
+                 "pack", "copy", "rec", "req", "tag", "eager", "left")
 
     def __init__(self, engine, endpoint, buf, plan, stages, req=None, tag=None,
                  eager=False):
@@ -347,6 +422,8 @@ class _Transfer:
         #: a send's request and tag
         self.req = req
         self.tag = tag
+        #: a device send's chunks not yet finished (its count-down)
+        self.left = plan.nchunks
 
     def send_done(self, state) -> None:
         """Retire a send whose last FIN is posted; complete its request."""
@@ -450,14 +527,7 @@ class _ChunkOp(CallbackOp):
 
     def _on_cpu(self) -> None:
         t = self.transfer
-        env = t.endpoint.env
-        self.t0 = env.now
-        self._step = _ChunkOp._cpu_done
-        duration = t.copy[self.i]
-        if duration > 0:
-            env.schedule_op(self, duration)
-        else:
-            self._cpu_done()
+        t.endpoint.hold_cpu(self, t.copy[self.i], _ChunkOp._cpu_done)
 
     def _cpu_done(self) -> None:
         endpoint = self.transfer.endpoint
@@ -470,22 +540,25 @@ class _ChunkOp(CallbackOp):
 class _SendChunkOp(_ChunkOp):
     """One sender chunk: (tbuf, pack) -> vbuf -> copy -> (release tbuf),
     RDMA-written once its grant is in, then announced with a FIN.
-    ``done`` completes it; a host buffer's chunk instead starts the next
-    one, or completes the send, in the step its FIN post completes."""
 
-    __slots__ = ("done",)
+    Once its FIN is posted, a device buffer's chunk counts down on its
+    transfer in the slot its old ``done`` event took, and the last one
+    completes the send in the slot of the old ``AllOf`` over all of them.
+    A host buffer's chunk instead starts the next one, or completes the
+    send, in the step its FIN post completes."""
+
+    __slots__ = ()
     #: the copy's engine, and its label's index (0: D2H stream, 1: H2D)
     _COPY = (CopyKind.D2H, 0)
 
     def __init__(self, transfer: _Transfer, state, i: int):
-        host = transfer.stages.host_buffer
-        self.done = None if host else transfer.endpoint.env.event()
-        _ChunkOp.__init__(self, transfer, state, i, kick=not host)
+        _ChunkOp.__init__(self, transfer, state, i,
+                          kick=not transfer.stages.host_buffer)
 
-    def _on_kick(self, _event=None) -> None:
+    def _on_kick(self) -> None:
         stages = self.stages
         if stages.host_buffer and len(self.state.grants) <= self.i:
-            wait(self.state.grant_event, self._on_kick)
+            self.state.wait_grant(self)
             return
         stages.count(self.cp.segs)
         if stages.packs:
@@ -530,7 +603,8 @@ class _SendChunkOp(_ChunkOp):
         state = self.state
         i = self.i
         if len(state.grants) <= i:
-            wait(state.grant_event, self._staged)
+            self._step = _SendChunkOp._staged
+            state.wait_grant(self)
             return
         if state.chunk_bytes != t.plan.chunk_bytes:
             raise MpiError(
@@ -567,12 +641,23 @@ class _SendChunkOp(_ChunkOp):
         t = self.transfer
         if self.vbuf is not None:
             t.endpoint.send_vbufs.release(self.vbuf)
-        if self.done is not None:
-            self.done.succeed()
+        if not t.stages.host_buffer:
+            self._step = _SendChunkOp._counted
+            t.endpoint.env.schedule_op(self)
         elif self.i + 1 < t.plan.nchunks:
             _SendChunkOp(t, self.state, self.i + 1)
         else:
             t.send_done(self.state)
+
+    def _counted(self) -> None:
+        t = self.transfer
+        t.left -= 1
+        if not t.left:
+            self._step = _SendChunkOp._sent
+            t.endpoint.env.schedule_op(self)
+
+    def _sent(self) -> None:
+        self.transfer.send_done(self.state)
 
 
 class _DrainChunkOp(_ChunkOp):

@@ -279,9 +279,9 @@ class Endpoint:
         #: The GPU-aware transfer engine handling device buffers
         #: (:class:`repro.core.pipeline.GpuNcEngine`), set by the world.
         self.gpu_engine: Optional[Any] = None
-        #: re-armed whenever a new message envelope arrives; Probe waits on
-        #: it between scans of the unexpected queue.
-        self.arrival_event: Event = Event(self.env, label=f"arrival:{rank}")
+        #: the event a blocking Probe waits on between scans of the
+        #: unexpected queue; made on demand and fired by the next arrival
+        self._arrival: Optional[Event] = None
         self._cpu_engine = f"cpu{node.node_id}"
         #: the progress daemon
         self.progress = _ProgressOp(self)
@@ -292,12 +292,18 @@ class Endpoint:
         self._next_seq += 1
         return (self.rank, self._next_seq)
 
+    def arrival_event(self) -> Event:
+        """An event that succeeds when the next envelope arrives."""
+        if self._arrival is None:
+            self._arrival = Event(self.env, label=f"arrival:{self.rank}")
+        return self._arrival
+
     def note_arrival(self) -> None:
-        """Signal Probe waiters that a new envelope arrived."""
-        fired, self.arrival_event = self.arrival_event, Event(
-            self.env, label=f"arrival:{self.rank}"
-        )
-        fired.succeed()
+        """Signal Probe waiters, if any, that a new envelope arrived."""
+        fired = self._arrival
+        if fired is not None:
+            self._arrival = None
+            fired.succeed()
 
     def node_of_rank(self, rank: int) -> int:
         try:
@@ -330,6 +336,20 @@ class Endpoint:
         if duration > 0:
             yield self.env.timeout(duration)
         self.release_cpu(start, label)
+
+    def hold_cpu(self, op: CallbackOp, duration: float, step) -> None:
+        """Hold the host CPU, just granted to callback op ``op``, for
+        ``duration`` (the op form of :meth:`cpu_work`): ``op.t0`` notes
+        the start and ``step`` runs once the time is up, in the slot of
+        :meth:`cpu_work`'s timeout (at once when there is none), to end
+        the hold with :meth:`release_cpu`."""
+        env = self.env
+        op.t0 = env.now
+        op._step = step
+        if duration > 0:
+            env.schedule_op(op, duration)
+        else:
+            step(op)
 
     def release_cpu(self, start: float, label: str) -> None:
         """End a hold of the host CPU taken at ``start``: trace it as

@@ -4,7 +4,13 @@ This is the protocol layer of the simulated MPI library: matching, the
 eager path, the rendezvous transaction records and their grant window,
 and the recovery layer. The rendezvous itself, for buffers in any memory
 space, is driven by :class:`repro.core.pipeline.GpuNcEngine` (one sender
-and one receiver process per message), which every endpoint carries.
+and one receiver message op per message), which every endpoint carries.
+Every piece of per-message work here is a callback op too (see
+:mod:`repro.sim.process`): an eager send, a host eager delivery and a
+staged receive's grant window. The transaction records wake the ops
+waiting on them in place (:class:`~repro.sim.Wakeup`); only the armed
+recovery layer's waits are generators, and only its CTS monitor and
+receive watchdog run as processes.
 
 Wire protocol (all over HCA control messages + RDMA writes):
 
@@ -37,7 +43,7 @@ import numpy as np
 from ..hw.memory import BufferPtr
 from ..ib.faults import CancelToken, RdmaError
 from ..perf.stats import PERF
-from ..sim import CallbackOp, Event, Store, drive, wait
+from ..sim import CallbackOp, Event, Store, Wakeup, drive, wait
 from .datatype import Datatype
 from .endpoint import Endpoint
 from .matching import ArrivedMessage, Envelope, PostedRecv
@@ -84,8 +90,8 @@ class RecvState:
     staging: Optional[Dict[int, BufferPtr]]
     remaining: int
     status: Status
-    #: set by the per-chunk drain logic when everything has landed
-    done: Event
+    #: fired by the per-chunk drain logic when everything has landed
+    done: Wakeup
     endpoint: Endpoint = None  # type: ignore[assignment]
     #: per-transaction FIN handler: fn(state, chunk_index), installed by
     #: the receive driver.
@@ -119,7 +125,7 @@ class RecvState:
         """Mark one chunk fully landed; fires ``done`` on the last one."""
         self.remaining -= 1
         if self.remaining == 0:
-            self.done.succeed()
+            self.done.fire()
 
     def retire_chunk(self, index: int) -> None:
         """Release staging and finish the chunk in one step."""
@@ -131,8 +137,9 @@ class RecvState:
 class SendState:
     """Sender-side rendezvous transaction.
 
-    Landing-zone grants arrive incrementally (windowed CTS messages); a
-    chunk op whose grant is not in yet waits on ``grant_event``.
+    Landing-zone grants arrive incrementally (windowed CTS messages); an
+    op whose grant is not in yet waits for the next window in place
+    (:meth:`wait_grant`).
     """
 
     endpoint: Endpoint
@@ -143,15 +150,27 @@ class SendState:
     grants: List = field(default_factory=list)
     #: chunk size the receiver chose; None until the first CTS.
     chunk_bytes: Optional[int] = None
-    #: re-armed every time new grants arrive
-    grant_event: Event = None  # type: ignore[assignment]
+    #: wakes whoever waits for the next grant window; None while nobody
+    #: does, and replaced every time new grants arrive
+    next_window: Optional[Wakeup] = None
     #: chunk indices whose FIN has been posted (recovery: FIN replay pool)
     fin_sent: set = field(default_factory=set)
     #: the receiver holds the RTS unmatched (recovery: stop re-posting it)
     held: bool = False
 
-    def __post_init__(self) -> None:
-        self.grant_event = self.endpoint.env.event(label="grants")
+    def _window(self) -> Wakeup:
+        wakeup = self.next_window
+        if wakeup is None:
+            wakeup = self.next_window = Wakeup(self.endpoint.env)
+        return wakeup
+
+    def wait_grant(self, op: CallbackOp) -> None:
+        """Run ``op``'s stored step when the next grant window arrives."""
+        self._window().wait(op)
+
+    def grant_event(self) -> Event:
+        """An event for the next grant window (the armed waits' form)."""
+        return self._window().event("grants")
 
     def add_grants(self, start: int, chunks: List, chunk_bytes: int) -> None:
         """Accept a CTS grant window; duplicates are suppressed.
@@ -175,10 +194,9 @@ class SendState:
             PERF.bump("dup_cts_suppressed")
             chunks = chunks[have - start:]
         self.grants.extend(chunks)
-        fired, self.grant_event = self.grant_event, self.endpoint.env.event(
-            label="grants"
-        )
-        fired.succeed()
+        fired, self.next_window = self.next_window, None
+        if fired is not None:
+            fired.fire()
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +248,7 @@ def isend(
     else:
         eager_limit = endpoint.cfg.eager_threshold
     if total <= eager_limit and mode == "standard":
-        endpoint.env.process(
-            _eager_send(endpoint, envelope, buf, count, datatype, req),
-            name=f"eager-send:{endpoint.rank}->{dest}",
-        )
+        _EagerSendOp(endpoint, envelope, buf, count, datatype, req)
     else:
         endpoint.gpu_engine.rdv_send(endpoint, envelope, buf, count, datatype, req)
     return req
@@ -260,7 +275,7 @@ def probe(endpoint: Endpoint, source: int, tag: int, comm_id: int):
         status = iprobe(endpoint, source, tag, comm_id)
         if status is not None:
             return status
-        yield endpoint.arrival_event
+        yield endpoint.arrival_event()
 
 
 def irecv(
@@ -304,23 +319,62 @@ def install_protocol(endpoint: Endpoint) -> None:
 # Eager protocol
 # ---------------------------------------------------------------------------
 
-def _eager_send(endpoint, envelope, buf, count, datatype, req):
-    yield endpoint.send_order.acquire()
-    try:
-        data = pack_bytes(buf, datatype, count)
-        yield from endpoint.cpu_work(
-            host_pack_time(endpoint.cfg, datatype, count), "pack:eager"
-        )
-        yield endpoint.post_control(
-            envelope.dst,
-            {"type": "eager", "envelope": envelope, "data": data},
+class _EagerSendOp(CallbackOp):
+    """One eager send (a callback op).
+
+    In ``send_order``, so that envelopes leave in call order, it packs the
+    payload on the node CPU and posts it inside the eager control
+    message, then completes its request. Its kick takes the slot of the
+    old send process's init timeout, the order and the CPU grant it in
+    place where ``acquire()`` succeeded, and the pack duration is a timed
+    step where the timeout went.
+    """
+
+    __slots__ = ("endpoint", "envelope", "buf", "count", "datatype", "req",
+                 "data", "t0")
+
+    def __init__(self, endpoint: Endpoint, envelope: Envelope, buf: BufferPtr,
+                 count: int, datatype: Datatype, req: Request):
+        self.endpoint = endpoint
+        self.envelope = envelope
+        self.buf = buf
+        self.count = count
+        self.datatype = datatype
+        self.req = req
+        self._step = _EagerSendOp._on_kick
+        endpoint.env.schedule_op(self)
+
+    def _on_kick(self) -> None:
+        self._step = _EagerSendOp._on_order
+        self.endpoint.send_order.request(self)
+
+    def _on_order(self) -> None:
+        self.data = pack_bytes(self.buf, self.datatype, self.count)
+        self._step = _EagerSendOp._on_cpu
+        self.endpoint.node.cpu.request(self)
+
+    def _on_cpu(self) -> None:
+        endpoint = self.endpoint
+        duration = host_pack_time(endpoint.cfg, self.datatype, self.count)
+        endpoint.hold_cpu(self, duration, _EagerSendOp._packed)
+
+    def _packed(self) -> None:
+        endpoint = self.endpoint
+        endpoint.release_cpu(self.t0, "pack:eager")
+        data = self.data
+        wait(endpoint.post_control(
+            self.envelope.dst,
+            {"type": "eager", "envelope": self.envelope, "data": data},
             size_bytes=data.nbytes + EAGER_HEADER,
-        )
-    finally:
+        ), self._posted)
+
+    def _posted(self, _event) -> None:
+        endpoint = self.endpoint
         endpoint.send_order.release()
-    endpoint.stats.note_send("eager", data.nbytes)
-    req._complete(Status(source=endpoint.rank, tag=envelope.tag,
-                         count_bytes=data.nbytes))
+        nbytes = self.data.nbytes
+        endpoint.stats.note_send("eager", nbytes)
+        self.req._complete(Status(source=endpoint.rank, tag=self.envelope.tag,
+                                  count_bytes=nbytes))
 
 
 def _on_eager(endpoint: Endpoint, payload: dict) -> None:
@@ -341,19 +395,49 @@ def _deliver_eager(endpoint: Endpoint, posted: PostedRecv, msg: ArrivedMessage) 
     status = Status(source=envelope.src, tag=envelope.tag, count_bytes=data.nbytes)
     if req.buf.space == "device":
         endpoint.gpu_engine.deliver_eager_device(endpoint, req, data, status)
-        return
+    else:
+        _EagerUnpackOp(endpoint, req, data, status)
 
-    def proc():
-        # Receiver-side CPU unpack (scatter for strided receive types).
-        yield from endpoint.cpu_work(
-            host_pack_range_time(endpoint.cfg, req.datatype, req.count, 0, data.nbytes),
-            "unpack:eager",
-        )
+
+class _EagerUnpackOp(CallbackOp):
+    """An eager payload landing in host memory (a callback op).
+
+    It unpacks the payload on the node CPU (a scatter for strided receive
+    types) and completes the receive. Its kick takes the slot of the old
+    delivery process's init timeout, the CPU grants it in place where
+    ``acquire()`` succeeded, and the unpack duration is a timed step
+    where the timeout went.
+    """
+
+    __slots__ = ("endpoint", "req", "data", "status", "t0")
+
+    def __init__(self, endpoint: Endpoint, req: Request, data: np.ndarray,
+                 status: Status):
+        self.endpoint = endpoint
+        self.req = req
+        self.data = data
+        self.status = status
+        self._step = _EagerUnpackOp._on_kick
+        endpoint.env.schedule_op(self)
+
+    def _on_kick(self) -> None:
+        self._step = _EagerUnpackOp._on_cpu
+        self.endpoint.node.cpu.request(self)
+
+    def _on_cpu(self) -> None:
+        endpoint, req = self.endpoint, self.req
+        duration = host_pack_range_time(endpoint.cfg, req.datatype, req.count,
+                                        0, self.data.nbytes)
+        endpoint.hold_cpu(self, duration, _EagerUnpackOp._unpacked)
+
+    def _unpacked(self) -> None:
+        endpoint = self.endpoint
+        endpoint.release_cpu(self.t0, "unpack:eager")
+        req = self.req
+        data = self.data
         unpack_array_into(data, req.datatype, req.count, req.buf)
         endpoint.stats.note_recv(data.nbytes)
-        req._complete(status)
-
-    endpoint.env.process(proc(), name=f"eager-deliver:rank{endpoint.rank}")
+        req._complete(self.status)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +602,7 @@ def await_cts(endpoint: Endpoint, state: SendState, rts_payload: dict, rec):
     env = endpoint.env
     attempt = 0
     while state.chunk_bytes is None:
-        ev = state.grant_event
+        ev = state.grant_event()
         if state.held:
             yield ev
             continue
@@ -609,7 +693,8 @@ def recv_watchdog(endpoint: Endpoint, state: RecvState, rec):
     idle = 0
     last = None
     while not state.done.processed:
-        yield env.any_of([state.done, env.timeout(rec.watchdog_interval)])
+        yield env.any_of([state.done.event(),
+                          env.timeout(rec.watchdog_interval)])
         if state.done.processed:
             return
         progress = (state.remaining, len(state.fin_seen), state.next_grant)
@@ -706,7 +791,7 @@ def make_recv_state(
         status=Status(
             source=rts.envelope.src, tag=rts.envelope.tag, count_bytes=total
         ),
-        done=endpoint.env.event(label=f"rdv-done:{rts.ssn}"),
+        done=Wakeup(endpoint.env),
         endpoint=endpoint,
         on_fin=on_fin,
     )

@@ -17,7 +17,7 @@ from .events import (
     SimulationError,
     Timeout,
 )
-from .process import CallbackOp, Process, ProcessGenerator, drive, wait
+from .process import CallbackOp, Process, ProcessGenerator, Wakeup, drive, wait
 from .resources import Resource, Store, StoreGet
 from .trace import FaultRecord, Interval, Tracer, union_duration
 
@@ -35,6 +35,7 @@ __all__ = [
     "CallbackOp",
     "Process",
     "ProcessGenerator",
+    "Wakeup",
     "drive",
     "wait",
     "Resource",

@@ -6,8 +6,9 @@ with the event's value (or the event's exception thrown into it). A process
 is itself an event that triggers when the generator returns, so processes can
 wait on each other and be combined with ``AllOf``/``AnyOf``.
 
-Short-lived per-message work (control sends, RDMA writes, pipeline chunks)
-and each rank's progress daemon run as *callback ops* instead:
+Every piece of per-message work (control sends, RDMA writes, pipeline
+chunks, the eager and rendezvous drivers of each message) and each rank's
+progress daemon run as *callback ops* instead:
 :class:`CallbackOp` objects that advance through plain step methods. An
 op stores its next step in ``_step`` and is then itself the queue entry,
 in the ``(time, seq)`` slot of the event a process would have yielded
@@ -20,19 +21,23 @@ grant event would go). On any other event it continues through a
 callback: :func:`wait` is its ``yield event``, and :func:`drive` runs
 one of the recovery layer's generators inline, as ``yield from`` inside
 a process would. An op may append its callback straight onto an event
-it has just created: a fresh event cannot be processed yet.
+it has just created: a fresh event cannot be processed yet. Where ops
+wait on each other, a :class:`Wakeup` stands in for the event: it is
+queued in the slot the event's ``succeed()`` took and runs its waiting
+ops there, in attach order. Processes remain for rank programs,
+user-level CPU work and the armed recovery layer's monitors.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from .events import PROCESSED, RECYCLABLE_CALLBACKS, Event, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Environment
 
-__all__ = ["CallbackOp", "Process", "ProcessGenerator", "wait", "drive"]
+__all__ = ["CallbackOp", "Process", "ProcessGenerator", "Wakeup", "wait", "drive"]
 
 ProcessGenerator = Generator[Event, Any, Any]
 
@@ -140,6 +145,62 @@ def wait(event: Event, callback: Callable[[Any], None]) -> None:
         callback(event)
     else:
         event.callbacks.append(callback)
+
+
+class Wakeup:
+    """A one-shot wake-up that runs its waiters in place.
+
+    The callback-op form of an event that ops wait on. Waiters are queue
+    entries: a callback op (:meth:`wait`), whose stored step runs, or an
+    event (:meth:`event`), the form a process or an inline-driven
+    generator yields, which is processed in place. :meth:`fire` queues
+    the wake-up itself, in the ``(time, seq)`` slot an event's
+    ``succeed()`` takes there; the environment then runs the waiters in
+    the order they attached, as the event would have run its callbacks.
+    A waiter that attaches once the wake-up is processed runs at once,
+    as :func:`wait` continues on a processed event.
+    """
+
+    __slots__ = ("env", "_waiters", "_fired")
+
+    def __init__(self, env: "Environment"):
+        self.env = env
+        self._waiters: Optional[list] = []
+        self._fired = False
+
+    @property
+    def processed(self) -> bool:
+        """True once the waiters have run."""
+        return self._waiters is None
+
+    def wait(self, op: "CallbackOp") -> None:
+        """Run ``op``'s stored step when the wake-up is processed."""
+        if self._waiters is None:
+            op._step(op)
+        else:
+            self._waiters.append(op)
+
+    def event(self, label: str = "") -> Event:
+        """An event processed where the wake-up runs its waiters."""
+        if self._waiters is None:
+            return Event.done(self.env, label=label)
+        event = Event(self.env, label=label)
+        event._ok = True
+        event._value = None
+        self._waiters.append(event)
+        return event
+
+    def fire(self) -> None:
+        """Queue the waiters' run in the slot of an event succeeding now."""
+        if self._fired:
+            raise SimulationError("wake-up fired twice")
+        self._fired = True
+        self.env.schedule_op(self)
+
+    def _process(self) -> None:
+        waiters, self._waiters = self._waiters, None
+        for waiter in waiters:
+            waiter._process()
 
 
 class _Inline:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import GpuNcConfig
-from repro.hw import Cluster
+from repro.hw import Cluster, KiB
 from repro.mpi import BYTE, FLOAT, Datatype, MpiError, MpiWorld, run_world, wait_all
 
 
@@ -384,3 +384,32 @@ class TestPipelineBehaviour:
         (sent0, got0), (sent1, got1) = run_world(program, 2)
         assert np.array_equal(sent0, got1)
         assert np.array_equal(sent1, got0)
+
+
+class TestSendVbufBound:
+    @pytest.mark.parametrize("functional", [True, False])
+    @pytest.mark.parametrize("recv_space", ["device", "host"])
+    def test_chunk_larger_than_send_vbufs_fails_before_rts(
+            self, recv_space, functional):
+        """A device send pipelined at 64 KiB cannot stage its chunks in
+        16 KiB send vbufs; it fails loudly at once, naming both sizes,
+        whatever the receive buffer and whether bytes move."""
+        rows = 16 * 1024  # 64 KiB of payload: one 64 KiB chunk
+        vec = make_vector(rows)
+        world = MpiWorld(Cluster(2), gpu_config=GpuNcConfig(chunk_bytes=64 * KiB),
+                         vbuf_bytes=16 * KiB)
+        world.env.functional = functional
+
+        def program(ctx):
+            if ctx.rank == 0:
+                buf = ctx.cuda.malloc(full_span(rows))
+                yield from ctx.comm.Send(buf, 1, vec, dest=1)
+            else:
+                buf = (ctx.cuda.malloc(full_span(rows)) if recv_space == "device"
+                       else ctx.node.malloc_host(full_span(rows)))
+                yield from ctx.comm.Recv(buf, 1, vec, source=0)
+
+        with pytest.raises(MpiError,
+                           match="device chunk 65536 exceeds sender vbuf 16384"):
+            world.run(program)
+        assert world.endpoints[0].stats.ctrl_messages == 0  # no RTS posted

@@ -126,6 +126,28 @@ class TestProbe:
 
         run_world(program, 2)
 
+    def test_blocking_probe_waits_past_a_non_matching_arrival(self):
+        """A message that does not match wakes the probe, which waits
+        again for the one that does."""
+        def program(ctx):
+            if ctx.rank == 0:
+                st = yield from ctx.comm.Probe(source=1, tag=5)
+                assert ctx.now >= 2e-3
+                assert st.tag == 5 and st.count_bytes == 16
+                other, wanted = host_buf(ctx, 8), host_buf(ctx, 16)
+                yield from ctx.comm.Recv(wanted, 16, BYTE, source=1, tag=5)
+                yield from ctx.comm.Recv(other, 8, BYTE, source=1, tag=7)
+                return other.view()[:8].tolist(), wanted.view()[:16].tolist()
+            yield ctx.env.timeout(1e-3)
+            yield from ctx.comm.Send(host_buf(ctx, 8, [7] * 8), 8, BYTE,
+                                     dest=0, tag=7)
+            yield ctx.env.timeout(1e-3)
+            yield from ctx.comm.Send(host_buf(ctx, 16, [5] * 16), 16, BYTE,
+                                     dest=0, tag=5)
+
+        got, _ = run_world(program, 2)
+        assert got == ([7] * 8, [5] * 16)
+
     def test_probe_rendezvous_message(self):
         """An RTS envelope is probe-visible before any data moves."""
         n = 1 << 18

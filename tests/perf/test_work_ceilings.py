@@ -20,6 +20,14 @@ different slot changes them, and the golden digests say where. The last
 counts allocations: a grant made in place instead of through an event
 lowers it and leaves the other three as they were.
 
+The processes and event objects of an operation are also split by
+creation site: a process by its name up to the first ``:``, an event by
+its class and the first function outside the simulation kernel that
+created it. A failing ceiling prints the split, and so does running
+this file as a script::
+
+    PYTHONPATH=src python tests/perf/test_work_ceilings.py
+
 Finished work must also be freed by reference counting: a Fig. 5 round
 trip leaves no cyclic garbage for the collector.
 
@@ -28,6 +36,9 @@ index a gather or scatter walks, pinned as index bytes per payload byte.
 """
 
 import gc
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,11 +53,11 @@ from repro.sim import Event, Process, StoreGet
 #: Per-operation ceilings, pinned at the measured counts.
 CEILINGS = {
     # One Figure 5 4 MiB MV2-GPU-NC round trip.
-    "fig5-4m": {"events": 2311, "processes": 4, "timeouts": 6,
-                "event_objects": 533},
+    "fig5-4m": {"events": 2272, "processes": 0, "timeouts": 0,
+                "event_objects": 423},
     # One 4x4 Stencil2D-MV2-GPU-NC iteration, 64x4096 local, timing only.
-    "stencil2d-4x4": {"events": 2464, "processes": 96, "timeouts": 112,
-                      "event_objects": 912},
+    "stencil2d-4x4": {"events": 2280, "processes": 0, "timeouts": 16,
+                      "event_objects": 480},
 }
 
 
@@ -66,54 +77,96 @@ def _stencil(ops: int) -> None:
 WORKLOADS = {"fig5-4m": _fig5, "stencil2d-4x4": _stencil}
 
 
-def _work(run, ops: int, monkeypatch) -> dict:
-    """Events, processes, timeouts and event objects of one ``run(ops)``
-    on a fresh world."""
-    envs, started, made = set(), [0], [0]
+#: Frames skipped when looking for the function that created an event:
+#: the simulation kernel's and this file's counting wrappers.
+_SKIPPED = (str(Path(Event.__init__.__code__.co_filename).parent), __file__)
+
+
+def _site(event) -> str:
+    """An event's creation site: its class and the first function outside
+    the simulation kernel on the stack (constructors, factories such as
+    ``Environment.process`` and engine forms such as ``Resource.acquire``
+    are skipped)."""
+    frame = sys._getframe(2)
+    while frame is not None and frame.f_code.co_filename.startswith(_SKIPPED):
+        frame = frame.f_back
+    where = frame.f_code.co_qualname if frame is not None else "?"
+    return f"{type(event).__name__} <- {where}"
+
+
+def _work(run, ops: int) -> tuple:
+    """Events, processes, timeouts and event objects of one ``run(ops)`` on
+    a fresh world, and the processes and event objects by creation site."""
+    envs, started, made = set(), Counter(), Counter()
     init = Process.__init__
     event_init = Event.__init__
 
     def counting_init(self, env, *args, **kwargs):
         envs.add(env)
-        started[0] += 1
         init(self, env, *args, **kwargs)
+        started[self.name.split(":", 1)[0]] += 1
 
     def counting_event_init(self, env, *args, **kwargs):
-        made[0] += 1
+        made[_site(self)] += 1
         event_init(self, env, *args, **kwargs)
 
-    monkeypatch.setattr(Process, "__init__", counting_init)
-    monkeypatch.setattr(Event, "__init__", counting_event_init)
-    before = PERF.snapshot()
-    run(ops)
-    after = PERF.snapshot()
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Process, "__init__", counting_init)
+        patch.setattr(Event, "__init__", counting_event_init)
+        before = PERF.snapshot()
+        run(ops)
+        after = PERF.snapshot()
     (env,) = envs
-    return {
+    counts = {
         "events": env._eid,
-        "processes": started[0],
+        "processes": sum(started.values()),
         "timeouts": sum(
             after.get(k, 0) - before.get(k, 0)
             for k in ("event_pool_hit", "event_pool_miss")
         ),
-        "event_objects": made[0],
+        "event_objects": sum(made.values()),
     }
+    return counts, {"processes": started, "event_objects": made}
+
+
+def per_operation(name: str) -> tuple:
+    """Workload ``name``'s counts per operation (a two-operation minus a
+    one-operation run) and their split by creation site."""
+    one, one_split = _work(WORKLOADS[name], 1)
+    two, two_split = _work(WORKLOADS[name], 2)
+    per_op = {k: two[k] - one[k] for k in one}
+    split = {}
+    for k in two_split:
+        diff = two_split[k].copy()
+        diff.subtract(one_split[k])
+        split[k] = {site: n for site, n in diff.most_common() if n}
+    return per_op, split
+
+
+def format_split(split: dict) -> str:
+    """The creation-site split, one site per line, largest first."""
+    lines = []
+    for k, sites in split.items():
+        lines.append(f"{k} by creation site:")
+        lines.extend(f"  {n:6d}  {site}" for site, n in sites.items())
+    return "\n".join(lines)
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_work_per_operation_within_ceiling(name, monkeypatch):
-    one = _work(WORKLOADS[name], 1, monkeypatch)
-    two = _work(WORKLOADS[name], 2, monkeypatch)
-    per_op = {k: two[k] - one[k] for k in one}
+def test_work_per_operation_within_ceiling(name):
+    per_op, split = per_operation(name)
     over = {
         k: f"{v} > {CEILINGS[name][k]}"
         for k, v in per_op.items() if v > CEILINGS[name][k]
     }
-    assert not over, f"{name}: per-operation work above its ceiling: {over}"
+    assert not over, (
+        f"{name}: per-operation work above its ceiling: {over}\n"
+        + format_split(split)
+    )
     stale = {k: v for k, v in per_op.items() if v < CEILINGS[name][k]}
     assert not stale, (
         f"{name}: per-operation work fell below its ceiling; ratchet "
-        f"CEILINGS[{name!r}] down to {stale}"
+        f"CEILINGS[{name!r}] down to {stale}\n" + format_split(split)
     )
 
 
@@ -178,3 +231,10 @@ def test_index_bytes_per_payload_byte_within_ceiling(name):
         f"{name}: word index holds {per_byte:.2f} bytes per payload byte, "
         f"ceiling {INDEX_CEILINGS[name]}"
     )
+
+
+if __name__ == "__main__":
+    for name in sorted(WORKLOADS):
+        per_op, split = per_operation(name)
+        print(f"{name}: {per_op} per operation (ceilings {CEILINGS[name]})")
+        print(format_split(split))

@@ -5,7 +5,8 @@ from collections import deque
 import pytest
 
 from repro.sim import (
-    CallbackOp, Environment, Resource, SimulationError, Store, drive, wait,
+    CallbackOp, Environment, Resource, SimulationError, Store, Wakeup, drive,
+    wait,
 )
 
 
@@ -380,6 +381,121 @@ def _store_slot_order(in_place: bool):
     return log, env._eid
 
 
+def _countdown_slot_order(in_place: bool):
+    """Log and final sequence number of one schedule in which three tasks
+    finish at mixed times and a waiter continues once all have.
+
+    In place, each finishing task queues itself and counts down there,
+    and the last one then queues the waiting op. Otherwise each task
+    succeeds a done event and a process yields the ``AllOf`` over them.
+    Timeouts are created before and after, and the waiter starts with a
+    kick (the op) or a process start.
+    """
+    env = Environment()
+    log = []
+
+    def note(tag):
+        return lambda *_: log.append((tag, env.now))
+
+    finish_at = (2.0, 1.0, 2.0)  # two of them in one instant
+    env.timeout(0.0).callbacks.append(note("before-0"))
+    env.timeout(2.0).callbacks.append(note("before-2"))
+    if in_place:
+        left = [len(finish_at)]
+        waiter = _Step(lambda: None)  # its kick only waits
+        env.schedule_op(waiter)
+
+        def finish(i):
+            def counted():
+                log.append((f"counted-{i}", env.now))
+                left[0] -= 1
+                if not left[0]:
+                    waiter.fn = note("all")
+                    env.schedule_op(waiter)
+
+            log.append((f"finish-{i}", env.now))
+            env.schedule_op(_Step(counted))
+    else:
+        dones = [env.event() for _ in finish_at]
+
+        def counted(i):
+            return lambda _e: log.append((f"counted-{i}", env.now))
+
+        for i, done in enumerate(dones):
+            done.callbacks.append(counted(i))
+
+        def waiting():
+            yield env.all_of(dones)
+            note("all")()
+
+        env.process(waiting())
+
+        def finish(i):
+            log.append((f"finish-{i}", env.now))
+            dones[i].succeed()
+
+    for i, at in enumerate(finish_at):
+        env.timeout(at).callbacks.append(lambda _e, i=i: finish(i))
+    env.timeout(2.0).callbacks.append(note("after-2"))
+    env.run()
+    return log, env._eid
+
+
+def _wakeup_slot_order(in_place: bool):
+    """Log and final sequence number of one schedule in which two waiters
+    and an event-form waiter attach to a wake-up (``in_place``) or to one
+    event carrying their callbacks, among timeouts created before and
+    after. One waiter attaches after the firing, in its step, and one
+    once the wake-up has run."""
+    env = Environment()
+    log = []
+
+    def note(tag):
+        return lambda *_: log.append((tag, env.now))
+
+    def then_step(tag):
+        def fn(*_):
+            note(tag)()
+            env.timeout(0.0).callbacks.append(note(f"{tag}-next"))
+        return fn
+
+    if in_place:
+        wakeup = Wakeup(env)
+
+        def attach(tag):
+            wakeup.wait(_Step(then_step(tag)))
+
+        def attach_event(tag):
+            wakeup.event().callbacks.append(note(tag))
+
+        fire = wakeup.fire
+    else:
+        event = env.event()
+
+        def attach(tag):
+            wait(event, then_step(tag))
+
+        def attach_event(tag):
+            event.callbacks.append(note(tag))
+
+        fire = event.succeed
+
+    def fire_at_one():
+        note("fire")()
+        fire()
+        attach("late")  # queued behind the firing: runs in its slot
+
+    env.timeout(1.0).callbacks.append(note("before-1"))
+    attach("first")
+    attach_event("event")
+    attach("second")
+    env.timeout(1.0).callbacks.append(lambda _e: fire_at_one())
+    env.timeout(1.0).callbacks.append(note("after-1"))
+    env.timeout(2.0).callbacks.append(lambda _e: attach("done"))  # at once
+    env.run()
+    return log, env._eid
+
+
 class TestCallbackOpSlots:
     def test_op_steps_and_grants_take_timeout_and_request_slots(self):
         ops = _slot_order(in_place=True)
@@ -398,3 +514,45 @@ class TestCallbackOpSlots:
             ("before-1", 1.0), ("step-1", 1.0), ("after-1", 1.0),
             ("any=other", 1.0), ("picky=wanted", 1.0),
         ], 8)
+
+    def test_countdown_takes_done_and_all_of_slots(self):
+        ops, seq = _countdown_slot_order(in_place=True)
+        events, event_seq = _countdown_slot_order(in_place=False)
+        assert ops == events
+        assert ops == [
+            ("before-0", 0.0), ("finish-1", 1.0), ("counted-1", 1.0),
+            ("before-2", 2.0), ("finish-0", 2.0), ("finish-2", 2.0),
+            ("after-2", 2.0), ("counted-0", 2.0), ("counted-2", 2.0),
+            ("all", 2.0),
+        ]
+        # The same slots, less the process's completion entry, which
+        # nothing waits on.
+        assert seq == event_seq - 1
+
+    def test_wakeup_takes_the_event_slot_and_runs_waiters_in_order(self):
+        ops = _wakeup_slot_order(in_place=True)
+        assert ops == _wakeup_slot_order(in_place=False)
+        assert ops == ([
+            ("before-1", 1.0), ("fire", 1.0), ("after-1", 1.0),
+            ("first", 1.0), ("event", 1.0), ("second", 1.0), ("late", 1.0),
+            ("first-next", 1.0), ("second-next", 1.0), ("late-next", 1.0),
+            ("done", 2.0), ("done-next", 2.0),
+        ], 9)
+
+
+class TestWakeup:
+    def test_fires_once(self, env):
+        wakeup = Wakeup(env)
+        wakeup.fire()
+        with pytest.raises(SimulationError, match="fired twice"):
+            wakeup.fire()
+
+    def test_event_form_after_processing_is_processed(self, env):
+        wakeup = Wakeup(env)
+        ran = []
+        wakeup.wait(_Step(lambda: ran.append(env.now)))
+        wakeup.fire()
+        env.run()
+        assert ran == [0.0] and wakeup.processed
+        event = wakeup.event()
+        assert event.processed and event.value is None
