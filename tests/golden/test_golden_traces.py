@@ -18,9 +18,11 @@ experiments, the fault matrix, the collectives, the datatype zoo, a
 each rendezvous path no experiment takes (the host and NIC backends, the
 contiguous device pipeline, the staged and the zero-copy host rendezvous,
 host-to-device and device-to-host rendezvous and the tbuf degrade),
-fault-free and under recovery, a zero-byte synchronous send between
-device buffers, plus eager host-to-device deliveries, contiguous and
-strided, offloaded and not. Any change to a trace, a clock or a byte
+fault-free and under recovery, the staged and zero-copy host rendezvous
+also under a lost RTS, a lost CTS and an RDMA stall, a zero-byte
+synchronous send between device buffers, plus eager host-to-device
+deliveries, contiguous and strided, offloaded and not: 35 transfers,
+and 50 digest keys in all. Any change to a trace, a clock or a byte
 fails this test.
 
 Every sequential run doubles as a leak check: once its digest is taken,
@@ -198,6 +200,14 @@ _PATH_FAULTS = {
     "drop fin": (FaultSpec("ctl", "drop", ctl_type="fin"),),
 }
 
+#: Fault plans only the host rendezvous cases run under: a lost RTS, a
+#: lost CTS and an RDMA write stalled past its completion timeout.
+_HOST_FAULTS = {
+    "drop rts": (FaultSpec("ctl", "drop", ctl_type="rts"),),
+    "drop cts": (FaultSpec("ctl", "drop", ctl_type="cts"),),
+    "rdma stall": (FaultSpec("rdma_write", "stall", delay=500e-6),),
+}
+
 
 def _transfer(space, layout, rows, specs=(), gpu_config=None,
               recovery=None, src_space=None, count=1, send="Send"):
@@ -277,10 +287,16 @@ def _paths(dump=False):
     cases.append(("zero-byte ssend", (
         "device", "contig", 16, (), None, None, None, 0, "Ssend",
     )))
+    # The host rendezvous, staged and zero-copy, under the faults its
+    # sender's wait for the first CTS meets.
+    for path, layout in (("host rdv", "strided"), ("host contig rdv", "contig")):
+        for fault, specs in _HOST_FAULTS.items():
+            cases.append((f"{path}/{fault}",
+                          ("host", layout, 2 << 14, specs)))
     with _captured_worlds(dump) as worlds:
         for _, args in cases:
             _transfer(*args)
-    assert len(worlds) == len(cases) == 29
+    assert len(worlds) == len(cases) == 35
     return {f":{name}": d for (name, _), d in zip(cases, worlds)}
 
 
