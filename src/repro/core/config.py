@@ -70,9 +70,13 @@ class RecoveryConfig:
     capped exponential backoff, sender RTS re-post until the first CTS, and
     a receiver watchdog that re-grants landing windows and NACKs missing
     FINs. All values are simulated seconds. Defaults are generous multiples
-    of the worst-case healthy-path latencies, so an armed-but-fault-free
-    run never triggers a recovery action (the trace-equality tests pin
-    this).
+    of the healthy-path latencies of the paper's 64 KiB GPU-offload chunks,
+    so a fault-free armed run of those takes no recovery action (the
+    trace-equality tests pin this). The watchdog counts progress only in
+    FINs, grants and drains, though: a slower chunk (the host or NIC
+    backend's strided copies) draws spurious re-grants and NACKs after one
+    ``watchdog_interval`` without a FIN, and a chunk slower than
+    ``watchdog_max_idle + 1`` intervals fails a healthy receive.
     """
 
     #: RDMA local-completion timeout before a chunk is retransmitted.

@@ -93,9 +93,10 @@ class StagingPool:
     It serves an endpoint's host vbufs (MVAPICH2's pre-registered vbuf
     pool) and a GPU's device tbufs alike: taking from a drained pool
     blocks, which is the protocol's flow control. A callback op takes a
-    buffer in place (:meth:`request`); the recovery layer's raced waits
-    take :meth:`acquire`'s event and :meth:`cancel` it when they lose.
-    Released buffers are handed out again oldest first.
+    buffer in place (:meth:`request`); the recovery layer races that
+    wait against a deadline (:class:`~repro.sim.Race`), which withdraws
+    it with :meth:`cancel_get` when it loses. Released buffers are handed
+    out again oldest first.
     """
 
     def __init__(self, env: "Environment", alloc: Callable[[int], BufferPtr],
@@ -106,6 +107,7 @@ class StagingPool:
         buffer asked for."""
         if buf_bytes <= 0 or count <= 0:
             raise ValueError(f"{kind} pool needs positive size and count")
+        self.env = env
         self.buf_bytes = buf_bytes
         self.count = count
         self.kind = kind
@@ -163,14 +165,9 @@ class StagingPool:
         self._take()
         self._store.request(op)
 
-    def acquire(self):
-        """Get one buffer (an event; yield it)."""
-        self._take()
-        return self._store.get()
-
-    def cancel(self, get) -> bool:
-        """Withdraw a pending acquire (recovery-layer timeout path)."""
-        return self._store.cancel_get(get)
+    def cancel_get(self, op) -> bool:
+        """Withdraw a waiting op (see :meth:`Store.cancel_get`)."""
+        return self._store.cancel_get(op)
 
     def release(self, buf: BufferPtr) -> None:
         """Return a buffer; validates provenance and double release.

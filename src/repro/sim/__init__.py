@@ -17,7 +17,7 @@ from .events import (
     SimulationError,
     Timeout,
 )
-from .process import CallbackOp, Process, ProcessGenerator, Wakeup, drive, wait
+from .process import CallbackOp, Process, ProcessGenerator, Race, Wakeup, wait
 from .resources import Resource, Store, StoreGet
 from .trace import FaultRecord, Interval, Tracer, union_duration
 
@@ -35,8 +35,8 @@ __all__ = [
     "CallbackOp",
     "Process",
     "ProcessGenerator",
+    "Race",
     "Wakeup",
-    "drive",
     "wait",
     "Resource",
     "Store",

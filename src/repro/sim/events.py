@@ -42,9 +42,9 @@ PROCESSED = object()
 #: drop every reference to their event before returning. A processed
 #: :class:`Timeout` whose only callback is one of these can be recycled into
 #: the environment's free-list pool (see :meth:`Timeout._process`) -- nothing
-#: can observe the object afterwards. Registered beside each callback: the
-#: process and inline-generator resumes (:mod:`repro.sim.process`).
-#: Callback ops take no timeouts (their timed steps are queue entries, see
+#: can observe the object afterwards. Registered beside the callback: a
+#: process's resume (:mod:`repro.sim.process`). Callback ops take no
+#: timeouts (their timed steps and deadlines are queue entries, see
 #: :meth:`Environment.schedule_op`); everything else (conditions, stream
 #: tails, user-held events) keeps fresh allocations.
 RECYCLABLE_CALLBACKS: set = set()
@@ -200,14 +200,14 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed simulated delay.
 
-    Every process start creates one, and so does every delay a process or
-    an inline-driven generator waits out, so processed instances are
-    recycled into a per-environment free list whenever it is provably
-    safe: the sole registered callback is in :data:`RECYCLABLE_CALLBACKS`,
-    meaning no reference to the object survives processing. Pooling is a
-    wall-clock optimization only -- a pooled timeout is scheduled through
-    the same :meth:`Environment._schedule` call as a fresh one, so event
-    order and simulated timestamps are those of a fresh timeout.
+    Every process start creates one, and so does every delay a process
+    waits out, so processed instances are recycled into a per-environment
+    free list whenever it is provably safe: the sole registered callback
+    is in :data:`RECYCLABLE_CALLBACKS`, meaning no reference to the object
+    survives processing. Pooling is a wall-clock optimization only -- a
+    pooled timeout is scheduled through the same
+    :meth:`Environment._schedule` call as a fresh one, so event order and
+    simulated timestamps are those of a fresh timeout.
     """
 
     __slots__ = ("delay",)

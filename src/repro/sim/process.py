@@ -7,37 +7,37 @@ is itself an event that triggers when the generator returns, so processes can
 wait on each other and be combined with ``AllOf``/``AnyOf``.
 
 Every piece of per-message work (control sends, RDMA writes, pipeline
-chunks, the eager and rendezvous drivers of each message) and each rank's
-progress daemon run as *callback ops* instead:
-:class:`CallbackOp` objects that advance through plain step methods. An
-op stores its next step in ``_step`` and is then itself the queue entry,
-in the ``(time, seq)`` slot of the event a process would have yielded
-there: :meth:`Environment.schedule_op` queues its kick (where a
+chunks, the eager and rendezvous drivers of each message, the armed
+recovery layer's waits) and each rank's progress daemon run as *callback
+ops* instead: :class:`CallbackOp` objects that advance through plain step
+methods. An op stores its next step in ``_step`` and is then itself the
+queue entry, in the ``(time, seq)`` slot of the event a process would have
+yielded there: :meth:`Environment.schedule_op` queues its kick (where a
 process's init event would go) and each timed step (where the timeout
 would go), :meth:`Environment.schedule_wire` queues a remote delivery
-under its wire key, and :meth:`Resource.request` grants it an engine
-and :meth:`Store.request` a buffer or a message in place (where the
-grant event would go). On any other event it continues through a
-callback: :func:`wait` is its ``yield event``, and :func:`drive` runs
-one of the recovery layer's generators inline, as ``yield from`` inside
-a process would. An op may append its callback straight onto an event
-it has just created: a fresh event cannot be processed yet. Where ops
-wait on each other, a :class:`Wakeup` stands in for the event: it is
-queued in the slot the event's ``succeed()`` took and runs its waiting
-ops there, in attach order. Processes remain for rank programs,
-user-level CPU work and the armed recovery layer's monitors.
+under its wire key, and :meth:`Resource.request` grants it an engine and
+:meth:`Store.request` a buffer or a message in place (where the grant
+event would go). On any other event it continues through a callback:
+:func:`wait` is its ``yield event``. An op may append its callback
+straight onto an event it has just created: a fresh event cannot be
+processed yet. Where ops wait on each other, a :class:`Wakeup` stands in
+for the event: it is queued in the slot the event's ``succeed()`` took
+and runs its waiting ops there, in attach order. A wait with a deadline
+is a :class:`Race`, in the slots of the timeout and the ``AnyOf`` a
+process would yield. Processes remain for rank programs and user-level
+CPU work.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
-from .events import PROCESSED, RECYCLABLE_CALLBACKS, Event, SimulationError
+from .events import PENDING, PROCESSED, RECYCLABLE_CALLBACKS, Event, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Environment
 
-__all__ = ["CallbackOp", "Process", "ProcessGenerator", "Wakeup", "wait", "drive"]
+__all__ = ["CallbackOp", "Process", "ProcessGenerator", "Race", "Wakeup", "wait"]
 
 ProcessGenerator = Generator[Event, Any, Any]
 
@@ -121,16 +121,6 @@ class CallbackOp:
     def _process(self) -> None:
         self._step(self)
 
-    def _take(self, event) -> None:
-        """Run the stored step with ``event``'s value as ``item``.
-
-        The callback for an event that stands in for a store grant: the
-        armed recovery layer's raced waits, driven inline, hand the op
-        their buffer this way.
-        """
-        self.item = event._value
-        self._step(self)
-
 
 def wait(event: Event, callback: Callable[[Any], None]) -> None:
     """Run ``callback(event)`` once ``event`` is processed.
@@ -148,17 +138,14 @@ def wait(event: Event, callback: Callable[[Any], None]) -> None:
 
 
 class Wakeup:
-    """A one-shot wake-up that runs its waiters in place.
+    """A one-shot wake-up that runs its waiting ops in place.
 
-    The callback-op form of an event that ops wait on. Waiters are queue
-    entries: a callback op (:meth:`wait`), whose stored step runs, or an
-    event (:meth:`event`), the form a process or an inline-driven
-    generator yields, which is processed in place. :meth:`fire` queues
-    the wake-up itself, in the ``(time, seq)`` slot an event's
-    ``succeed()`` takes there; the environment then runs the waiters in
-    the order they attached, as the event would have run its callbacks.
-    A waiter that attaches once the wake-up is processed runs at once,
-    as :func:`wait` continues on a processed event.
+    The callback-op form of an event that ops wait on. :meth:`fire`
+    queues the wake-up itself, in the ``(time, seq)`` slot an event's
+    ``succeed()`` takes there; the environment then runs each waiting
+    op's stored step in the order they attached, as the event would have
+    run its callbacks. An op that attaches once the wake-up is processed
+    runs at once, as :func:`wait` continues on a processed event.
     """
 
     __slots__ = ("env", "_waiters", "_fired")
@@ -180,16 +167,6 @@ class Wakeup:
         else:
             self._waiters.append(op)
 
-    def event(self, label: str = "") -> Event:
-        """An event processed where the wake-up runs its waiters."""
-        if self._waiters is None:
-            return Event.done(self.env, label=label)
-        event = Event(self.env, label=label)
-        event._ok = True
-        event._value = None
-        self._waiters.append(event)
-        return event
-
     def fire(self) -> None:
         """Queue the waiters' run in the slot of an event succeeding now."""
         if self._fired:
@@ -203,60 +180,57 @@ class Wakeup:
             waiter._process()
 
 
-class _Inline:
-    """Drives one generator for :func:`drive`.
-
-    Once the generator returns, the driver stands in for a processed event
-    whose value is the return value, so the same callback can follow
-    :func:`wait` and :func:`drive`.
+class Race(CallbackOp):
+    """An op's wait for a store grant, an event or a wake-up (still pending),
+    raced against a deadline: the op form of a process yielding
+    ``AnyOf([wait, env.timeout(delay)])``. The race waits in the store's queue,
+    on the event or on the wake-up, and is queued itself ``delay`` from now, in
+    the timeout's slot. Whichever runs first queues ``op``, whose ``step`` runs
+    in the ``AnyOf``'s slot and asks :meth:`won`; the other runs later as a
+    no-op, so a losing deadline still moves the clock as the timeout did.
     """
 
-    __slots__ = ("_generator", "_callback", "_ok", "_value")
+    __slots__ = ("env", "op", "on")
 
-    def __init__(self, generator: ProcessGenerator, callback):
-        self._generator = generator
-        self._callback = callback
-        self._ok = True
-        self._value = None
+    def __init__(self, op: CallbackOp, step: Callable, on: Any, delay: float):
+        self.env = on.env
+        self.op = op
+        self.on = on
+        self.item = PENDING
+        op._step = step
+        self._step = Race._run
+        if isinstance(on, Event):
+            on.callbacks.append(self._completed)
+        elif isinstance(on, Wakeup):
+            on.wait(self)
+        else:  # a store: a kept item is granted now, ahead of the deadline
+            on.request(self)
+        self.env.schedule_op(self, delay)
 
-    @property
-    def value(self) -> Any:
-        return self._value
+    def _run(self) -> None:
+        op, self.op = self.op, None
+        if op is not None:
+            self.env.schedule_op(op)
 
-    def _resume(self, event) -> None:
-        generator = self._generator
-        while True:
-            try:
-                if event._ok:
-                    event = generator.send(event._value)
-                else:
-                    event.defuse()
-                    event = generator.throw(event._value)
-            except StopIteration as exc:
-                self._value = exc.value
-                self._callback(self)
-                return
-            if event._state is not PROCESSED:
-                event.callbacks.append(self._resume)
-                return
+    def _completed(self, event: Event) -> None:
+        event.defuse()  # a completion in error is the op's to read
+        self._run()
 
-
-def drive(generator: ProcessGenerator, callback: Callable[[Any], None]) -> None:
-    """Run ``generator`` inline, as ``yield from`` inside a process would.
-
-    Each yielded event is waited on as :meth:`Process._resume` does; no
-    kick, no process and no completion event are added, so the schedule is
-    the one the enclosing process had. When the generator returns,
-    ``callback`` gets a processed stand-in event holding the return value.
-    An exception the generator raises propagates out of the callback that
-    resumed it and so out of :meth:`Environment.run`.
-    """
-    inline = _Inline(generator, callback)
-    inline._resume(inline)
+    def won(self) -> bool:
+        """Whether the grant or a successful completion came before the op's
+        step, in the deadline's instant too (a store's item is then in
+        ``item``); a lost store wait is withdrawn."""
+        on, self.on = self.on, None
+        if isinstance(on, Event):
+            return on._state is not PENDING and on._ok
+        if isinstance(on, Wakeup):
+            return on.processed
+        if self.item is PENDING:
+            on.cancel_get(self)
+            return False
+        return True
 
 
-# A process (or an inline driver) keeps no reference to the event it waits
-# on, so a Timeout whose only waiter is one can be recycled as soon as the
-# resume callback returns.
+# A process keeps no reference to the event it waits on, so a Timeout whose
+# only waiter is one can be recycled as soon as the resume callback returns.
 RECYCLABLE_CALLBACKS.add(Process._resume)
-RECYCLABLE_CALLBACKS.add(_Inline._resume)

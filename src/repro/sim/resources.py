@@ -150,7 +150,7 @@ class Store:
 
     def get(self, filt: Optional[Filter] = None) -> StoreGet:
         """An event that succeeds with the oldest item ``filt`` accepts
-        (for a process, or a wait raced against a timeout)."""
+        (for a process)."""
         event = StoreGet(self.env, label=self._get_label)
         item = self._take(filt)
         if item is _NONE:
@@ -183,16 +183,16 @@ class Store:
         """Snapshot of the waiting ops and events, oldest first."""
         return tuple(waiter for waiter, _ in self._waiting)
 
-    def cancel_get(self, get: StoreGet) -> bool:
-        """Withdraw a pending get; returns False if it already triggered.
+    def cancel_get(self, waiter: Any) -> bool:
+        """Withdraw a waiting op or get; returns False once it was granted.
 
-        Needed by timeout-based callers (the rendezvous recovery layer): a
-        get that lost its race must be removed from the wait queue, or it
-        would later steal an item nobody is waiting for.
+        Needed by waits with a deadline (a :class:`~repro.sim.process.Race`):
+        a waiter that lost its race must be removed from the wait queue, or
+        it would later steal an item nobody is waiting for.
         """
         waiting = self._waiting
-        for i, (waiter, _) in enumerate(waiting):
-            if waiter is get:
+        for i, (queued, _) in enumerate(waiting):
+            if queued is waiter:
                 del waiting[i]
                 return True
         return False

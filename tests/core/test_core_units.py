@@ -15,6 +15,7 @@ from repro.cuda import CudaContext
 from repro.hw import Cluster, CopyKind
 from repro.mpi import BYTE, FLOAT, Datatype, MpiError
 from repro.mpi.endpoint import StagingPool
+from repro.sim import CallbackOp
 
 
 @pytest.fixture
@@ -129,22 +130,40 @@ class TestGpuPackCost:
         assert half < whole
 
 
+class _Taker(CallbackOp):
+    """Notes when, and with which buffer, a pool grants it one."""
+
+    __slots__ = ("env", "got")
+
+    def __init__(self, env):
+        self.env = env
+        self.got = None
+        self._step = _Taker._took
+
+    def _took(self):
+        self.got = (self.env.now, self.item)
+
+
+def _take_now(pool):
+    """A buffer of a pool with one to spare: the grant leaves it in the
+    op's ``item`` at once."""
+    op = _Taker(pool.env)
+    pool.request(op)
+    return op.item
+
+
 class TestPools:
     def test_tbuf_pool_cycle(self, ctx):
         pool = StagingPool(ctx.env, ctx.malloc, 1024, 2, kind="tbuf chunk")
-        env = ctx.env
-
-        def proc():
-            a = yield pool.acquire()
-            b = yield pool.acquire()
-            assert pool.available == 0
-            pool.release(a)
-            c = yield pool.acquire()
-            assert c is a  # FIFO recycling
-            pool.release(b)
-            pool.release(c)
-
-        env.run(env.process(proc()))
+        a = _take_now(pool)
+        b = _take_now(pool)
+        assert pool.available == 0
+        pool.release(a)
+        c = _take_now(pool)
+        assert c is a  # FIFO recycling
+        pool.release(b)
+        pool.release(c)
+        ctx.env.run()
         assert pool.available == 2
 
     def test_tbuf_wrong_size_release_rejected(self, ctx):
@@ -158,40 +177,21 @@ class TestPools:
             StagingPool(ctx.env, ctx.malloc, 0, 1, kind="tbuf chunk")
 
     def test_vbuf_pool_blocks_when_empty(self):
+        # Hold the one vbuf until t=1: a second request waits for it.
         cluster = Cluster(1)
-        pool = StagingPool(cluster.env, cluster.nodes[0].malloc_host, 256, 1)
-        got = []
+        env = cluster.env
+        pool = StagingPool(env, cluster.nodes[0].malloc_host, 256, 1)
+        held = _take_now(pool)
+        waiter = _Taker(env)
+        pool.request(waiter)
 
-        def consumer():
-            a = yield pool.acquire()
-            got.append(("first", cluster.env.now))
-            b = yield pool.acquire()
-            got.append(("second", cluster.env.now))
-            pool.release(a)
-            pool.release(b)
-
-        def releaser(buf_holder):
-            yield cluster.env.timeout(1.0)
-            # The first consumer released nothing yet; emulate an external
-            # release by draining through a second acquire path is complex;
-            # instead verify blocking via timing below.
-
-        # Simpler: acquire once, hold; second acquire must wait until we
-        # release at t=1.
         def holder():
-            a = yield pool.acquire()
-            yield cluster.env.timeout(1.0)
-            pool.release(a)
+            yield env.timeout(1.0)
+            pool.release(held)
 
-        def waiter():
-            b = yield pool.acquire()
-            got.append(("waited", cluster.env.now))
-            pool.release(b)
-
-        cluster.env.process(holder())
-        cluster.env.process(waiter())
-        cluster.env.run()
-        assert got == [("waited", 1.0)]
+        env.process(holder())
+        env.run()
+        assert waiter.got == (1.0, held)
 
     def test_vbuf_wrong_size_release_rejected(self):
         cluster = Cluster(1)

@@ -33,22 +33,37 @@ def _vbuf_pool(cluster):
     return StagingPool(cluster.env, cluster.nodes[0].malloc_host, CHUNK, COUNT)
 
 
-def _drive(cluster, pool, ops):
+class _Holder(CallbackOp):
+    """A callback op that keeps the buffer a pool grants it in place."""
+
+    __slots__ = ("held",)
+
+    def __init__(self, held):
+        self.held = held
+        self._step = _Holder._granted
+
+    def _granted(self):
+        self.held.append(self.item)
+
+
+def _take_now(pool):
+    """A buffer of a pool with one to spare: the grant leaves it in the
+    op's ``item`` at once."""
+    op = _Holder([])
+    pool.request(op)
+    return op.item
+
+
+def _replay(cluster, pool, ops):
     """Replay an acquire/release script; check conservation at each step."""
     held = []
-
-    def program():
-        for op in ops:
-            if op == "acquire" and pool.available > 0:
-                buf = yield pool.acquire()
-                held.append(buf)
-            elif op == "release" and held:
-                pool.release(held.pop())
-            assert pool.available + len(held) == pool.count
-        return None
-        yield  # pragma: no cover
-
-    cluster.env.run(cluster.env.process(program()))
+    for op in ops:
+        if op == "acquire" and pool.available > 0:
+            held.append(_take_now(pool))
+        elif op == "release" and held:
+            pool.release(held.pop())
+        assert pool.available + len(held) == pool.count
+    cluster.env.run()
     return held
 
 
@@ -58,7 +73,7 @@ class TestConservationInvariant:
     def test_tbuf_available_plus_in_use_is_count(self, ops):
         cluster = Cluster(1)
         pool = _tbuf_pool(cluster)
-        held = _drive(cluster, pool, ops)
+        held = _replay(cluster, pool, ops)
         assert pool.available + pool.in_use == pool.count
         assert pool.in_use == len(held)
 
@@ -67,7 +82,7 @@ class TestConservationInvariant:
     def test_vbuf_available_plus_held_is_count(self, ops):
         cluster = Cluster(1)
         pool = _vbuf_pool(cluster)
-        held = _drive(cluster, pool, ops)
+        held = _replay(cluster, pool, ops)
         assert pool.available + len(held) == pool.count
 
 
@@ -78,10 +93,7 @@ class TestConservationInvariant:
 class TestOwnershipValidation:
     def _one(self, cluster, pool):
         """Acquire a single buffer synchronously."""
-        def program():
-            buf = yield pool.acquire()
-            return buf
-        return cluster.env.run(cluster.env.process(program()))
+        return _take_now(pool)
 
     def test_foreign_buffer_of_matching_size_rejected(self, make, exc):
         cluster = Cluster(1)
@@ -114,19 +126,6 @@ class TestOwnershipValidation:
         with pytest.raises(exc):
             pool.release(crooked)
         pool.release(buf)  # the real chunk still goes back fine
-
-
-class _Holder(CallbackOp):
-    """A callback op that keeps the buffer a pool grants it in place."""
-
-    __slots__ = ("held",)
-
-    def __init__(self, held):
-        self.held = held
-        self._step = _Holder._granted
-
-    def _granted(self):
-        self.held.append(self.item)
 
 
 @pytest.mark.parametrize("make", [_tbuf_pool, _vbuf_pool],

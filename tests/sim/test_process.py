@@ -5,7 +5,7 @@ from collections import deque
 import pytest
 
 from repro.sim import (
-    CallbackOp, Environment, Resource, SimulationError, Store, Wakeup, drive,
+    CallbackOp, Environment, Race, Resource, SimulationError, Store, Wakeup,
     wait,
 )
 
@@ -171,7 +171,7 @@ class TestRunControl:
 
 
 class TestCallbackOpHelpers:
-    """``wait`` and ``drive`` schedule exactly what a process would."""
+    """``wait`` schedules exactly what a process's ``yield`` would."""
 
     def test_wait_on_processed_event_continues_at_once(self, env):
         ev = env.event()
@@ -194,60 +194,6 @@ class TestCallbackOpHelpers:
         assert log == []
         env.run()
         assert log == ["first", "waiter"]
-
-    def test_drive_matches_yield_from_in_a_process(self, env):
-        def inner(tag, log):
-            got = yield env.timeout(1.0, value=tag)
-            log.append((got, env.now))
-            return tag * 2
-
-        via_process = []
-
-        def outer():
-            value = yield from inner("p", via_process)
-            via_process.append((value, env.now))
-
-        env.process(outer())
-        via_drive = []
-        drive(inner("d", via_drive),
-              lambda e: via_drive.append((e.value, env.now)))
-        env.run()
-        assert via_process == [("p", 1.0), ("pp", 1.0)]
-        assert via_drive == [("d", 1.0), ("dd", 1.0)]
-
-    def test_drive_returning_at_once_calls_back_synchronously(self, env):
-        def immediate():
-            return "now"
-            yield  # pragma: no cover
-
-        seen = []
-        drive(immediate(), lambda e: seen.append(e.value))
-        assert seen == ["now"]
-        assert env.peek() == float("inf")  # nothing was scheduled
-
-    def test_drive_throws_failures_into_the_generator(self, env):
-        failing = env.event()
-        failing.fail(RuntimeError("boom"))
-
-        def catcher():
-            try:
-                yield failing
-            except RuntimeError as exc:
-                return f"caught:{exc}"
-
-        seen = []
-        drive(catcher(), lambda e: seen.append(e.value))
-        env.run()
-        assert seen == ["caught:boom"]
-
-    def test_drive_propagates_uncaught_exceptions_out_of_run(self, env):
-        def raiser():
-            yield env.timeout(1.0)
-            raise ValueError("loud")
-
-        drive(raiser(), lambda e: None)
-        with pytest.raises(ValueError, match="loud"):
-            env.run()
 
 
 class _Step(CallbackOp):
@@ -442,11 +388,11 @@ def _countdown_slot_order(in_place: bool):
 
 
 def _wakeup_slot_order(in_place: bool):
-    """Log and final sequence number of one schedule in which two waiters
-    and an event-form waiter attach to a wake-up (``in_place``) or to one
-    event carrying their callbacks, among timeouts created before and
-    after. One waiter attaches after the firing, in its step, and one
-    once the wake-up has run."""
+    """Log and final sequence number of one schedule in which waiters
+    attach to a wake-up (``in_place``) or to one event carrying their
+    callbacks, among timeouts created before and after. One waiter
+    attaches after the firing, in its step, and one once the wake-up has
+    run."""
     env = Environment()
     log = []
 
@@ -465,18 +411,12 @@ def _wakeup_slot_order(in_place: bool):
         def attach(tag):
             wakeup.wait(_Step(then_step(tag)))
 
-        def attach_event(tag):
-            wakeup.event().callbacks.append(note(tag))
-
         fire = wakeup.fire
     else:
         event = env.event()
 
         def attach(tag):
             wait(event, then_step(tag))
-
-        def attach_event(tag):
-            event.callbacks.append(note(tag))
 
         fire = event.succeed
 
@@ -487,12 +427,63 @@ def _wakeup_slot_order(in_place: bool):
 
     env.timeout(1.0).callbacks.append(note("before-1"))
     attach("first")
-    attach_event("event")
     attach("second")
     env.timeout(1.0).callbacks.append(lambda _e: fire_at_one())
     env.timeout(1.0).callbacks.append(note("after-1"))
     env.timeout(2.0).callbacks.append(lambda _e: attach("done"))  # at once
     env.run()
+    return log, env._eid
+
+
+def _race_slot_order(in_place: bool, put_at: float):
+    """Log and final sequence number of one schedule in which a wait for
+    a store item races a 2 s deadline: a :class:`Race` started by an op's
+    kick (``in_place``), or a process yielding
+    ``AnyOf([store.get(), env.timeout(2.0)])``. The item is put at
+    ``put_at`` by a timeout created just after the wait starts, among
+    timeouts created before and after; the log ends with what the store
+    keeps and how many wait on it."""
+    env = Environment()
+    store = Store(env)
+    log = []
+
+    def note(tag):
+        return lambda *_: log.append((tag, env.now))
+
+    def put(_e):
+        note("put")()
+        store.put("item")
+
+    env.timeout(2.0).callbacks.append(note("before-2"))
+    if in_place:
+        op = _Step(None)
+
+        def start():
+            race = Race(op, _Step._run, store, 2.0)
+            op.fn = lambda: log.append(
+                (f"won={race.item}" if race.won() else "lost", env.now))
+            env.timeout(put_at).callbacks.append(put)
+
+        env.schedule_op(_Step(start))
+    else:
+        def waiter():
+            get = store.get()
+            raced = env.any_of([get, env.timeout(2.0)])
+            env.timeout(put_at).callbacks.append(put)
+            yield raced
+            if get.triggered:
+                log.append((f"won={get.value}", env.now))
+            else:
+                store.cancel_get(get)
+                log.append(("lost", env.now))
+            # Keep waiting: a process that returns queues a completion
+            # entry, which an op has no counterpart of.
+            yield env.event()
+
+        env.process(waiter())
+    env.timeout(2.0).callbacks.append(note("after-2"))
+    env.run()
+    log.append((store.peek_items(), store.queue_len))
     return log, env._eid
 
 
@@ -534,10 +525,34 @@ class TestCallbackOpSlots:
         assert ops == _wakeup_slot_order(in_place=False)
         assert ops == ([
             ("before-1", 1.0), ("fire", 1.0), ("after-1", 1.0),
-            ("first", 1.0), ("event", 1.0), ("second", 1.0), ("late", 1.0),
+            ("first", 1.0), ("second", 1.0), ("late", 1.0),
             ("first-next", 1.0), ("second-next", 1.0), ("late-next", 1.0),
             ("done", 2.0), ("done-next", 2.0),
         ], 9)
+
+    @pytest.mark.parametrize("put_at,expected", [
+        pytest.param(1.0, [
+            ("put", 1.0), ("won=item", 1.0), ("before-2", 2.0),
+            ("after-2", 2.0), ((), 0),
+        ], id="grant-first"),
+        # The deadline, created in the kick, runs after both timeouts
+        # created before the run; the lost wait is withdrawn, so the
+        # later put is kept.
+        pytest.param(3.0, [
+            ("before-2", 2.0), ("after-2", 2.0), ("lost", 2.0),
+            ("put", 3.0), (("item",), 0),
+        ], id="deadline-first"),
+        # Put by a timeout created after the deadline: the deadline runs
+        # first, the grant lands in its instant, and the wait keeps it.
+        pytest.param(2.0, [
+            ("before-2", 2.0), ("after-2", 2.0), ("put", 2.0),
+            ("won=item", 2.0), ((), 0),
+        ], id="grant-at-the-deadline"),
+    ])
+    def test_race_takes_the_any_of_schedule(self, put_at, expected):
+        ops = _race_slot_order(True, put_at)
+        assert ops == _race_slot_order(False, put_at)
+        assert ops[0] == expected
 
 
 class TestWakeup:
@@ -547,12 +562,12 @@ class TestWakeup:
         with pytest.raises(SimulationError, match="fired twice"):
             wakeup.fire()
 
-    def test_event_form_after_processing_is_processed(self, env):
+    def test_wait_after_processing_runs_at_once(self, env):
         wakeup = Wakeup(env)
         ran = []
         wakeup.wait(_Step(lambda: ran.append(env.now)))
         wakeup.fire()
         env.run()
         assert ran == [0.0] and wakeup.processed
-        event = wakeup.event()
-        assert event.processed and event.value is None
+        wakeup.wait(_Step(lambda: ran.append("late")))
+        assert ran == [0.0, "late"]
