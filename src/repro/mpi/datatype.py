@@ -17,7 +17,8 @@ need, from scratch:
   or, for a base that is one run as long as its extent, emits one run per
   block. Cost grows with array length, not interpreter iterations, so a
   million-row vector or a 12 288-block ``hindexed`` flattens in
-  milliseconds,
+  milliseconds; a construction that repeats an earlier one reuses its
+  flattening (the constructors are interned, see ``Datatype._intern``),
 * detection of *uniform* layouts -- ``(width, height, pitch)`` -- which is
   what lets the GPU offload path express pack/unpack as a single
   ``cudaMemcpy2D`` instead of a general gather kernel (Section IV-A).
@@ -61,7 +62,7 @@ class SegmentList:
     """
 
     __slots__ = ("offsets", "lengths", "_prefix", "_total", "_span",
-                 "_uniform", "_word", "_index")
+                 "_uniform", "_word", "_index", "canon_key")
 
     def __init__(self, offsets: np.ndarray, lengths: np.ndarray):
         if offsets.shape != lengths.shape:
@@ -74,6 +75,9 @@ class SegmentList:
         self._uniform = _UNSET
         self._word: Optional[int] = None
         self._index: Optional[np.ndarray] = None
+        #: The canonical registry key :func:`repro.mpi.dtir.register`
+        #: detected for these runs (None until first registered).
+        self.canon_key: Optional[tuple] = None
 
     @property
     def count(self) -> int:
@@ -304,6 +308,25 @@ class Datatype:
         return out
 
     # -- derived-type factories ---------------------------------------------------
+    # hvector, hindexed, struct, subarray and darray (and contiguous,
+    # vector, indexed and indexed_block through them) are interned: a call
+    # whose key -- every argument, plus each base type's SegmentList
+    # object, size, extent and base dtype -- repeats an earlier call's
+    # returns a new, uncommitted type over that call's SegmentList, so it
+    # skips the flatten here and the detection at commit.
+    @classmethod
+    def _interned(cls, key: tuple) -> Optional["Datatype"]:
+        """A new type with the fields an earlier call with ``key`` built."""
+        fields = dtir.interned(key)
+        return None if fields is None else cls(*fields)
+
+    @classmethod
+    def _intern(cls, key: tuple, *fields) -> "Datatype":
+        """A new type with ``fields``, remembered under ``key``."""
+        out = cls(*fields)
+        dtir.intern(key, fields)
+        return out
+
     @classmethod
     def contiguous(cls, count: int, base: "Datatype") -> "Datatype":
         """``MPI_Type_contiguous``."""
@@ -334,6 +357,12 @@ class Datatype:
         """``MPI_Type_create_hvector``: stride counted in bytes."""
         if count < 0 or blocklength < 0:
             raise DatatypeError("count and blocklength must be non-negative")
+        name = name or f"hvector({count},{blocklength},{stride_bytes})"
+        key = ("hvector", name, count, blocklength, stride_bytes,
+               *_base_key(base))
+        out = cls._interned(key)
+        if out is not None:
+            return out
         block = base.segments.tiled(blocklength, base.extent).coalesced()
         if block.count == 1 and count > 0:
             # Single-run block (every contiguous base): the tiling is
@@ -357,14 +386,7 @@ class Datatype:
         lo, hi = segs.span()
         if count == 0 or blocklength == 0:
             lo = hi = 0
-        return cls(
-            name or f"hvector({count},{blocklength},{stride_bytes})",
-            size,
-            lo,
-            hi - lo,
-            segs,
-            base_np=base.base_np,
-        )
+        return cls._intern(key, name, size, lo, hi - lo, segs, base.base_np)
 
     @classmethod
     def indexed(
@@ -390,12 +412,16 @@ class Datatype:
             raise DatatypeError("blocklengths and displacements length mismatch")
         bls = _blocklengths(blocklengths)
         displs = np.asarray(byte_displacements, dtype=np.int64)
+        name = name or "hindexed"
+        key = ("hindexed", name, _array_key(bls), _array_key(displs),
+               *_base_key(base))
+        out = cls._interned(key)
+        if out is not None:
+            return out
         segs = _flatten_blocks(base, bls, displs).coalesced()
         size = base.size * int(bls.sum())
         lo, hi = segs.span()
-        return cls(
-            name or "hindexed", size, lo, hi - lo, segs, base_np=base.base_np
-        )
+        return cls._intern(key, name, size, lo, hi - lo, segs, base.base_np)
 
     @classmethod
     def indexed_block(
@@ -438,6 +464,11 @@ class Datatype:
             raise DatatypeError("struct argument length mismatch")
         bls = _blocklengths(blocklengths)
         displs = np.asarray(byte_displacements, dtype=np.int64)
+        key = ("struct", _array_key(bls), _array_key(displs),
+               *map(_base_key, types))
+        out = cls._interned(key)
+        if out is not None:
+            return out
         parts: List[SegmentList] = []
         kinds = []
         size = start = 0
@@ -455,7 +486,7 @@ class Datatype:
         base_np = kinds[0] if kinds else None
         if any(k != base_np for k in kinds):
             base_np = None
-        return cls("struct", size, lo, hi - lo, segs, base_np=base_np)
+        return cls._intern(key, "struct", size, lo, hi - lo, segs, base_np)
 
     @classmethod
     def subarray(
@@ -484,6 +515,12 @@ class Datatype:
                 )
         if order not in ("C", "F"):
             raise DatatypeError(f"order must be 'C' or 'F', got {order!r}")
+        name = f"subarray{tuple(subsizes)}of{tuple(sizes)}"
+        key = ("subarray", name, tuple(sizes), tuple(subsizes), tuple(starts),
+               order, *_base_key(base))
+        out = cls._interned(key)
+        if out is not None:
+            return out
         sizes_c = list(sizes) if order == "C" else list(reversed(sizes))
         subs_c = list(subsizes) if order == "C" else list(reversed(subsizes))
         starts_c = list(starts) if order == "C" else list(reversed(starts))
@@ -512,14 +549,7 @@ class Datatype:
         ).coalesced()
         size = base.size * int(np.prod(subsizes))
         full = base.extent * int(np.prod(sizes))
-        return cls(
-            f"subarray{tuple(subsizes)}of{tuple(sizes)}",
-            size,
-            0,
-            full,
-            segs,
-            base_np=base.base_np,
-        )
+        return cls._intern(key, name, size, 0, full, segs, base.base_np)
 
     #: Distribution kinds for :meth:`darray` (MPI_DISTRIBUTE_*).
     DIST_NONE = "none"
@@ -563,6 +593,12 @@ class Datatype:
             )
         if not (0 <= rank < nprocs):
             raise DatatypeError(f"rank {rank} outside 0..{nprocs - 1}")
+        name = f"darray(rank{rank}/{nprocs})"
+        key = ("darray", name, nprocs, rank, tuple(gsizes), tuple(distribs),
+               tuple(dargs), tuple(psizes), order, *_base_key(base))
+        out = cls._interned(key)
+        if out is not None:
+            return out
 
         # This rank's coordinates in the process grid, row-major whatever
         # the array order (MPI 3.1 section 4.1.4).
@@ -627,14 +663,8 @@ class Datatype:
         ).coalesced()
         owned_count = int(np.prod([len(o) for o in owned])) if ndims else 0
         full = base.extent * int(np.prod(gsizes))
-        return cls(
-            f"darray(rank{rank}/{nprocs})",
-            base.size * owned_count,
-            0,
-            full,
-            segs,
-            base_np=base.base_np,
-        )
+        return cls._intern(key, name, base.size * owned_count, 0, full, segs,
+                           base.base_np)
 
     @classmethod
     def resized(cls, base: "Datatype", lb: int, extent: int) -> "Datatype":
@@ -840,6 +870,16 @@ class Datatype:
     def __repr__(self) -> str:  # pragma: no cover
         state = "committed" if self._committed else "uncommitted"
         return f"<Datatype {self.name} size={self.size} extent={self.extent} {state}>"
+
+
+def _base_key(base: Datatype) -> tuple:
+    """Everything a derived constructor reads of a base type."""
+    return base._segments, base.size, base.extent, base.base_np
+
+
+def _array_key(arr: np.ndarray) -> tuple:
+    """A hashable key of an int64 argument array."""
+    return arr.shape, arr.tobytes()
 
 
 def _blocklengths(blocklengths: Sequence[int]) -> np.ndarray:

@@ -38,6 +38,14 @@ deliberately *excluded* from the canonical key -- that is the
 and differs only in the ``(count, extent)`` cache keys where tiling
 makes the extent observable.
 
+Detection runs once per distinct layout, not once per commit. The
+registry records each detected key on the SegmentList it came from, so
+re-binding that SegmentList is a lookup. Beside the registry sits the
+derived constructors' memo (:func:`interned` / :func:`intern`): a
+constructor called again with the same inputs returns a new type over the
+earlier call's SegmentList, so repeated constructions skip both the
+flatten and the detection.
+
 Everything here is wall-clock only. Entries are seeded from the
 compiler's own segment lists and every shared artifact is bit-identical
 to a fresh compilation, so simulated traces cannot change (the golden
@@ -72,6 +80,8 @@ __all__ = [
     "register",
     "registry_size",
     "reset_registry",
+    "interned",
+    "intern",
 ]
 
 # ---------------------------------------------------------------------------
@@ -506,40 +516,76 @@ class CanonicalEntry:
 _REGISTRY: "OrderedDict[tuple, CanonicalEntry]" = OrderedDict()
 REGISTRY_CAP = 256
 
+#: Derived-constructor key -> the fields ``(name, size, lb, extent,
+#: segments, base_np)`` of the type the first such call built, LRU-capped
+#: like the registry (see ``repro.mpi.datatype``).
+_CTORS: "OrderedDict[tuple, tuple]" = OrderedDict()
+
 
 def registry_size() -> int:
     return len(_REGISTRY)
 
 
 def reset_registry() -> None:
-    """Drop all entries (tests and benchmarks start from a cold registry)."""
+    """Drop all entries and interned constructions (tests and benchmarks
+    start from a cold registry)."""
     _REGISTRY.clear()
+    _CTORS.clear()
+
+
+def interned(key: tuple) -> Optional[tuple]:
+    """The fields an earlier constructor call with ``key`` built, or None."""
+    fields = _CTORS.get(key)
+    if fields is None:
+        PERF.bump("dtype_ctor_miss")
+        return None
+    _CTORS.move_to_end(key)
+    PERF.bump("dtype_ctor_hit")
+    return fields
+
+
+def intern(key: tuple, fields: tuple) -> None:
+    """Remember a constructor call's result fields under its key."""
+    _CTORS[key] = fields
+    if len(_CTORS) > REGISTRY_CAP:
+        _CTORS.popitem(last=False)
 
 
 def register(segments, type_id: int) -> CanonicalEntry:
     """Canonicalize a type's runs and bind its registry entry.
 
-    :func:`detect` on ``segments`` gives the canonical key. Registry
-    members must agree on their run arrays; the O(1) invariants are
-    checked on every hit. A mismatch can only come from a 128-bit digest
-    collision of two :class:`Irregular` layouts: the type then gets a
-    private entry that never enters the registry, so it never shares.
+    :func:`detect` on ``segments`` gives the canonical key, which is
+    recorded on the segments (``canon_key``): a later bind of the same
+    SegmentList -- an interned construction, a ``dup``, a ``resized`` --
+    is one registry lookup while the key's entry lives, and detects again
+    once the registry has evicted it. Registry members must agree on
+    their run arrays; the O(1) invariants are checked before a key is
+    recorded. A mismatch can only come from a 128-bit digest collision of
+    two :class:`Irregular` layouts: the type then gets a private entry
+    that never enters the registry, and its segments record no key, so it
+    never shares.
     """
     PERF.bump("dtir_canon")
-    det = detect(segments.offsets, segments.lengths)
-    key = det.key()
+    key = segments.canon_key
     entry = _REGISTRY.get(key)
-    if entry is not None:
+    if entry is None:
+        PERF.bump("dtir_detect")
+        node = detect(segments.offsets, segments.lengths)
+        key = node.key()
+        entry = _REGISTRY.get(key)
+        if entry is None:
+            entry = _REGISTRY[key] = CanonicalEntry(
+                key, node, segments, creator=type_id)
+            if len(_REGISTRY) > REGISTRY_CAP:
+                _REGISTRY.popitem(last=False)
+            segments.canon_key = key
+            return entry
         if (segments.count != entry.segments.count
                 or segments.total_bytes != entry.segments.total_bytes):
-            return CanonicalEntry(key, det, segments, creator=type_id)
-        _REGISTRY.move_to_end(key)
-        PERF.bump("dtir_entry_reuse")
-        if type_id != entry.creator:
-            PERF.bump("dtir_collision")
-        return entry
-    entry = CanonicalEntry(key, det, segments, creator=type_id)
-    _REGISTRY[key] = entry
-    if len(_REGISTRY) > REGISTRY_CAP:
-        _REGISTRY.popitem(last=False)
+            return CanonicalEntry(key, node, segments, creator=type_id)
+        segments.canon_key = key
+    _REGISTRY.move_to_end(key)
+    PERF.bump("dtir_entry_reuse")
+    if type_id != entry.creator:
+        PERF.bump("dtir_collision")
     return entry

@@ -82,8 +82,16 @@ recovery layer; all zero unless a FaultPlan or RecoveryConfig is armed)
 Datatype-IR counters (:mod:`repro.mpi.dtir`)
 --------------------------------------------------------------------------
 ``dtir_canon``
-    Types canonicalized: their runs detected into a canonical node and
-    bound to a registry entry (at commit, or on first use).
+    Types canonicalized: bound to a registry entry (at commit, or on
+    first use).
+``dtir_detect``
+    Bindings that ran detection on their runs (a SegmentList not bound
+    before, or one whose registry entry was evicted); the rest are one
+    lookup of the key recorded on the SegmentList.
+``dtype_ctor_hit`` / ``dtype_ctor_miss``
+    Derived-constructor calls that repeated an interned call's inputs
+    (no flatten) vs. flattened a new construction
+    (:mod:`repro.mpi.datatype`).
 ``dtir_collision``
     Canonical collisions: a distinct datatype instance whose canonical
     form matched an existing registry entry (the collapse the IR is for).
@@ -379,8 +387,9 @@ class PerfStats:
 
         Summarizes the datatype compiler's work: how many types were
         canonicalized, how many collapsed onto an existing canonical
-        form, and how much compiled state was served across instances
-        because of it.
+        form, how much compiled state was served across instances
+        because of it, how many bindings ran detection and how many
+        constructions the constructor memo served.
         """
         c = self.counters
         canon = c["dtir_canon"]
@@ -393,6 +402,8 @@ class PerfStats:
         parts = [
             f"{canon} canon ({c['dtir_collision']} collisions)",
             f"shared {shared}",
+            f"{c['dtir_detect']} detected",
+            f"ctor {c['dtype_ctor_hit']} hit / {c['dtype_ctor_miss']} miss",
         ]
         return "[dtype: " + ", ".join(parts) + "]"
 

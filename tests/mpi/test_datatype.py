@@ -1,8 +1,14 @@
 """Tests for the MPI datatype algebra and segment flattening."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.mpi import dtir
 from repro.mpi.datatype import Datatype, DatatypeError, SegmentList
 
 FLOAT = Datatype.named(np.float32, "FLOAT")
@@ -282,3 +288,136 @@ class TestLargeFlattening:
         t = Datatype.vector(1000, 3, 7, DOUBLE)
         assert t.size == 1000 * 3 * 8
         assert t.extent == (999 * 7 + 3) * 8
+
+
+# ---------------------------------------------------------------------------
+# Interned constructors
+# ---------------------------------------------------------------------------
+
+#: Bases of the interning property: single-run primitives and a multi-run
+#: vector (which constructors place once per element).
+BASES = [BYTE, FLOAT, DOUBLE, Datatype.vector(2, 1, 3, INT)]
+
+
+def base_variants(base):
+    """``base``; a resize sharing its SegmentList and size but not its
+    extent; a dup sharing all three."""
+    return [base, Datatype.resized(base, 0, base.extent + 4),
+            Datatype.dup(base)]
+
+
+C, CF = ("C",), ("C", "F")
+
+
+@st.composite
+def ctor_calls(draw):
+    """A random call of a memoized constructor, valid or not, as
+    ``(orders, call)``: ``call(base, order)`` makes it over ``base``."""
+    kind = draw(st.sampled_from([
+        "contiguous", "vector", "hvector", "indexed", "indexed_block",
+        "hindexed", "struct", "subarray", "darray",
+    ]))
+    small = st.integers(0, 4)
+    if kind == "contiguous":
+        n = draw(small)
+        return C, lambda b, o: Datatype.contiguous(n, b)
+    if kind == "vector":
+        n, bl, stride = draw(small), draw(small), draw(st.integers(-3, 6))
+        return C, lambda b, o: Datatype.vector(n, bl, stride, b)
+    if kind == "hvector":
+        n, bl = draw(st.integers(-1, 4)), draw(small)
+        stride = draw(st.integers(-16, 48))
+        return C, lambda b, o: Datatype.hvector(n, bl, stride, b)
+    if kind in ("indexed", "indexed_block", "hindexed", "struct"):
+        blocks = draw(st.lists(
+            st.tuples(st.integers(-1, 3), st.integers(-8, 64)), max_size=5))
+        bls = [bl for bl, _ in blocks]
+        displs = [d for _, d in blocks]
+        if kind == "indexed":
+            return C, lambda b, o: Datatype.indexed(bls, displs, b)
+        if kind == "hindexed":
+            return C, lambda b, o: Datatype.hindexed(bls, displs, b)
+        if kind == "indexed_block":
+            bl = draw(st.integers(-1, 3))
+            return C, lambda b, o: Datatype.indexed_block(bl, displs, b)
+        # Mixed members: the varied base (None) among fixed primitives.
+        members = draw(st.lists(st.sampled_from([None, BYTE, DOUBLE]),
+                                min_size=len(blocks), max_size=len(blocks)))
+        return C, lambda b, o: Datatype.struct(
+            bls, displs, [b if m is None else m for m in members])
+    ndim = draw(st.integers(1, 2 if kind == "darray" else 3))
+    dims = st.lists(st.integers(1, 5), min_size=ndim, max_size=ndim)
+    if kind == "subarray":
+        sizes = draw(dims)
+        subsizes = [draw(st.integers(1, n + 1)) for n in sizes]
+        starts = [draw(st.integers(0, n - 1)) for n in sizes]
+        return CF, lambda b, o: Datatype.subarray(
+            sizes, subsizes, starts, b, order=o)
+    psizes = draw(st.lists(st.integers(1, 3), min_size=ndim, max_size=ndim))
+    nprocs = math.prod(psizes)
+    rank = draw(st.integers(0, nprocs - 1))
+    gsizes = draw(dims)
+    distribs = draw(st.lists(
+        st.sampled_from([Datatype.DIST_BLOCK, Datatype.DIST_CYCLIC,
+                         Datatype.DIST_NONE]), min_size=ndim, max_size=ndim))
+    dargs = draw(st.lists(st.one_of(st.none(), st.integers(1, 3)),
+                          min_size=ndim, max_size=ndim))
+    return CF, lambda b, o: Datatype.darray(
+        nprocs, rank, gsizes, distribs, dargs, psizes, b, order=o)
+
+
+def fields(t):
+    """What an interned type shares with the call it repeats."""
+    return (t.name, t.size, t.lb, t.extent, str(t.base_np),
+            t.segments.offsets.tolist(), t.segments.lengths.tolist())
+
+
+def state(t):
+    return fields(t) + (t.committed, t.version, t._canon_entry)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(ctor_calls(), min_size=1, max_size=3),
+       st.sampled_from(BASES))
+def test_interning_is_invisible(calls, base):
+    """Each call runs over every base variant and order, so the memo sees
+    calls that differ in exactly one input; a repeat must equal a cold
+    build and stay independent of the instance it repeats."""
+    dtir.reset_registry()
+    makes = [functools.partial(call, b, order)
+             for orders, call in calls
+             for b in base_variants(base) for order in orders]
+    pairs = []
+    for make in makes:
+        try:
+            first = make()
+        except DatatypeError:
+            for _ in range(2):  # never memoized, so it raises every time
+                with pytest.raises(DatatypeError):
+                    make()
+            continue
+        again = make()
+        assert again is not first and again.type_id > first.type_id
+        assert not again.committed and again.version == 0
+        assert again.segments is first.segments
+        assert fields(again) == fields(first)
+        pairs.append((make, first, again))
+
+    for _, first, again in pairs:
+        untouched = state(again)
+        first.commit()
+        Datatype.dup(first).commit()
+        Datatype.resized(first, first.lb, first.extent + 8).commit()
+        assert state(again) == untouched
+        untouched = state(first)
+        again.commit()
+        assert again._entry() is first._entry()
+        Datatype.dup(again).commit()
+        Datatype.resized(again, again.lb, again.extent + 8).commit()
+        assert state(first) == untouched
+
+    for make, first, again in pairs:
+        dtir.reset_registry()
+        cold = make()
+        assert fields(first) == fields(cold)
+        assert fields(again) == fields(cold)

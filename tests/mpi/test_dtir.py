@@ -238,6 +238,94 @@ def test_committed_type_with_entry_survives_pickle():
 
 
 # ---------------------------------------------------------------------------
+# Interned constructions: one flatten and one detection per layout
+# ---------------------------------------------------------------------------
+
+#: A 64-block hindexed of irregular float runs with gaps between them.
+HIX_BLOCKS = [1 + (7 * i) % 5 for i in range(64)]
+HIX_DISPLS = [4 * (12 * i + (5 * i) % 3) for i in range(64)]
+
+
+def mixed_set():
+    """One construction of each kind alltoallv-style codes repeat."""
+    return [
+        Datatype.hindexed(HIX_BLOCKS, HIX_DISPLS, FLOAT),
+        Datatype.subarray([32, 64], [16, 16], [0, 16], FLOAT),
+        Datatype.subarray([32, 64], [16, 16], [0, 16], FLOAT, order="F"),
+        Datatype.vector(32, 3, 8, FLOAT),
+        Datatype.indexed_block(2, [0, 5, 11, 30], FLOAT),
+        Datatype.darray(4, 1, [8, 6], [Datatype.DIST_BLOCK,
+                                       Datatype.DIST_CYCLIC],
+                        [None, None], [2, 2], FLOAT),
+    ]
+
+
+def counts_during(fn, *names):
+    before = PERF.snapshot()
+    fn()
+    return {k: PERF.counters[k] - before.get(k, 0) for k in names}
+
+
+COUNTS = ("dtype_ctor_hit", "dtype_ctor_miss", "dtir_detect", "dtir_canon",
+          "dtir_entry_reuse")
+
+
+def test_repeated_constructions_skip_flatten_and_detection():
+    first = counts_during(lambda: [t.commit() for t in mixed_set()], *COUNTS)
+    assert first["dtype_ctor_miss"] == 6 and first["dtype_ctor_hit"] == 0
+    assert first["dtir_detect"] == 6
+    size = dtir.registry_size()
+    second = counts_during(lambda: [t.commit() for t in mixed_set()], *COUNTS)
+    assert second == {"dtype_ctor_hit": 6, "dtype_ctor_miss": 0,
+                      "dtir_detect": 0, "dtir_canon": 6,
+                      "dtir_entry_reuse": 6}
+    assert dtir.registry_size() == size
+
+
+def test_evicted_key_falls_back_to_one_detection():
+    vec = Datatype.vector(32, 3, 8, FLOAT).commit()
+    again = Datatype.vector(32, 3, 8, FLOAT)
+    assert again.segments is vec.segments
+    key = vec.segments.canon_key
+    for k in range(dtir.REGISTRY_CAP + 1):
+        Datatype.hvector(k + 2, 1, 2, BYTE).commit()  # distinct layouts
+    assert key not in dtir._REGISTRY
+    assert len(dtir._CTORS) <= dtir.REGISTRY_CAP
+    delta = counts_during(again.commit, "dtir_detect", "dtir_entry_reuse")
+    assert delta == {"dtir_detect": 1, "dtir_entry_reuse": 0}
+    entry = again._entry()
+    assert entry.key == key and dtir._REGISTRY[key] is entry
+    # The fresh entry serves the type that recorded the key, by lookup.
+    delta = counts_during(Datatype.dup(vec).commit, "dtir_detect",
+                          "dtir_entry_reuse")
+    assert delta == {"dtir_detect": 0, "dtir_entry_reuse": 1}
+
+
+def test_unpickled_segments_bind_after_reset():
+    """The shard path: a SegmentList crosses a pickle with its key."""
+    vec = Datatype.vector(32, 3, 8, FLOAT).commit()
+    key = vec.segments.canon_key
+    blob = pickle.dumps(vec)
+    dtir.reset_registry()
+    clone = pickle.loads(blob)
+    delta = counts_during(clone.commit, "dtir_detect")
+    assert delta == {"dtir_detect": 1}
+    entry = clone._entry()
+    assert entry.key == key and dtir._REGISTRY[key] is entry
+    assert np.array_equal(entry.segments.offsets, vec.segments.offsets)
+    assert np.array_equal(entry.segments.lengths, vec.segments.lengths)
+
+    # After another reset a fresh construction registers the layout
+    # first; an unpickled copy then binds that entry by lookup.
+    dtir.reset_registry()
+    fresh = Datatype.vector(32, 3, 8, FLOAT).commit()
+    assert fresh.segments is not vec.segments
+    delta = counts_during(pickle.loads(blob).commit, "dtir_detect")
+    assert delta == {"dtir_detect": 0}
+    assert pickle.loads(blob).commit()._entry() is fresh._entry()
+
+
+# ---------------------------------------------------------------------------
 # Unified classifier (the uniform()/signature divergence fix)
 # ---------------------------------------------------------------------------
 

@@ -233,6 +233,7 @@ def test_mismatched_registry_key_gets_a_private_entry(monkeypatch):
     monkeypatch.undo()
     assert private is not owner_entry
     assert private.key == owner_entry.key
+    assert intruder.segments.canon_key is None
     assert dtir.registry_size() == 1
     assert dtir._REGISTRY[owner_entry.key] is owner_entry
 
