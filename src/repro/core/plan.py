@@ -3,9 +3,9 @@
 Every device transfer -- rendezvous send or receive, eager delivery into
 device memory, contiguous or strided, whatever its backend -- walks the
 same per-chunk structure: byte range, segment slice and stage labels. A
-:class:`TransferPlan` compiles that structure **once** per ``(datatype
-version, count, chunk size, byte length)`` and is cached in the
-datatype's canonical registry entry (see
+:class:`TransferPlan` compiles that structure **once** per ``(layout,
+count, extent, chunk size, byte length)`` and is cached in the layout's
+canonical registry entry (see
 :meth:`~repro.mpi.datatype.Datatype.plan_for`), so a steady stream of
 same-shaped messages replays flat, preresolved chunk records. The byte
 length defaults to the whole footprint ``size * count``; a shorter one
@@ -90,21 +90,20 @@ class TransferPlan:
     """The compiled form of one transfer shape.
 
     Immutable once compiled; safe to share across every message with the
-    same ``(datatype version, count, chunk_bytes, total)`` signature.
+    same ``(layout, count, extent, chunk_bytes, total)`` signature.
     Stage *durations* are not baked in -- datatype objects (and therefore
     plans) are shared across worlds with different hardware
     configurations -- but are memoized per config in :meth:`costs_for`.
     """
 
     __slots__ = (
-        "type_id", "version", "count", "chunk_bytes", "total", "nchunks",
-        "kind", "chunks", "_cost_cache",
+        "type_id", "count", "chunk_bytes", "total", "nchunks", "kind",
+        "chunks", "_cost_cache", "_last_cfg", "_last_costs",
     )
 
-    def __init__(self, type_id, version, count, chunk_bytes, total, nchunks,
-                 kind, chunks):
+    def __init__(self, type_id, count, chunk_bytes, total, nchunks, kind,
+                 chunks):
         self.type_id = type_id
-        self.version = version
         self.count = count
         self.chunk_bytes = chunk_bytes
         self.total = total
@@ -114,6 +113,10 @@ class TransferPlan:
         self.kind = kind
         self.chunks: Tuple[ChunkPlan, ...] = chunks
         self._cost_cache: Dict["HardwareConfig", dict] = {}
+        #: The config :meth:`costs_for` saw last and its stage dict: a run
+        #: asks under one config, which hashes slowly (28 fields).
+        self._last_cfg: Optional["HardwareConfig"] = None
+        self._last_costs: Optional[dict] = None
 
     @classmethod
     def compile(
@@ -147,8 +150,8 @@ class TransferPlan:
                 csegs.word_indices()
             chunks.append(ChunkPlan(i, lo, hi, csegs))
         return cls(
-            dtype.type_id, dtype.version, count, chunk_bytes, total, nchunks,
-            kind, tuple(chunks),
+            dtype.type_id, count, chunk_bytes, total, nchunks, kind,
+            tuple(chunks),
         )
 
     def costs_for(self, cfg: "HardwareConfig",
@@ -159,9 +162,13 @@ class TransferPlan:
         chunk: :func:`~repro.core.gpu_pack.gpu_pack_cost` for the pack
         stage, a backend's ``copy_cost`` for its copy stage.
         """
-        per_cfg = self._cost_cache.get(cfg)
-        if per_cfg is None:
-            per_cfg = self._cost_cache[cfg] = {}
+        if cfg is self._last_cfg:
+            per_cfg = self._last_costs
+        else:
+            per_cfg = self._cost_cache.get(cfg)
+            if per_cfg is None:
+                per_cfg = self._cost_cache[cfg] = {}
+            self._last_cfg, self._last_costs = cfg, per_cfg
         costs = per_cfg.get(stage_cost)
         if costs is None:
             costs = per_cfg[stage_cost] = [
@@ -170,6 +177,6 @@ class TransferPlan:
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"<TransferPlan type{self.type_id}v{self.version} x{self.count} "
+            f"<TransferPlan type{self.type_id} x{self.count} "
             f"{self.kind} {self.total}B/{self.nchunks}ch>"
         )

@@ -28,7 +28,10 @@ maximal grid structure directly from a type's compiled, coalesced run
 arrays. The coalesced run sequence *is* the semantics of a type, so a
 deterministic function of it is a sound canonical form by construction
 (two types get the same node iff they lay out the same bytes in the same
-pack order); :func:`lower` is its inverse.
+pack order); :func:`lower` is its inverse. A SegmentList in the strided
+form holds no arrays to detect over: it keeps the four integers of the
+:class:`StridedRun` that :func:`detect` returns for its runs, and
+:func:`register` takes that node directly.
 
 Canonical nodes key a process-wide **registry** of
 :class:`CanonicalEntry` objects holding the shared caches (tilings,
@@ -345,6 +348,11 @@ class LayoutClass:
 
 def classify_segments(segs) -> LayoutClass:
     """Classify a :class:`~repro.mpi.datatype.SegmentList` (duck-typed)."""
+    run = segs.strided_run
+    if run is not None:
+        _, width, count, pitch = run
+        return LayoutClass("uniform", width=width, height=count, pitch=pitch,
+                           nseg=count)
     n = segs.count
     if n == 0:
         return LayoutClass("empty")
@@ -427,7 +435,7 @@ class CanonicalEntry:
         self.seg_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
         # (count, extent, lo, hi) -> (SegmentList, creator_id)
         self.slice_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-        # (count, extent, chunk_bytes, src, dst) -> (TransferPlan, creator)
+        # (count, extent, chunk_bytes, nbytes) -> (TransferPlan, creator)
         self.plan_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
         # (count, extent) -> (LayoutSignature, creator_id)
         self.sig_cache: dict = {}
@@ -472,13 +480,11 @@ class CanonicalEntry:
                  nbytes: int):
         """The shared compiled TransferPlan for one transfer shape.
 
-        The caller's ``version`` participates in the key so the
-        invalidation contract holds: ``invalidate_segment_cache()`` bumps
-        the version and therefore forces a fresh compilation, while
-        never-invalidated instances (version 0, the steady state) keep
-        sharing one plan per shape.
+        A plan is a pure function of the entry's runs and the key, so
+        every type bound here -- a ``dup`` or ``resized`` of the type that
+        compiled it among them -- replays the same plan.
         """
-        key = (dtype.version, count, extent, chunk_bytes, nbytes)
+        key = (count, extent, chunk_bytes, nbytes)
         hit = self.plan_cache.get(key)
         if hit is not None:
             self.plan_cache.move_to_end(key)
@@ -554,23 +560,29 @@ def intern(key: tuple, fields: tuple) -> None:
 def register(segments, type_id: int) -> CanonicalEntry:
     """Canonicalize a type's runs and bind its registry entry.
 
-    :func:`detect` on ``segments`` gives the canonical key, which is
-    recorded on the segments (``canon_key``): a later bind of the same
-    SegmentList -- an interned construction, a ``dup``, a ``resized`` --
-    is one registry lookup while the key's entry lives, and detects again
-    once the registry has evicted it. Registry members must agree on
-    their run arrays; the O(1) invariants are checked before a key is
-    recorded. A mismatch can only come from a 128-bit digest collision of
-    two :class:`Irregular` layouts: the type then gets a private entry
-    that never enters the registry, and its segments record no key, so it
-    never shares.
+    :func:`detect` on ``segments`` -- or, for the strided form, the
+    :class:`StridedRun` of its four integers -- gives the canonical key,
+    which is recorded on the segments (``canon_key``): a later bind of the
+    same SegmentList -- an interned construction, a ``dup``, a
+    ``resized`` -- is one registry lookup while the key's entry lives, and
+    detects again once the registry has evicted it. Registry members must
+    agree on their run arrays; the O(1) invariants are checked before a
+    key is recorded. A mismatch can only come from a 128-bit digest
+    collision of two :class:`Irregular` layouts: the type then gets a
+    private entry that never enters the registry, and its segments record
+    no key, so it never shares.
     """
     PERF.bump("dtir_canon")
     key = segments.canon_key
     entry = _REGISTRY.get(key)
     if entry is None:
         PERF.bump("dtir_detect")
-        node = detect(segments.offsets, segments.lengths)
+        run = segments.strided_run
+        if run is None:
+            node = detect(segments.offsets, segments.lengths)
+        else:
+            first, width, count, pitch = run
+            node = StridedRun(first, count, width, pitch)
         key = node.key()
         entry = _REGISTRY.get(key)
         if entry is None:

@@ -68,25 +68,21 @@ def _words(
     Words are ``segs.word`` bytes wide. A uniform layout is one strided
     ``(rows, words per row)`` view and ``index`` is None; any other layout
     is a flat word view of ``buf`` plus the layout's memoized word indices
-    into it. NumPy accepts word views of unaligned byte slices, so the
-    word depends on the layout alone, never on where ``buf`` sits. Raises
-    :class:`DatatypeError` when the layout reaches outside ``buf``.
+    into it. Either view is one ``np.ndarray`` call over the geometry
+    memoized on ``segs`` (:meth:`SegmentList.word_view`). NumPy accepts
+    word views of unaligned byte slices, so the word depends on the layout
+    alone, never on where ``buf`` sits. Raises :class:`DatatypeError` when
+    the layout reaches outside ``buf``.
     """
-    lo, hi = segs.span()
+    lo, hi, w, start, shape, strides = segs.word_view()
     if lo < 0 or hi > buf.nbytes:
         raise DatatypeError(
             f"layout spans [{lo}, {hi}) bytes but buffer holds "
             f"[0, {buf.nbytes})"
         )
-    w = segs.word
-    uniform = segs.uniform()
-    if uniform is None:
-        view = np.ndarray(hi // w, WORDS[w], buf.arena.raw, buf.offset)
-        return view, segs.word_indices()
-    width, height, pitch = uniform
-    view = np.ndarray((height, width // w), WORDS[w], buf.arena.raw,
-                      buf.offset + lo, (pitch, w))
-    return view, None
+    view = np.ndarray(shape, WORDS[w], buf.arena.raw, buf.offset + start,
+                      strides)
+    return view, None if strides is not None else segs.word_indices()
 
 
 def gather_into(buf: BufferPtr, segs: SegmentList, out: np.ndarray) -> None:
@@ -95,35 +91,39 @@ def gather_into(buf: BufferPtr, segs: SegmentList, out: np.ndarray) -> None:
 
     The one gather kernel every functional pack runs: one strided 2-D copy
     for a uniform layout, one ``np.take`` over the memoized word indices
-    for any other.
+    for any other. ``out`` must be a C-contiguous byte array; its first
+    ``n`` bytes are viewed as words in one ``np.ndarray`` call.
     """
     src, index = _words(buf, segs)
-    dst = out[: segs.total_bytes].view(src.dtype)
+    _check_packed(out, segs.total_bytes, "gather")
     if index is None:
         PERF.bump("gather_2d")
-        np.copyto(dst.reshape(src.shape), src)
+        np.copyto(np.ndarray(src.shape, src.dtype, out), src)
     else:
         PERF.bump("gather_vec")
-        np.take(src, index, out=dst)
+        np.take(src, index, out=np.ndarray(index.shape, src.dtype, out))
 
 
 def scatter_from(data: np.ndarray, segs: SegmentList, buf: BufferPtr) -> None:
     """Copy the contiguous bytes ``data[:n]`` into the bytes ``segs`` covers
     in ``buf``: the one scatter kernel, the inverse of :func:`gather_into`."""
-    src = data[: segs.total_bytes]
-    if src.nbytes != segs.total_bytes:
-        raise ValueError(
-            f"scatter size mismatch: {src.nbytes} bytes for "
-            f"{segs.total_bytes}-byte layout"
-        )
+    _check_packed(data, segs.total_bytes, "scatter")
     dst, index = _words(buf, segs)
-    src = src.view(dst.dtype)
     if index is None:
         PERF.bump("scatter_2d")
-        np.copyto(dst, src.reshape(dst.shape))
+        np.copyto(dst, np.ndarray(dst.shape, dst.dtype, data))
     else:
         PERF.bump("scatter_vec")
-        dst[index] = src
+        dst[index] = np.ndarray(index.shape, dst.dtype, data)
+
+
+def _check_packed(packed: np.ndarray, nbytes: int, kernel: str) -> None:
+    """Raise when the packed side holds fewer than the layout's bytes."""
+    if packed.nbytes < nbytes:
+        raise ValueError(
+            f"{kernel} size mismatch: {packed.nbytes} bytes for "
+            f"{nbytes}-byte layout"
+        )
 
 
 def pack_bytes(buf: BufferPtr, dtype: Datatype, count: int) -> np.ndarray:

@@ -16,7 +16,7 @@ Counter names
 ``cache_invalidation``
     Explicit invalidations (``resized``/``dup`` derivation or a direct
     :meth:`Datatype.invalidate_segment_cache` call): the type unbinds its
-    entry and bumps its version.
+    entry.
 ``index_build`` / ``index_reuse``
     Word-index arrays (:meth:`SegmentList.word_indices`, one int64 per
     machine word of an irregular layout) computed from scratch vs. served
@@ -31,8 +31,8 @@ Counter names
     :class:`repro.mpi.endpoint.StagingPool`.
 ``plan_cache_hit`` / ``plan_cache_miss``
     Lookups of a canonical entry's compiled
-    :class:`~repro.core.plan.TransferPlan` cache (keyed on the caller's
-    version, count, extent, chunk size and buffer kinds).
+    :class:`~repro.core.plan.TransferPlan` cache (keyed on count, extent,
+    chunk size and byte length).
 ``event_pool_hit`` / ``event_pool_miss``
     Simulation Timeout events served from the environment's recycle pool
     vs. freshly allocated.
@@ -85,9 +85,11 @@ Datatype-IR counters (:mod:`repro.mpi.dtir`)
     Types canonicalized: bound to a registry entry (at commit, or on
     first use).
 ``dtir_detect``
-    Bindings that ran detection on their runs (a SegmentList not bound
-    before, or one whose registry entry was evicted); the rest are one
-    lookup of the key recorded on the SegmentList.
+    Bindings that derived a canonical node (a SegmentList not bound
+    before, or one whose registry entry was evicted): detection over its
+    run arrays, or the ``StridedRun`` of a strided SegmentList's four
+    integers. The rest are one lookup of the key recorded on the
+    SegmentList.
 ``dtype_ctor_hit`` / ``dtype_ctor_miss``
     Derived-constructor calls that repeated an interned call's inputs
     (no flatten) vs. flattened a new construction

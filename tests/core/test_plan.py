@@ -23,9 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import StencilConfig, run_stencil
 from repro.core import GpuNcConfig
+from repro.core.backends import contiguous_copy_cost
+from repro.core.gpu_pack import gpu_pack_cost
 from repro.core.plan import TransferPlan
-from repro.hw import Cluster, KiB
+from repro.hw import Cluster, HardwareConfig, KiB, MiB
 from repro.hw.memory import Arena
 from repro.mpi import BYTE, FLOAT, Datatype, MpiWorld, dtir
 from repro.mpi.datatype import DatatypeError
@@ -162,8 +165,46 @@ def test_plan_cache_reuses_compiled_plans():
     # the cache on the granted chunk size).
     p3 = vec.plan_for(2, 64)
     assert p3 is not p1 and p3.nchunks == 2 * p1.nchunks
+    # An invalidated type re-binds its layout's entry and its plans.
     vec.invalidate_segment_cache()
-    assert vec.plan_for(2, 128) is not p1
+    assert vec.plan_for(2, 128) is p1
+
+
+def test_costs_for_memoizes_per_config():
+    """Stage costs are memoized per config, for callers that alternate
+    configs as well as for the one-config run."""
+    vec = Datatype.hvector(64, 4, 8, BYTE).commit()
+    plan = vec.plan_for(2, 128)
+    paper = HardwareConfig.fermi_qdr()
+    slow = paper.with_overrides(pcie_bandwidth=paper.pcie_bandwidth / 2)
+    first = plan.costs_for(paper, contiguous_copy_cost)
+    assert plan.costs_for(paper, contiguous_copy_cost) is first
+    other = plan.costs_for(slow, contiguous_copy_cost)
+    assert other != first
+    assert plan.costs_for(paper, contiguous_copy_cost) is first
+    assert plan.costs_for(slow, contiguous_copy_cost) is other
+    assert plan.costs_for(paper, gpu_pack_cost) == [
+        gpu_pack_cost(paper, cp.segs) for cp in plan.chunks]
+
+
+def test_steady_stencil_hashes_no_config(monkeypatch):
+    """A run asks every plan's stage costs under one config object, so
+    once a batch has warmed the plans, a repeated batch hashes the
+    28-field config not once (it hashed it three times per message)."""
+    hw = HardwareConfig.fermi_qdr().with_overrides(
+        host_memory_bytes=64 * MiB, device_memory_bytes=64 * MiB)
+    cfg = StencilConfig(4, 4, 64, 4096, iterations=2, functional=False)
+    run_stencil(cfg, hw=hw)
+    hashes = [0]
+    plain = HardwareConfig.__hash__
+
+    def counting_hash(self):
+        hashes[0] += 1
+        return plain(self)
+
+    monkeypatch.setattr(HardwareConfig, "__hash__", counting_hash)
+    run_stencil(cfg, hw=hw)
+    assert hashes[0] == 0
 
 
 def test_prefix_plan_covers_the_first_bytes():

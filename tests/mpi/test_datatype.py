@@ -373,7 +373,7 @@ def fields(t):
 
 
 def state(t):
-    return fields(t) + (t.committed, t.version, t._canon_entry)
+    return fields(t) + (t.committed, t._canon_entry)
 
 
 @settings(max_examples=80, deadline=None)
@@ -398,7 +398,7 @@ def test_interning_is_invisible(calls, base):
             continue
         again = make()
         assert again is not first and again.type_id > first.type_id
-        assert not again.committed and again.version == 0
+        assert not again.committed and again._canon_entry is None
         assert again.segments is first.segments
         assert fields(again) == fields(first)
         pairs.append((make, first, again))

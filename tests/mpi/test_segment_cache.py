@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpi import BYTE, Datatype, dtir
+from repro.mpi import BYTE, FLOAT, Datatype, dtir
 from repro.mpi.dtir import CanonicalEntry
 from repro.perf.stats import PERF
 
@@ -164,18 +164,25 @@ def test_dup_and_resized_start_unbound():
     assert r._entry() is vec._entry()
 
 
-def test_invalidation_bumps_version_and_forces_a_fresh_plan():
-    vec = Datatype.hvector(64, 2, 8, BYTE).commit()
+def test_dup_and_resized_share_the_base_plan():
+    """A plan is a pure function of the layout and the transfer shape, so
+    a ``dup`` and a ``resized`` of a committed type replay the plan their
+    base compiled, and so does the base after an invalidation re-binds
+    it."""
+    vec = Datatype.vector(1024, 3, 8, FLOAT).commit()
     entry = vec._entry()
-    plan = vec.plan_for(2, 64)
-    assert vec.plan_for(2, 64) is plan
-    v0 = vec.version
+    plan = vec.plan_for(4, 4096)
+    dup = Datatype.dup(vec)
+    resized = Datatype.resized(vec, 0, vec.extent)
+    misses = PERF.counters["plan_cache_miss"]
+    assert dup.plan_for(4, 4096) is plan
+    assert resized.plan_for(4, 4096) is plan
+    assert PERF.counters["plan_cache_miss"] == misses
     before = PERF.counters["cache_invalidation"]
     vec.invalidate_segment_cache()
     assert vec._canon_entry is None
-    assert vec.version == v0 + 1
     assert PERF.counters["cache_invalidation"] == before + 1
-    assert vec.plan_for(2, 64) is not plan
+    assert vec.plan_for(4, 4096) is plan
     # The registry is untouched: the type re-binds the same entry.
     assert vec._entry() is entry
     assert_seglists_equal(vec.segments_for_count(2), fresh_segments(vec, 2))
