@@ -22,8 +22,10 @@ moves once instead of twice. The tbuf is still acquired and released --
 it remains the pipeline's device-side flow-control token -- but its bytes
 are never written. Every other backend, and a contiguous layout, moves
 its bytes with the same gather and scatter. The copies run through the
-word kernels of :mod:`repro.mpi.pack`; compiling a plan builds each
-irregular chunk's word index up front, so replay only copies.
+kernels of :mod:`repro.mpi.pack`; compiling a plan memoizes each strided
+chunk's copy geometry up front, and builds the word index of each chunk
+that takes the index path (an irregular chunk of short runs), so replay
+only copies.
 """
 
 from __future__ import annotations
@@ -144,10 +146,13 @@ class TransferPlan:
             lo = i * chunk_bytes
             hi = min(lo + chunk_bytes, total)
             csegs = dtype.segments_for_range(count, lo, hi)
-            if kind == "strided" and csegs.uniform() is None:
-                # Build the word index now so replay never pays
-                # compilation inside a functional apply.
-                csegs.word_indices()
+            if kind == "strided":
+                # Choose the chunk's copy, and build the word index of an
+                # index-path chunk, now, so replay never pays for either
+                # inside a functional apply.
+                *_, strides, runs = csegs.word_view()
+                if strides is None and runs is None:
+                    csegs.word_indices()
             chunks.append(ChunkPlan(i, lo, hi, csegs))
         return cls(
             dtype.type_id, count, chunk_bytes, total, nchunks, kind,

@@ -8,17 +8,24 @@ functional half really moves bytes; the timing half charges
 Every functional pack and unpack in the simulator -- these entry points,
 the compiled plans' chunk replay (:mod:`repro.core.plan`) and the backends
 -- moves its bytes through one gather kernel, :func:`gather_into`, and one
-scatter kernel, :func:`scatter_from`. Both copy machine words, not bytes:
-the word is the widest of 8/4/2/1 bytes that divides every offset and
-length of the layout (:attr:`SegmentList.word`). A uniform layout is one
-strided 2-D copy of words; any other is one ``np.take`` (or fancy
-assignment) over a word view of the buffer with the layout's memoized word
-indices. Both kernels check the layout's span against the buffer first.
+scatter kernel, :func:`scatter_from`. Each takes one of three copies, chosen
+once per layout (:meth:`SegmentList.word_view`):
+
+* a uniform layout is one strided 2-D copy of machine words, the word being
+  the widest of 8/4/2/1 bytes that divides every offset and length of the
+  layout (:attr:`SegmentList.word`);
+* a layout whose runs are long on average (at least
+  :data:`~repro.mpi.datatype.RUN_COPY_WORDS` words) is copied run by run,
+  one memoryview slice assignment per run from the run and packed slices
+  memoized on the layout, and keeps no word index;
+* any other is one ``np.take`` (or fancy assignment) over a word view of
+  the buffer with the layout's memoized word indices.
+
+Every copy checks the layout's span against the buffer and the packed
+side's size against the layout.
 """
 
 from __future__ import annotations
-
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -60,61 +67,76 @@ def check_buffer_bounds(buf: BufferPtr, dtype: Datatype, count: int) -> None:
         )
 
 
-def _words(
-    buf: BufferPtr, segs: SegmentList
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """``(view, index)``: the bytes ``segs`` covers in ``buf``, as words.
-
-    Words are ``segs.word`` bytes wide. A uniform layout is one strided
-    ``(rows, words per row)`` view and ``index`` is None; any other layout
-    is a flat word view of ``buf`` plus the layout's memoized word indices
-    into it. Either view is one ``np.ndarray`` call over the geometry
-    memoized on ``segs`` (:meth:`SegmentList.word_view`). NumPy accepts
-    word views of unaligned byte slices, so the word depends on the layout
-    alone, never on where ``buf`` sits. Raises :class:`DatatypeError` when
-    the layout reaches outside ``buf``.
-    """
-    lo, hi, w, start, shape, strides = segs.word_view()
-    if lo < 0 or hi > buf.nbytes:
-        raise DatatypeError(
-            f"layout spans [{lo}, {hi}) bytes but buffer holds "
-            f"[0, {buf.nbytes})"
-        )
-    view = np.ndarray(shape, WORDS[w], buf.arena.raw, buf.offset + start,
-                      strides)
-    return view, None if strides is not None else segs.word_indices()
+def _outside(lo: int, hi: int, buf: BufferPtr) -> DatatypeError:
+    """The error for a layout spanning ``[lo, hi)`` outside ``buf``."""
+    return DatatypeError(
+        f"layout spans [{lo}, {hi}) bytes but buffer holds [0, {buf.nbytes})"
+    )
 
 
 def gather_into(buf: BufferPtr, segs: SegmentList, out: np.ndarray) -> None:
     """Copy the bytes ``segs`` covers in ``buf``, in pack order, into the
     contiguous bytes ``out[:n]``.
 
-    The one gather kernel every functional pack runs: one strided 2-D copy
-    for a uniform layout, one ``np.take`` over the memoized word indices
-    for any other. ``out`` must be a C-contiguous byte array; its first
-    ``n`` bytes are viewed as words in one ``np.ndarray`` call.
+    The one gather kernel every functional pack runs, along the copy
+    :meth:`SegmentList.word_view` chose for the layout: one strided 2-D
+    copy of words for a uniform layout, one slice copy per run for a
+    layout of long runs, one ``np.take`` over the memoized word indices
+    for any other. ``out`` must be a C-contiguous array; its first ``n``
+    bytes are viewed as words (or bytes) in one ``np.ndarray`` call.
+    Raises :class:`DatatypeError` when the layout reaches outside ``buf``
+    and ``ValueError`` when ``out`` is shorter than the layout.
     """
-    src, index = _words(buf, segs)
-    _check_packed(out, segs.total_bytes, "gather")
-    if index is None:
+    lo, hi, w, start, shape, strides, runs = segs.word_view()
+    if lo < 0 or hi > buf.nbytes:
+        raise _outside(lo, hi, buf)
+    nbytes = segs.total_bytes
+    _check_packed(out, nbytes, "gather")
+    dt = WORDS[w]
+    if strides is not None:
         PERF.bump("gather_2d")
-        np.copyto(np.ndarray(src.shape, src.dtype, out), src)
-    else:
+        np.copyto(np.ndarray(shape, dt, out),
+                  np.ndarray(shape, dt, buf.arena.raw, buf.offset + start,
+                             strides))
+    elif runs is None:
         PERF.bump("gather_vec")
-        np.take(src, index, out=np.ndarray(index.shape, src.dtype, out))
+        index = segs.word_indices()
+        np.take(np.ndarray(shape, dt, buf.arena.raw, buf.offset), index,
+                out=np.ndarray(index.shape, dt, out))
+    else:
+        PERF.bump("gather_runs")
+        src = memoryview(buf.arena.raw)[buf.offset + start:buf.offset + hi]
+        dst = memoryview(np.ndarray(nbytes, np.uint8, out))
+        for run, packed in zip(*runs):
+            dst[packed] = src[run]
 
 
 def scatter_from(data: np.ndarray, segs: SegmentList, buf: BufferPtr) -> None:
     """Copy the contiguous bytes ``data[:n]`` into the bytes ``segs`` covers
-    in ``buf``: the one scatter kernel, the inverse of :func:`gather_into`."""
-    _check_packed(data, segs.total_bytes, "scatter")
-    dst, index = _words(buf, segs)
-    if index is None:
+    in ``buf``: the one scatter kernel, the inverse of :func:`gather_into`,
+    along the same copy and with the same checks."""
+    nbytes = segs.total_bytes
+    _check_packed(data, nbytes, "scatter")
+    lo, hi, w, start, shape, strides, runs = segs.word_view()
+    if lo < 0 or hi > buf.nbytes:
+        raise _outside(lo, hi, buf)
+    dt = WORDS[w]
+    if strides is not None:
         PERF.bump("scatter_2d")
-        np.copyto(dst, np.ndarray(dst.shape, dst.dtype, data))
-    else:
+        np.copyto(np.ndarray(shape, dt, buf.arena.raw, buf.offset + start,
+                             strides),
+                  np.ndarray(shape, dt, data))
+    elif runs is None:
         PERF.bump("scatter_vec")
-        dst[index] = np.ndarray(index.shape, dst.dtype, data)
+        index = segs.word_indices()
+        np.ndarray(shape, dt, buf.arena.raw, buf.offset)[index] = (
+            np.ndarray(index.shape, dt, data))
+    else:
+        PERF.bump("scatter_runs")
+        dst = memoryview(buf.arena.raw)[buf.offset + start:buf.offset + hi]
+        src = memoryview(np.ndarray(nbytes, np.uint8, data))
+        for run, packed in zip(*runs):
+            dst[run] = src[packed]
 
 
 def _check_packed(packed: np.ndarray, nbytes: int, kernel: str) -> None:

@@ -13,19 +13,18 @@ Counter names
 ``slice_cache_hit`` / ``slice_cache_miss``
     Lookups of a canonical entry's ``(count, extent, lo, hi)``-keyed
     chunk slices (the pipelined pack/unpack path).
-``cache_invalidation``
-    Explicit invalidations (``resized``/``dup`` derivation or a direct
-    :meth:`Datatype.invalidate_segment_cache` call): the type unbinds its
-    entry.
 ``index_build`` / ``index_reuse``
     Word-index arrays (:meth:`SegmentList.word_indices`, one int64 per
-    machine word of an irregular layout) computed from scratch vs. served
-    memoized.
+    machine word of an irregular layout of short runs) computed from
+    scratch vs. served memoized.
 ``gather_2d`` / ``scatter_2d``
     Pack/unpack served by the uniform 2-D strided-view fast path.
+``gather_runs`` / ``scatter_runs``
+    Pack/unpack of a non-uniform layout whose runs are long on average,
+    served by one memoryview slice copy per run (no word index).
 ``gather_vec`` / ``scatter_vec``
     Pack/unpack served by one NumPy fancy-indexing operation over the
-    word indices.
+    word indices (every other non-uniform layout).
 ``tbuf_acquire``
     Device staging chunks (tbufs) asked of a GPU's
     :class:`repro.mpi.endpoint.StagingPool`.
@@ -99,7 +98,7 @@ Datatype-IR counters (:mod:`repro.mpi.dtir`)
     form matched an existing registry entry (the collapse the IR is for).
 ``dtir_entry_reuse``
     Registry lookups that returned an existing entry (collisions plus
-    re-binds of the same type after invalidation).
+    re-binds of the same type, as after unpickling).
 ``dtir_seg_shared`` / ``dtir_slice_shared`` / ``dtir_plan_shared`` / ``dtir_sig_shared``
     Cache hits served by a compilation another datatype instance created
     -- the cross-instance sharing attributable to canonicalization (each
@@ -236,9 +235,9 @@ class PerfStats:
             f"event-pool {100 * self.pool_rate():.0f}% hit "
             f"({c['event_pool_hit']}/{pool})",
             f"pack {c['gather_2d'] + c['scatter_2d']} 2d / "
+            f"{c['gather_runs'] + c['scatter_runs']} runs / "
             f"{c['gather_vec'] + c['scatter_vec']} vec",
             f"idx {c['index_reuse']} reused / {c['index_build']} built",
-            f"{c['cache_invalidation']} invalidations",
         ]
         return "[perf: " + ", ".join(parts) + "]"
 

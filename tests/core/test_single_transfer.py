@@ -1,12 +1,13 @@
 """One property over single transfers: every path delivers the oracle's bytes.
 
 A drawn transfer sends ``count`` elements of a contiguous, vector or
-irregular ``indexed`` type from a host or device buffer into a host or
-device buffer, under a forced or automatic backend, at an eager or a 2-3
-chunk rendezvous size, into a full-size or a one-element-larger receive,
-fault-free or under recovery, one way or both ways at once (each rank
-then sends to the other while it receives, so the GPU exec engine, the
-HCA TX engine and the host CPU serve both directions and hold queued
+irregular ``indexed`` type (of short runs, gathered through a word index,
+or of long runs, copied run by run) from a host or device buffer into a
+host or device buffer, under a forced or automatic backend, at an eager
+or a 2-3 chunk rendezvous size, into a full-size or a one-element-larger
+receive, fault-free or under recovery, one way or both ways at once (each
+rank then sends to the other while it receives, so the GPU exec engine,
+the HCA TX engine and the host CPU serve both directions and hold queued
 waiters). Each receive buffer must equal the slice-loop oracle of
 ``tests/mpi/test_pack.py`` byte for byte, and the drained world must hold
 no protocol state, staging buffer or resource claim
@@ -36,7 +37,7 @@ FAULTS = {
 @st.composite
 def layouts(draw):
     """``(datatype, runs of one element as (offset, length), extent)``."""
-    kind = draw(st.sampled_from(["contig", "vector", "indexed"]))
+    kind = draw(st.sampled_from(["contig", "vector", "indexed", "long"]))
     if kind == "contig":
         n = draw(st.integers(64, 3000))
         return Datatype.contiguous(n, BYTE).commit(), [(0, n)], n
@@ -47,9 +48,9 @@ def layouts(draw):
         runs = [(r * stride, block) for r in range(rows)]
         dtype = Datatype.vector(rows, block, stride, BYTE).commit()
         return dtype, runs, (rows - 1) * stride + block
-    nblocks = draw(st.integers(2, 300))
-    blocks = draw(st.lists(st.integers(1, 16), min_size=nblocks,
-                           max_size=nblocks))
+    nblocks = draw(st.integers(2, 12 if kind == "long" else 300))
+    block = st.integers(128, 1024) if kind == "long" else st.integers(1, 16)
+    blocks = draw(st.lists(block, min_size=nblocks, max_size=nblocks))
     gaps = draw(st.lists(st.integers(1, 12), min_size=nblocks,
                          max_size=nblocks))
     runs, pos = [], 0

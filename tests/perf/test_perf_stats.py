@@ -29,6 +29,7 @@ def test_footer_is_one_line():
     line = stats.footer()
     assert "\n" not in line
     assert "seg-cache 99% hit (99/100)" in line
+    assert "pack 7 2d / 0 runs / 0 vec" in line
     assert line.startswith("[perf:")
 
 

@@ -31,10 +31,12 @@ this file as a script::
 Finished work must also be freed by reference counting: a Fig. 5 round
 trip leaves no cyclic garbage for the collector.
 
-Irregular layouts carry a second deterministic cost: the memoized word
-index a gather or scatter walks, pinned as index bytes per payload byte.
-A strided layout carries none: the Fig. 5 vector and its plan's chunk
-slices keep four integers each, not a million runs.
+Irregular layouts of short runs carry a second deterministic cost: the
+memoized word index a gather or scatter walks, pinned as index bytes per
+payload byte. A strided layout carries none: the Fig. 5 vector and its
+plan's chunk slices keep four integers each, not a million runs. Nor does
+an irregular layout of long runs, which is copied run by run: an
+alltoallv-mixed block and its plan keep two slices per run.
 """
 
 import gc
@@ -49,7 +51,7 @@ import pytest
 from repro.apps import StencilConfig, run_stencil
 from repro.bench.vector_latency import make_nc_program
 from repro.core import RecoveryConfig
-from repro.hw import Cluster, HardwareConfig, KiB, MiB
+from repro.hw import Arena, Cluster, HardwareConfig, KiB, MiB
 from repro.mpi import BYTE, DOUBLE, FLOAT, Datatype, MpiWorld, SegmentList, dtir
 from repro.perf.stats import PERF
 from repro.sim import Event, Process, StoreGet
@@ -243,6 +245,12 @@ INDEXED_LAYOUTS = {"float-hindexed": FLOAT, "double-hindexed": DOUBLE}
 
 @pytest.mark.parametrize("name", sorted(INDEXED_LAYOUTS))
 def test_index_bytes_per_payload_byte_within_ceiling(name):
+    """Runs of 1-32 elements average well under ``RUN_COPY_WORDS`` words,
+    so these layouts stay on the index path by design, and its int64 index
+    costs ``8 / word`` bytes per payload byte. The ceilings hold rather
+    than ratchet: the run copy removes the index only from layouts of
+    long runs, and int32 indices, the other way to shrink it, measured
+    slower (NumPy converts a non-intp index on every call)."""
     segs = _hindexed(INDEXED_LAYOUTS[name]).segments
     per_byte = segs.word_indices().nbytes / segs.total_bytes
     assert per_byte <= INDEX_CEILINGS[name], (
@@ -296,6 +304,52 @@ def test_fig5_round_trip_keeps_no_run_arrays():
     held = {i: kept for i, segs in enumerate(slices) if (kept := _arrays(segs))}
     assert not held, f"SegmentLists holding arrays (0 = the type's): {held}"
     assert all(segs.strided_run is not None for segs in slices)
+
+
+#: Tracemalloc peak of committing one alltoallv-mixed 256 KiB irregular
+#: block and compiling its 64 KiB plan (778 KiB while every chunk built
+#: its word index, 512 KiB of them kept).
+LONG_RUN_METADATA_CEILING = 64 * KiB
+
+
+def _alltoallv_block() -> Datatype:
+    """A 256 KiB block of 64 FLOAT runs of random length over a 1 MiB
+    region, gaps of at least one float, as alltoallv-mixed builds its
+    irregular blocks: runs of 4 KiB on average."""
+    rng = np.random.default_rng(64)
+    nseg, elems, span = 64, 256 * KiB // 4, 256 * KiB
+    lengths = 1 + rng.multinomial(elems - nseg, [1 / nseg] * nseg)
+    gaps = rng.multinomial(span - elems - (nseg - 1),
+                           [1 / (nseg + 1)] * (nseg + 1))
+    gaps[1:-1] += 1
+    offsets = gaps[0] + np.concatenate(
+        ([0], np.cumsum(lengths[:-1] + gaps[1:-1])))
+    return Datatype.hindexed(lengths.tolist(), (offsets * 4).tolist(), FLOAT)
+
+
+def test_long_run_block_keeps_no_word_index():
+    """Committing and planning a block of long runs builds no word index,
+    and a gather/scatter round trip through every chunk leaves none."""
+    Datatype.hindexed([1, 2], [0, 12], FLOAT).commit().plan_for(1, 4)
+    dtir.reset_registry()
+    block = _alltoallv_block()
+    tracemalloc.start()
+    try:
+        plan = block.commit().plan_for(1, 64 * KiB)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= LONG_RUN_METADATA_CEILING, (
+        f"commit + plan of the alltoallv block peaked at {peak / KiB:.1f} "
+        f"KiB, ceiling {LONG_RUN_METADATA_CEILING / KiB:.0f} KiB"
+    )
+    buf = Arena(2 * MiB, "host").alloc(MiB)
+    for cp in plan.chunks:
+        packed = np.empty(cp.nbytes, np.uint8)
+        cp.gather_into(buf, packed)
+        cp.scatter_from(packed, buf)
+    indexed = [cp.index for cp in plan.chunks if cp.segs._index is not None]
+    assert not indexed, f"chunks holding a word index: {indexed}"
 
 
 if __name__ == "__main__":

@@ -93,13 +93,10 @@ class TestDatatypeSignatures:
         large = Datatype.hvector(4096, 4, 8, BYTE).commit()
         assert small.layout_signature(1) == large.layout_signature(1)
 
-    def test_signature_cached_and_invalidated(self):
+    def test_signature_cached(self):
         vec = Datatype.hvector(64, 4, 8, BYTE).commit()
         first = vec.layout_signature(1)
-        assert vec.layout_signature(1) is first  # cached
-        vec.invalidate_segment_cache()
-        again = vec.layout_signature(1)
-        assert again == first  # recomputed, equal
+        assert vec.layout_signature(1) is first
 
 
 class TestClassifierConsistency:
