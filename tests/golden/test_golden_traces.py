@@ -20,9 +20,10 @@ contiguous device pipeline, the staged and the zero-copy host rendezvous,
 host-to-device and device-to-host rendezvous and the tbuf degrade),
 fault-free and under recovery, the staged and zero-copy host rendezvous
 also under a lost RTS, a lost CTS and an RDMA stall, a zero-byte
-synchronous send between device buffers, plus eager host-to-device
-deliveries, contiguous and strided, offloaded and not: 35 transfers,
-and 50 digest keys in all. Any change to a trace, a clock or a byte
+synchronous send between device buffers, a device-to-device
+rendezvous of long runs (the run copy), plus eager host-to-device
+deliveries, contiguous and strided, offloaded and not: 36 transfers,
+and 51 digest keys in all. Any change to a trace, a clock or a byte
 fails this test.
 
 Every sequential run doubles as a leak check: once its digest is taken,
@@ -214,10 +215,17 @@ def _transfer(space, layout, rows, specs=(), gpu_config=None,
     """One byte-verified rank 0 -> rank 1 transfer of ``count`` elements
     of ``rows`` 4-byte rows into a buffer in ``space`` ("device" or
     "host"), sent with ``send`` ("Send" or "Ssend") from a buffer in
-    ``src_space`` (default: the same)."""
+    ``src_space`` (default: the same). The "runs" layout has ``rows``
+    runs of 1, 1.5 and 2 KiB instead, 256 bytes apart, which the
+    kernels copy run by run."""
     if layout == "strided":
         dtype = Datatype.hvector(rows, 4, 8, BYTE).commit()
         span = rows * 8
+    elif layout == "runs":
+        lengths = [512 * (2 + k % 3) for k in range(rows)]
+        displs = [sum(lengths[:k]) + 256 * k for k in range(rows)]
+        dtype = Datatype.hindexed(lengths, displs, BYTE).commit()
+        span = displs[-1] + lengths[-1]
     else:
         dtype = Datatype.contiguous(rows * 4, BYTE).commit()
         span = rows * 4
@@ -293,10 +301,12 @@ def _paths(dump=False):
         for fault, specs in _HOST_FAULTS.items():
             cases.append((f"{path}/{fault}",
                           ("host", layout, 2 << 14, specs)))
+    # A device-to-device rendezvous of long runs (47.5 KiB): the run copy.
+    cases.append(("long runs d2d", ("device", "runs", 32)))
     with _captured_worlds(dump) as worlds:
         for _, args in cases:
             _transfer(*args)
-    assert len(worlds) == len(cases) == 35
+    assert len(worlds) == len(cases) == 36
     return {f":{name}": d for (name, _), d in zip(cases, worlds)}
 
 
