@@ -966,7 +966,7 @@ def conformance(scale: str = "full", verify: bool = True) -> dict:
     ]
     default_chunk = GpuNcConfig().chunk_bytes
 
-    # Irregular scatter: every backend must deliver identical bytes.
+    # An irregular scatter: every backend must deliver identical bytes.
     digests = {
         b: _backend_irregular_digest(b, nseg, seed=20111017)
         for b in BACKEND_NAMES

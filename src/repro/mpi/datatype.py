@@ -87,13 +87,12 @@ class SegmentList:
     that reuses it. Callers must never mutate the ``offsets``/``lengths``
     arrays in place.
 
-    A list built by :meth:`strided` whose runs satisfy the
-    :class:`~repro.mpi.dtir.StridedRun` invariant keeps four integers,
-    :attr:`strided_run`, and no array: its count, size, span, uniformity,
-    copy word, coalescing, pitch-continuing tilings and run-aligned slices
-    answer from them, and ``offsets``, ``lengths`` and ``prefix`` are
-    derived afresh whenever a caller reads one. Every other list holds its
-    run arrays.
+    A list built by :meth:`strided` of two or more runs with ``0 < width
+    < pitch`` keeps four integers, :attr:`strided_run`, and no array: its
+    count, size, span, uniformity, copy word, coalescing, pitch-continuing
+    tilings and run-aligned slices answer from them, and ``offsets``,
+    ``lengths`` and ``prefix`` are derived afresh whenever a caller reads
+    one. Every other list holds its run arrays.
     """
 
     __slots__ = ("_offsets", "_lengths", "strided_run", "_prefix", "_total",
@@ -292,12 +291,26 @@ class SegmentList:
         return self._uniform
 
     def _classify_uniform(self) -> Optional[Tuple[int, int, int]]:
-        # One classifier for both the 2-D-copy fast path and the tuning
-        # signatures (tune/signature.py routes through the same
-        # LayoutClass), so the two can never disagree on edge cases
-        # again. Note the deliberate fix vs. the old in-line version:
-        # zero-width runs with count > 1 are irregular, never uniform.
-        return dtir.classify_segments(self).uniform_tuple()
+        # The one classifier: the 2-D-copy fast path, the tuning
+        # signatures (tune/signature.py) and the registry key
+        # (dtir.layout_key) all read uniform(). One run is a one-row copy;
+        # zero-width runs are never uniform.
+        run = self.strided_run
+        if run is not None:
+            _, width, count, pitch = run
+            return width, count, pitch
+        n = self.count
+        if n == 0:
+            return None
+        width = int(self._lengths[0])
+        if n == 1:
+            return width, 1, width
+        if width > 0 and bool((self._lengths == width).all()):
+            deltas = np.diff(self._offsets)
+            pitch = int(deltas[0])
+            if pitch > width and bool((deltas == pitch).all()):
+                return width, n, pitch
+        return None
 
     @property
     def word(self) -> int:
@@ -334,18 +347,10 @@ class SegmentList:
             return self._index
         PERF.bump("index_build")
         w = self.word
-        run = self.strided_run
-        if run is not None:
-            # Row r holds words first/w + r*pitch/w onwards.
-            first, width, count, pitch = run
-            rows = first // w + np.arange(count, dtype=np.int64) * (pitch // w)
-            self._index = (rows[:, None]
-                           + np.arange(width // w, dtype=np.int64)).ravel()
-            return self._index
         # Run-length expansion: packed word k of run i, which starts at
         # packed word prefix[i], is buffer word offsets[i] + k - prefix[i].
         self._index = np.repeat(
-            (self._offsets - self.prefix) // w, self._lengths // w
+            (self.offsets - self.prefix) // w, self.lengths // w
         ) + np.arange(self.total_bytes // w, dtype=np.int64)
         return self._index
 
@@ -481,7 +486,7 @@ class Datatype:
     # whose key -- every argument, plus each base type's SegmentList
     # object, size, extent and base dtype -- repeats an earlier call's
     # returns a new, uncommitted type over that call's SegmentList, so it
-    # skips the flatten here and the detection at commit.
+    # skips the flatten here and the registry key at commit.
     @classmethod
     def _interned(cls, key: tuple) -> Optional["Datatype"]:
         """A new type with the fields an earlier call with ``key`` built."""
@@ -849,10 +854,10 @@ class Datatype:
     def commit(self) -> "Datatype":
         """``MPI_Type_commit``. Returns self for chaining.
 
-        Commit is where canonicalization happens: the compiled runs are
-        detected into their canonical node and the type binds the
-        process-wide :class:`~repro.mpi.dtir.CanonicalEntry` it will
-        share with every equivalently laid-out type.
+        Commit is where canonicalization happens: the type binds the
+        process-wide :class:`~repro.mpi.dtir.CanonicalEntry` keyed on its
+        compiled runs, which it shares with every equivalently laid-out
+        type.
         """
         self._committed = True
         self._entry()

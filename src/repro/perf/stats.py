@@ -78,24 +78,25 @@ recovery layer; all zero unless a FaultPlan or RecoveryConfig is armed)
     path when device staging timed out; bounded vbuf-acquisition waits
     that expired and were retried.
 
-Datatype-IR counters (:mod:`repro.mpi.dtir`)
+Layout-registry counters (:mod:`repro.mpi.dtir`)
 --------------------------------------------------------------------------
 ``dtir_canon``
     Types canonicalized: bound to a registry entry (at commit, or on
     first use).
 ``dtir_detect``
-    Bindings that derived a canonical node (a SegmentList not bound
-    before, or one whose registry entry was evicted): detection over its
-    run arrays, or the ``StridedRun`` of a strided SegmentList's four
-    integers. The rest are one lookup of the key recorded on the
+    Key computations: bindings that ran :func:`~repro.mpi.dtir.layout_key`
+    (a SegmentList not bound before, or one whose registry entry was
+    evicted). The rest are one lookup of the key recorded on the
     SegmentList.
 ``dtype_ctor_hit`` / ``dtype_ctor_miss``
     Derived-constructor calls that repeated an interned call's inputs
     (no flatten) vs. flattened a new construction
     (:mod:`repro.mpi.datatype`).
 ``dtir_collision``
-    Canonical collisions: a distinct datatype instance whose canonical
-    form matched an existing registry entry (the collapse the IR is for).
+    Bindings of an existing registry entry by a datatype other than the
+    one that created it: the cross-constructor collapse the registry is
+    for, but also every interned repeat, ``dup`` and ``resized`` of the
+    creator's construction.
 ``dtir_entry_reuse``
     Registry lookups that returned an existing entry (collisions plus
     re-binds of the same type, as after unpickling).
@@ -384,12 +385,13 @@ class PerfStats:
         return "[backend: " + ", ".join(parts) + "]"
 
     def dtype_footer(self) -> str:
-        """The one-line ``[dtype: ...]`` footer; empty when the IR idled.
+        """The one-line ``[dtype: ...]`` footer; empty when the registry
+        idled.
 
-        Summarizes the datatype compiler's work: how many types were
-        canonicalized, how many collapsed onto an existing canonical
-        form, how much compiled state was served across instances
-        because of it, how many bindings ran detection and how many
+        Summarizes the layout registry's work: how many types were
+        bound, how many bound an entry another type created, how much
+        compiled state was served across instances because of it, how
+        many bindings computed a key ("detected") and how many
         constructions the constructor memo served.
         """
         c = self.counters

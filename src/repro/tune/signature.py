@@ -9,7 +9,8 @@ must not.
 
 Our canonical form is derived from the engine's own compiled-segment
 representation (:class:`repro.mpi.datatype.SegmentList`), which already
-collapses the constructor algebra to byte runs:
+collapses the constructor algebra to byte runs, and from its one
+classifier, :meth:`~repro.mpi.datatype.SegmentList.uniform`:
 
 * ``contig``    -- one run: transfers degenerate to 1-D copies.
 * ``uniform``   -- equal-length, equal-pitch runs ``(width, pitch)``: the
@@ -137,19 +138,15 @@ class LayoutSignature:
 def signature_of_segments(segs) -> LayoutSignature:
     """Classify a :class:`~repro.mpi.datatype.SegmentList`.
 
-    Routed through the datatype IR's :func:`~repro.mpi.dtir.classify_segments`
-    -- the *same* classifier behind ``SegmentList.uniform()`` -- so the
-    tuning key and the 2-D-copy fast path can never diverge again. The
-    two remain deliberately distinct *views* of one classification: a
-    single segment classifies ``contig`` here while ``uniform()`` reports
-    the degenerate ``(width, 1, width)`` the copy path wants; zero-width
-    multi-segment layouts are irregular in both (previously ``uniform()``
-    accepted them -- the divergence this routing fixes).
+    Reads ``SegmentList.uniform()`` -- the classifier behind the
+    2-D-copy fast path -- so the tuning key and the fast path cannot
+    diverge. The two are deliberately distinct *views* of one
+    classification: a single segment classifies ``contig`` here while
+    ``uniform()`` reports the degenerate ``(width, 1, width)`` the copy
+    path wants; zero-width multi-segment layouts are irregular in both.
     """
     if segs.count <= 1:
         return LayoutSignature("contig")
-    # ``uniform()`` memoizes ``dtir.classify_segments(...).uniform_tuple()``
-    # -- one classification source, two views.
     uniform = segs.uniform()
     if uniform is not None:
         width, _height, pitch = uniform

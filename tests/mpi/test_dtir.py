@@ -1,13 +1,15 @@
-"""The datatype IR: canonical forms and the shared registry.
+"""The layout registry: keys on the runs and the shared entries.
 
-Two property groups pin the compiler's contract:
+Two groups pin the registry's contract:
 
-* **lowering fidelity** -- for random constructor trees, the detected
-  canonical node lowers to exactly the compiler's coalesced run arrays;
+* **the key contract** -- for random constructor trees, two committed
+  types share a registry key exactly when their coalesced runs are
+  equal, and a type never shares one with a displaced copy of itself;
 * **equivalence collapse** -- the four textbook constructions of one
   strided grid (vector, hvector-of-contig, subarray slab, struct of
-  half-vectors) share one canonical key, one tuning signature and one
-  compiled TransferPlan object.
+  half-vectors), three constructions of an irregular layout and three
+  of a 3-D face share one key, one tuning signature and one compiled
+  TransferPlan object.
 
 Trace transparency of the registry is pinned by the golden trace digests
 (``tests/golden``).
@@ -93,18 +95,28 @@ def datatypes(draw, depth=2):
 
 
 # ---------------------------------------------------------------------------
-# Lowering fidelity
+# The key contract
 # ---------------------------------------------------------------------------
 
 
-@given(dt=datatypes())
-@settings(max_examples=80, deadline=None)
-def test_detected_node_lowers_to_legacy_runs(dt):
-    segs = dt.segments
-    det = dtir.detect(segs.offsets, segs.lengths)
-    offs, lens = dtir.lower(det)
-    assert np.array_equal(offs, segs.offsets)
-    assert np.array_equal(lens, segs.lengths)
+def same_runs(a: Datatype, b: Datatype) -> bool:
+    sa, sb = a.segments.coalesced(), b.segments.coalesced()
+    return (np.array_equal(sa.offsets, sb.offsets)
+            and np.array_equal(sa.lengths, sb.lengths))
+
+
+@given(types=st.lists(datatypes(), min_size=2, max_size=6),
+       d=st.integers(1, 64))
+@settings(max_examples=120, deadline=None)
+def test_keys_are_equal_exactly_when_runs_are(types, d):
+    for t in types:
+        t.commit()
+    for i, a in enumerate(types):
+        for b in types[i + 1:]:
+            assert (a._entry().key == b._entry().key) == same_runs(a, b)
+        # Only an empty layout equals its displaced copy.
+        moved = Datatype.struct([1], [d], [a]).commit()
+        assert (moved._entry().key == a._entry().key) == (a.size == 0)
 
 
 @given(dt=datatypes(), count=st.integers(2, 5), cuts=st.integers(0, 3))
@@ -209,8 +221,35 @@ def test_irregular_constructions_collapse_too():
     c = Datatype.struct(bls, [d * 4 for d in disps], [FLOAT] * 4).commit()
     ea, eb, ec = a._entry(), b._entry(), c._entry()
     assert ea is not None and ea is eb and eb is ec
-    assert ea.key[0] == "irr"
+    assert ea.key[0] == "runs"
     assert a.layout_signature(1) == b.layout_signature(1)
+
+
+def x_face_builders():
+    """Three constructions of the interior x face of an 8x6x5 float
+    block: 6 x 4 single floats, rows 20 B and planes 120 B apart."""
+    return [
+        ("subarray", lambda: Datatype.subarray(
+            [8, 6, 5], [6, 4, 1], [1, 1, 1], FLOAT)),
+        ("indexed_block", lambda: Datatype.indexed_block(
+            1, [z * 30 + y * 5 + 1 for z in range(1, 7)
+                for y in range(1, 5)], FLOAT)),
+        ("struct", lambda: Datatype.struct(
+            [1], [144], [Datatype.hvector(
+                6, 1, 120, Datatype.vector(4, 1, 5, FLOAT))])),
+    ]
+
+
+def test_grid_constructions_collapse_too():
+    sigs = set()
+    plans = []
+    for _, build in x_face_builders():
+        dt = build().commit()
+        sigs.add(dt.layout_signature(1).key())
+        plans.append(dt.plan_for(1, 4096))
+    assert dtir.registry_size() == 1
+    assert sigs == {"irregular:w4:n4"}
+    assert all(p is plans[0] for p in plans)
 
 
 def test_resized_and_dup_share_the_base_entry():
@@ -238,7 +277,7 @@ def test_committed_type_with_entry_survives_pickle():
 
 
 # ---------------------------------------------------------------------------
-# Interned constructions: one flatten and one detection per layout
+# Interned constructions: one flatten and one key per layout
 # ---------------------------------------------------------------------------
 
 #: A 64-block hindexed of irregular float runs with gaps between them.
@@ -326,7 +365,7 @@ def test_unpickled_segments_bind_after_reset():
 
 
 # ---------------------------------------------------------------------------
-# Unified classifier (the uniform()/signature divergence fix)
+# One classifier: uniform() and the tuning signature agree on the edges
 # ---------------------------------------------------------------------------
 
 
@@ -340,16 +379,12 @@ def test_single_segment_dual_view():
     segs = SegmentList(np.array([8], np.int64), np.array([16], np.int64))
     assert segs.uniform() == (16, 1, 16)
     assert signature_of_segments(segs).kind == "contig"
-    assert dtir.classify_segments(segs).kind == "contig"
 
 
 def test_classifier_agrees_with_signature_on_uniform():
     segs = SegmentList(
         np.arange(6, dtype=np.int64) * 24, np.full(6, 8, np.int64)
     )
-    klass = dtir.classify_segments(segs)
-    assert klass.kind == "uniform"
-    assert klass.uniform_tuple() == (8, 6, 24)
     assert segs.uniform() == (8, 6, 24)
     sig = signature_of_segments(segs)
     assert (sig.kind, sig.width, sig.pitch) == ("uniform", 8, 24)

@@ -217,7 +217,7 @@ def test_mismatched_registry_key_gets_a_private_entry(monkeypatch):
     owner = Datatype.hindexed([2, 1], [0, 5], BYTE).commit()
     owner_entry = owner._entry()
     intruder = Datatype.hindexed([1, 3, 2], [0, 4, 11], BYTE)
-    monkeypatch.setattr(dtir, "detect", lambda offs, lens: owner_entry.node)
+    monkeypatch.setattr(dtir, "layout_key", lambda segs: owner_entry.key)
     private = intruder._entry()
     monkeypatch.undo()
     assert private is not owner_entry

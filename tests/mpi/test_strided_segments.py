@@ -4,7 +4,7 @@
 where the general form keeps run arrays. Every query on it -- and on
 every list derived from it by slicing, tiling, placing or pickling -- must
 equal the same query on the general form built from its materialized
-runs, and so must its layout class and its canonical registry key.
+runs, and so must its registry key.
 """
 
 import pickle
@@ -34,7 +34,7 @@ def assert_same(got: SegmentList, want: SegmentList) -> None:
     assert np.array_equal(got.lengths, want.lengths)
     assert np.array_equal(got.prefix, want.prefix)
     assert np.array_equal(got.word_indices(), want.word_indices())
-    assert dtir.classify_segments(got) == dtir.classify_segments(want)
+    assert dtir.layout_key(got) == dtir.layout_key(want)
 
 
 def _scaled(draw, lo: int, hi: int) -> int:

@@ -100,10 +100,9 @@ class TestDatatypeSignatures:
 
 
 class TestClassifierConsistency:
-    """Regression: ``SegmentList.uniform()`` and ``signature_of_segments``
-    both derive from :func:`repro.mpi.dtir.classify_segments` -- one
-    classification, two views. The legacy pair could disagree on the
-    edges (zero-width runs, single segments)."""
+    """Regression: ``signature_of_segments`` reads ``SegmentList.uniform()``
+    -- one classification, two views. The legacy pair could disagree on
+    the edges (zero-width runs, single segments)."""
 
     def test_zero_width_multi_segment_irregular_everywhere(self):
         import numpy as np
