@@ -44,9 +44,6 @@ def _align_up(n: int, alignment: int = ALIGNMENT) -> int:
 
 #: Linux ``MAP_NORESERVE``; Python's ``mmap`` module does not export it.
 _MAP_NORESERVE = 0x4000
-#: Mappings at least this large get ``MADV_HUGEPAGE``, as NumPy gives its
-#: own large zeroed allocations.
-_HUGEPAGE_MIN = 4 << 20
 
 
 def _zeroed_bytes(size: int) -> np.ndarray:
@@ -57,6 +54,16 @@ def _zeroed_bytes(size: int) -> np.ndarray:
     nothing until a run writes to it, and resident memory tracks the bytes
     a run actually touches, even where the kernel's heuristic overcommit
     refuses one eager 12 GiB ``np.zeros``. Elsewhere it is ``np.zeros``.
+
+    The mapping is advised ``MADV_NOHUGEPAGE``, so it commits in base
+    pages under every transparent-huge-page setting. An arena is a sparse
+    address space: staging pools sized for the worst case and minted on
+    demand, receive buffers filled through scattered layouts. With huge
+    pages the first byte written in a 2 MiB region commits all of it (32
+    one-byte writes 2 MiB apart cost 64 MiB), so a 64-rank functional
+    stencil grew 405 MiB instead of 31. Base pages cost TLB reach on the
+    dense multi-MiB strided copies: 2.4% of pingpong-4m's operations per
+    second on a 2-core host (alltoallv-mixed's moved 0.3%).
     """
     if not sys.platform.startswith("linux"):
         return np.zeros(size, dtype=np.uint8)
@@ -65,8 +72,8 @@ def _zeroed_bytes(size: int) -> np.ndarray:
         flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | _MAP_NORESERVE,
         prot=mmap.PROT_READ | mmap.PROT_WRITE,
     )
-    if size >= _HUGEPAGE_MIN and hasattr(mmap, "MADV_HUGEPAGE"):
-        mapping.madvise(mmap.MADV_HUGEPAGE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        mapping.madvise(mmap.MADV_NOHUGEPAGE)
     # The array holds the mapping alive through its buffer export.
     return np.frombuffer(mapping, dtype=np.uint8)
 

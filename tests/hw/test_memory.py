@@ -203,12 +203,9 @@ print(after - before)
 """
 
 
-def test_default_cluster_peak_rss_tracks_touched_bytes():
-    """The default arenas model 12 GiB of host memory per node (and 3 GiB
-    per GPU) but commit pages only on first touch: building a 4-node
-    cluster and its MPI world at the default config must not grow peak
-    RSS by more than a few MiB, and must not fail where the kernel refuses
-    to overcommit an eager 12 GiB allocation."""
+def peak_rss_growth_kib(probe: str) -> int:
+    """Run ``probe`` in a fresh interpreter and return what it prints: the
+    growth of its peak RSS, in KiB (``ru_maxrss`` is KiB on Linux)."""
     import os
     import subprocess
     import sys
@@ -218,8 +215,39 @@ def test_default_cluster_peak_rss_tracks_touched_bytes():
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     out = subprocess.run(
-        [sys.executable, "-c", _RSS_PROBE], env=env, check=True,
+        [sys.executable, "-c", probe], env=env, check=True,
         capture_output=True, text=True,
     )
-    grown_kib = int(out.stdout.strip())  # ru_maxrss is KiB on Linux
+    return int(out.stdout.strip())
+
+
+def test_default_cluster_peak_rss_tracks_touched_bytes():
+    """The default arenas model 12 GiB of host memory per node (and 3 GiB
+    per GPU) but commit pages only on first touch, at base-page
+    granularity: building a 4-node cluster and its MPI world at the
+    default config must not grow peak RSS by more than a few MiB, and must
+    not fail where the kernel refuses to overcommit an eager 12 GiB
+    allocation."""
+    grown_kib = peak_rss_growth_kib(_RSS_PROBE)
     assert grown_kib < 16 * 1024, f"peak RSS grew {grown_kib} KiB"
+
+
+_SPARSE_PROBE = """
+import resource
+from repro.hw import Cluster, MiB
+cluster = Cluster(1)
+raw = cluster.nodes[0].gpu.malloc(64 * MiB).view()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+for k in range(32):
+    raw[k * 2 * MiB] = 1
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(after - before)
+"""
+
+
+def test_sparse_touches_commit_base_pages():
+    """32 one-byte writes 2 MiB apart into a default device allocation
+    commit 32 base pages, not 32 huge pages (64 MiB where transparent
+    huge pages back the arena)."""
+    grown_kib = peak_rss_growth_kib(_SPARSE_PROBE)
+    assert grown_kib < 4 * 1024, f"peak RSS grew {grown_kib} KiB"

@@ -1,19 +1,23 @@
 """Pack/unpack engine tests, including hypothesis round-trips against a
 naive reference implementation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.plan import ChunkPlan
-from repro.hw import Arena, HardwareConfig
+from repro.hw import Arena, HardwareConfig, MiB
 from repro.mpi.datatype import Datatype, DatatypeError
 from repro.mpi.pack import (
+    CHECK_ROWS,
     host_pack_time,
     pack_bytes,
     pack_into,
     pack_range_bytes,
+    strided_rows_equal,
     unpack_array_into,
     unpack_from,
     unpack_range_from,
@@ -338,3 +342,111 @@ def test_every_entry_point_matches_slice_oracle(layout, count, base, data):
         slice_scatter(expected[buf.offset: buf.end], runs,
                       incoming[:length], first)
         assert np.array_equal(arena.raw, expected)
+
+
+# -- the delivered-data check ------------------------------------------------------
+
+
+def plain_rows_equal(raw: np.ndarray, pattern: np.ndarray, width: int,
+                     pitch: int, height: int) -> bool:
+    """``strided_rows_equal``'s oracle: both sides padded to whole pitches,
+    cut into rows and compared column by column."""
+    span = (height - 1) * pitch + width
+    sides = []
+    for side in (raw, pattern):
+        rows = np.zeros(height * pitch, np.uint8)
+        rows[:span] = side[:span]
+        sides.append(rows.reshape(height, pitch)[:, :width])
+    return bool(np.array_equal(*sides))
+
+
+def checked_rows(width: int, pitch: int, height: int, offset: int, seed: int):
+    """``(buf, pattern)``: ``height`` rows of ``width`` payload bytes at
+    ``pitch`` in a buffer ``offset`` bytes into its allocation, equal to
+    ``pattern`` in the payload columns and unequal in every gap byte."""
+    span = (height - 1) * pitch + width
+    rng = np.random.default_rng(seed)
+    pattern = rng.integers(0, 256, span + pitch, dtype=np.uint8)
+    buf = Arena(offset + span + 512, "device").alloc(offset + span).sub(offset)
+    raw = buf.view()
+    raw[:] = ~pattern[:span]
+    rows = np.lib.stride_tricks.as_strided(
+        raw, shape=(height, width), strides=(pitch, 1))
+    rows[:] = np.lib.stride_tricks.as_strided(
+        pattern, shape=(height, width), strides=(pitch, 1))
+    return buf, pattern
+
+
+#: Rows the property draws: one and two, and each side of one and two
+#: block boundaries.
+CHECK_HEIGHTS = [1, 2, CHECK_ROWS - 1, CHECK_ROWS, CHECK_ROWS + 1,
+                 2 * CHECK_ROWS + 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 8, 12]), st.booleans(),
+       st.integers(0, 5), st.sampled_from(CHECK_HEIGHTS), st.integers(0, 9),
+       st.data())
+def test_strided_rows_equal_matches_plain_comparison(
+        width, aligned, extra, height, offset, data):
+    """The blocked check reads what a plain comparison of the payload
+    columns reads, whether or not the rows widen to a machine word (width
+    1/2/4/8 at a word-aligned pitch and buffer offset) and wherever one
+    payload byte differs."""
+    pitch = width * (1 + extra) if aligned else width + 1 + extra
+    buf, pattern = checked_rows(width, pitch, height, offset,
+                                seed=width * 1009 + pitch * 31 + height)
+    flip = data.draw(st.none() | st.integers(0, height - 1), label="row")
+    if flip is not None:
+        col = data.draw(st.integers(0, width - 1), label="col")
+        buf.view()[flip * pitch + col] ^= data.draw(st.integers(1, 255))
+    want = plain_rows_equal(buf.view(), pattern, width, pitch, height)
+    assert want == (flip is None)
+    assert strided_rows_equal(buf, pattern, width, pitch, height) == want
+
+
+@pytest.mark.parametrize("width, pitch", [(4, 8), (3, 8)])
+@pytest.mark.parametrize("row", [0, CHECK_ROWS - 1, CHECK_ROWS,
+                                 2 * CHECK_ROWS])
+def test_strided_rows_equal_catches_one_flipped_byte(width, pitch, row):
+    """One flipped payload byte fails the check in the first row, on
+    either side of a block boundary and in the last row, through the
+    widened view (width 4) and the byte view (width 3)."""
+    height = 2 * CHECK_ROWS + 1
+    buf, pattern = checked_rows(width, pitch, height, 0, seed=row)
+    assert strided_rows_equal(buf, pattern, width, pitch, height)
+    buf.view()[row * pitch + width - 1] ^= 0x80
+    assert not strided_rows_equal(buf, pattern, width, pitch, height)
+
+
+def test_strided_rows_equal_rejects_a_short_pattern():
+    """A pattern shorter than the rows' span is an error, not a read past
+    its end."""
+    buf, pattern = checked_rows(3, 8, 100, 0, seed=3)
+    with pytest.raises(ValueError, match="shorter"):
+        strided_rows_equal(buf, pattern[:16], 3, 8, 100)
+    assert strided_rows_equal(buf, pattern[:99 * 8 + 3], 3, 8, 100)
+
+
+#: Tracemalloc peak of checking the Fig. 5 vector (9.00 MiB while the
+#: check copied the widened payload and the pattern whole).
+CHECK_CEILING = 1 * MiB
+
+
+def test_fig5_check_traced_peak_within_ceiling():
+    """Checking the Fig. 5 4 MiB vector (a million 4-byte rows at an
+    8-byte pitch) makes no full-size copy of either side."""
+    rows = 1 << 20
+    buf, pattern = checked_rows(4, 8, rows, 0, seed=5)
+    strided_rows_equal(buf, pattern, 4, 8, 16)  # lazy imports
+    tracemalloc.start()
+    try:
+        equal = strided_rows_equal(buf, pattern, 4, 8, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert equal
+    assert peak <= CHECK_CEILING, (
+        f"checking the Fig. 5 vector peaked at {peak / MiB:.2f} MiB, "
+        f"ceiling {CHECK_CEILING / MiB:.2f} MiB"
+    )

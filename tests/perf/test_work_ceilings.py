@@ -37,6 +37,9 @@ payload byte. A strided layout carries none: the Fig. 5 vector and its
 plan's chunk slices keep four integers each, not a million runs. Nor does
 an irregular layout of long runs, which is copied run by run: an
 alltoallv-mixed block and its plan keep two slices per run.
+
+Resident memory is the last: a functional run's peak RSS grows with the
+bytes its ranks touch, not with the memory its cluster models.
 """
 
 import gc
@@ -350,6 +353,35 @@ def test_long_run_block_keeps_no_word_index():
         cp.scatter_from(packed, buf)
     indexed = [cp.index for cp in plan.chunks if cp.segs._index is not None]
     assert not indexed, f"chunks holding a word index: {indexed}"
+
+
+_STENCIL_RSS_PROBE = """
+import resource
+from repro.apps import StencilConfig, run_stencil
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+run_stencil(StencilConfig(8, 8, 64, 512, iterations=2, functional=True, seed=1))
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(after - before)
+"""
+
+#: Peak RSS growth of a functional 8x8 stencil (64x512 fp32 per rank, two
+#: iterations, default cluster): 405 MiB while the arenas committed 2 MiB
+#: huge pages, 31 MiB in base pages.
+STENCIL_RSS_CEILING = 64 * MiB
+
+
+def test_functional_64_rank_stencil_peak_rss_within_ceiling():
+    """64 ranks' arenas, staging pools and halos cost what the run
+    touches: under 1 MiB of resident memory per rank."""
+    # Imported here: the script entry point runs without the repository
+    # root, and so without ``tests``, on the import path.
+    from tests.hw.test_memory import peak_rss_growth_kib
+
+    grown = peak_rss_growth_kib(_STENCIL_RSS_PROBE) * KiB
+    assert grown < STENCIL_RSS_CEILING, (
+        f"the 64-rank functional stencil grew peak RSS {grown / MiB:.1f} "
+        f"MiB, ceiling {STENCIL_RSS_CEILING / MiB:.0f} MiB"
+    )
 
 
 if __name__ == "__main__":
